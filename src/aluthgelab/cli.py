@@ -211,14 +211,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (AluthgeLabError, ValueError) as exc:
+    except (AluthgeLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aluthge import aluthge_transform, conjugator
+from .aluthge import conjugacy
 from .errors import (
     IllConditionedEigenbasisError,
     InvalidDeltaError,
@@ -282,11 +282,11 @@ def generate_pseudo_orbit(
     Raises
     ------
     InvalidDeltaError
-        If delta is negative.
+        If delta is negative, NaN or infinite.
     """
     T = as_matrix(T)
-    if delta < 0:
-        raise InvalidDeltaError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     if mode not in ("ball", "noisy"):
@@ -392,23 +392,20 @@ def transfer_shadowing(
         Propagated from the splitting of the shadowing operator.
     """
     T = as_matrix(T)
-    conj = conjugator(T, lam)
-    H = conj.matrix
-    transform = aluthge_transform(T, lam)
+    transform, conj, H_inv = conjugacy(T, lam)
     factor = conj.norm * conj.inverse_norm
     x = orbit_for_transform.points
     if not reverse:
         base, target = T, transform
-        pulled = np.linalg.solve(H, x.T).T
-        pulled_delta = conj.inverse_norm * orbit_for_transform.delta
-        pulled_bound = conj.inverse_norm * orbit_for_transform.bound
-        push_matrix = H
+        pull_matrix, push_matrix = H_inv, conj.matrix
+        pull_norm = conj.inverse_norm
     else:
         base, target = transform, T
-        pulled = x @ H.T
-        pulled_delta = conj.norm * orbit_for_transform.delta
-        pulled_bound = conj.norm * orbit_for_transform.bound
-        push_matrix = np.linalg.inv(H)
+        pull_matrix, push_matrix = conj.matrix, H_inv
+        pull_norm = conj.norm
+    pulled = x @ pull_matrix.T
+    pulled_delta = pull_norm * orbit_for_transform.delta
+    pulled_bound = pull_norm * orbit_for_transform.bound
     splitting = hyperbolic_splitting(base)
     inner = shadow_orbit(
         base,

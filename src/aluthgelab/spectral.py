@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeMismatchError
 from .linalg_core import as_matrix, eigenvalues
@@ -116,6 +115,9 @@ def multiset_match(a, b, tol: float) -> MatchResult:
         raise SizeMismatchError(f"multiset sizes differ: {a.size} vs {b.size}")
     if a.size == 0:
         return MatchResult(True, 0.0)
+    # imported here: scipy.optimize dominates the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_distance = float(cost[rows, cols].max())
@@ -282,8 +284,6 @@ def quasi_hyperbolic_definitional(
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     budget = budget or SearchBudget()
-    if budget.starts < 1 or budget.iters < 1:
-        raise ValueError("search budget must allow at least one start and one iteration")
     rng = np.random.Generator(np.random.Philox(seed))
     d = T.shape[0]
     worst_margin = np.inf

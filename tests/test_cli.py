@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +143,11 @@ def test_shadow_rerun_byte_identical(saddle_file):
     assert a.stdout == b.stdout
 
 
+def test_shadow_non_finite_delta_exits_2(saddle_file, capsys):
+    assert main(["shadow", "--in", saddle_file, "--delta", "nan"]) == 2
+    assert "delta" in capsys.readouterr().err
+
+
 def test_transfer_payload(monomial_file):
     proc = run_cli("transfer", "--in", monomial_file, "--lambda", "0.5", "--delta", "0.01", "--len", "100", "--seed", "5")
     assert proc.returncode == 0
@@ -181,6 +187,16 @@ def test_verify_stable_output_byte_identical(tmp_path):
     report = json.loads(out_a.read_text())
     assert report["wall_time"] == 0.0
     assert "timestamp" not in report
+
+
+def test_verify_iterates_matches_golden_report(capsys):
+    # at this base seed the 95% convergence gate trips, so the report lists
+    # failures; any change to the transform or its iterate diagnostics must
+    # reproduce the committed report byte for byte
+    golden = Path(__file__).parent / "data" / "verify_iterates_seed33.json"
+    argv = ["verify", "--suite", "iterates", "--trials", "100", "--seed", "33", "--stable-output"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_verify_bad_suite_exits_2():

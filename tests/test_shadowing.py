@@ -144,6 +144,12 @@ def test_orbit_rejects_negative_delta():
         generate_pseudo_orbit(SADDLE, delta=-0.01, length=10, seed=0)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_orbit_rejects_non_finite_delta(delta):
+    with pytest.raises(InvalidDeltaError):
+        generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
+
+
 def test_orbit_rejects_bad_length_and_mode():
     with pytest.raises(ValueError):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=-1, seed=0)

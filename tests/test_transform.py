@@ -14,6 +14,8 @@ from aluthgelab import (
     multiset_match,
     normality_defect,
     operator_norm,
+    polar_decompose,
+    psd_power,
     scale_homogeneity_check,
     write_trace_csv,
 )
@@ -61,6 +63,36 @@ def test_transform_preserves_spectrum(seed, n, lam):
         1e-7 * (1 + operator_norm(T)),
     )
     assert result.matched, f"max pairing distance {result.max_distance}"
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_transform_rank_one_closed_form(seed):
+    # D_lam(x y*) = (y*x / ||y||^2) y y* for every lambda; raising the
+    # roundoff singular values of a rank-one T to a power misses this by
+    # about 0.1 ||T||
+    rng = np.random.default_rng(200 + seed)
+    n = 2 + seed
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    T = np.outer(x, y.conj())
+    exact = (np.vdot(y, x) / np.vdot(y, y)) * np.outer(y, y.conj())
+    for lam in LAMBDAS:
+        err = operator_norm(aluthge_transform(T, lam) - exact)
+        assert err <= 1e-12 * operator_norm(T), (lam, err)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_transform_matches_polar_construction(n):
+    # invertible T: the one-SVD core equals |T|^lam U |T|^(1-lam) built from
+    # polar_decompose and psd_power
+    T = random_matrix(300 + n, n)
+    parts = polar_decompose(T)
+    for lam in LAMBDAS:
+        reference = psd_power(parts.modulus, lam) @ parts.isometry_part @ psd_power(
+            parts.modulus, 1.0 - lam
+        )
+        err = operator_norm(aluthge_transform(T, lam) - reference)
+        assert err <= 1e-12 * operator_norm(T), (lam, err)
 
 
 def test_homogeneity_identity_scaling():
@@ -132,6 +164,23 @@ def test_iterates_norms_nonincreasing(seed):
     assert len(trace.operator_norms) == len(trace.normality_defects) == len(trace.iterates)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_iterates_diagnostics_match_operator_norm(seed):
+    T = random_matrix(80 + seed, 2 + seed)
+    trace = aluthge_iterates(T, 0.5, 40)
+    for S, norm, defect in zip(trace.iterates, trace.operator_norms, trace.normality_defects):
+        assert norm == pytest.approx(operator_norm(S), rel=1e-12)
+        commutator = S.conj().T @ S - S @ S.conj().T
+        assert defect == pytest.approx(operator_norm(commutator), rel=1e-12)
+
+
+def test_iterates_diagnostics_keep_their_scale():
+    # ||T||^2 underflows here; the trace still reports ||T|| itself
+    T = 1e-170 * random_matrix(90, 4)
+    trace = aluthge_iterates(T, 0.5, 3)
+    assert trace.operator_norms[0] == pytest.approx(operator_norm(T), rel=1e-12)
+
+
 def test_iterates_rejects_bad_budget():
     with pytest.raises(ValueError):
         aluthge_iterates(T_MONOMIAL, 0.5, 0)
@@ -184,6 +233,19 @@ def test_conjugator_similarity_bound(seed, lam):
     cond = conj.norm * conj.inverse_norm
     err = operator_norm(H @ T @ np.linalg.inv(H) - aluthge_transform(T, lam))
     assert err <= 1e-9 * cond * operator_norm(T)
+
+
+@pytest.mark.parametrize("seed,n", [(60 + k, n) for k, n in enumerate((2, 4, 8, 16, 32))])
+def test_conjugator_similarity_roundoff(seed, n):
+    # the roundoff bound of the large-operator benchmark check:
+    # ||H T H^-1 - D_lam(T)|| <= 10 n eps ||H|| ||H^-1|| ||T||
+    T = random_matrix(seed, n)
+    for lam in LAMBDAS:
+        conj = conjugator(T, lam)
+        H = conj.matrix
+        err = operator_norm(H @ T @ np.linalg.inv(H) - aluthge_transform(T, lam))
+        bound = 10 * n * np.finfo(float).eps * conj.norm * conj.inverse_norm * operator_norm(T)
+        assert err <= bound, (lam, err, bound)
 
 
 @pytest.mark.parametrize("seed", range(5))
