@@ -8,8 +8,9 @@ notes go to stderr.  Exit codes: 0 on success or all-pass, 1 when a
 verification suite records failures, 2 on usage or input errors.
 
 Rerunning a command with the same arguments and seed produces
-byte-identical payloads; pass ``--stable-output`` to zero wall times and
-omit timestamps so verify reports can be compared as golden files.
+byte-identical payloads; pass ``verify --stable-output`` to zero wall
+times and omit timestamps so verify reports can be compared as golden
+files.
 """
 
 from __future__ import annotations
@@ -147,41 +148,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--stable-output",
-            action="store_true",
-            help="zero wall times and omit timestamps for golden-file comparison",
-        )
-        return p
-
-    p = add("transform", "apply the lambda-Aluthge transform to a matrix")
+    p = sub.add_parser("transform", help="apply the lambda-Aluthge transform to a matrix")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--out", help="output matrix JSON (stdout if omitted)")
     p.set_defaults(handler=_cmd_transform)
 
-    p = add("iterate", "iterate the transform, tracing norms and defects")
+    p = sub.add_parser("iterate", help="iterate the transform, tracing norms and defects")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--n", type=int, default=500, help="iteration budget")
     p.add_argument("--trace", help="trace CSV path (stdout if omitted)")
     p.set_defaults(handler=_cmd_iterate)
 
-    p = add("spectrum", "eigenvalues and hyperbolicity report")
+    p = sub.add_parser("spectrum", help="eigenvalues and hyperbolicity report")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--json", help="report path (stdout if omitted)")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = add("quasihyp", "quasi-hyperbolicity verdict")
+    p = sub.add_parser("quasihyp", help="quasi-hyperbolicity verdict")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--method", choices=["spectral", "definitional"], default="spectral")
     p.add_argument("--nmax", type=int, default=20, help="largest exponent to test")
     p.add_argument("--seed", type=int, default=0, help="falsifier multistart seed")
     p.set_defaults(handler=_cmd_quasihyp)
 
-    p = add("shadow", "generate and shadow a ball-mode pseudo-orbit")
+    p = sub.add_parser("shadow", help="generate and shadow a ball-mode pseudo-orbit")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--delta", type=float, default=0.01, help="defect bound")
     p.add_argument("--len", dest="length", type=int, default=200, help="orbit steps")
@@ -189,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="result path (stdout if omitted)")
     p.set_defaults(handler=_cmd_shadow)
 
-    p = add("transfer", "shadow an orbit of the transform through the conjugacy")
+    p = sub.add_parser("transfer", help="shadow an orbit of the transform through the conjugacy")
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.01, help="defect bound")
@@ -197,11 +189,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_transfer)
 
-    p = add("verify", "run ensemble property suites")
+    p = sub.add_parser("verify", help="run ensemble property suites")
     p.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="report path (stdout if omitted)")
+    p.add_argument(
+        "--stable-output",
+        action="store_true",
+        help="zero wall times and omit timestamps for golden-file comparison",
+    )
     p.set_defaults(handler=_cmd_verify)
 
     return parser

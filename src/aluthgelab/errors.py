@@ -42,7 +42,7 @@ class IllConditionedEigenbasisError(AluthgeLabError):
 
 
 class InvalidDeltaError(AluthgeLabError):
-    """A pseudo-orbit defect bound is negative."""
+    """A pseudo-orbit defect bound is negative, NaN or infinite."""
 
 
 class SizeMismatchError(AluthgeLabError):

@@ -40,8 +40,8 @@ from .errors import (
     NotHyperbolicError,
     UnstableOverflowError,
 )
-from .linalg_core import as_matrix, operator_norm, rank_tolerance
-from .spectral import spectrum_report
+from .linalg_core import as_matrix, eigenvalues, operator_norm, rank_tolerance
+from .spectral import _hyperbolicity
 
 __all__ = [
     "HyperbolicSplitting",
@@ -123,15 +123,13 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting:
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"
         )
-    report = spectrum_report(T)
-    if not report.hyperbolic:
-        raise NotHyperbolicError(
-            f"spectrum within {report.circle_distance:.3e} of the unit circle"
-        )
     try:
         ev, V = np.linalg.eig(T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    _, circle, hyperbolic = _hyperbolicity(ev)
+    if not hyperbolic:
+        raise NotHyperbolicError(f"spectrum within {circle:.3e} of the unit circle")
     V = V / np.linalg.norm(V, axis=0)
     condition = float(np.linalg.cond(V))
     if condition > EIGENBASIS_CONDITION_LIMIT:
@@ -305,7 +303,7 @@ def generate_pseudo_orbit(
     for k in range(length):
         points[k + 1] = T @ points[k] + noise[k]
     radius = float(np.linalg.norm(points, axis=1).max())
-    expanding = bool(np.abs(np.linalg.eigvals(T)).max() > 1.0)
+    expanding = bool(np.abs(eigenvalues(T)).max() > 1.0)
     return PseudoOrbit(
         points=points,
         delta=float(delta),

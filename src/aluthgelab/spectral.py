@@ -80,15 +80,16 @@ def spectrum_report(T) -> SpectrumReport:
     ev = eigenvalues(T)
     order = np.lexsort((ev.imag, ev.real))
     ev = ev[order]
+    return SpectrumReport(ev, *_hyperbolicity(ev))
+
+
+def _hyperbolicity(ev: np.ndarray) -> tuple[float, float, bool]:
+    """Spectral radius, distance to the unit circle and the hyperbolic
+    flag of an eigenvalue multiset (see :class:`SpectrumReport`)."""
     moduli = np.abs(ev)
     radius = float(moduli.max()) if ev.size else 0.0
     circle = float(np.abs(moduli - 1.0).min()) if ev.size else 1.0
-    return SpectrumReport(
-        eigenvalues=ev,
-        spectral_radius=radius,
-        circle_distance=circle,
-        hyperbolic=bool(circle > HYPERBOLICITY_TOL_FACTOR * (1.0 + radius)),
-    )
+    return radius, circle, bool(circle > HYPERBOLICITY_TOL_FACTOR * (1.0 + radius))
 
 
 class MatchResult(NamedTuple):

@@ -204,6 +204,12 @@ def test_verify_bad_suite_exits_2():
     assert proc.returncode == 2
 
 
+def test_stable_output_only_on_verify(monomial_file):
+    proc = run_cli("transform", "--in", monomial_file, "--stable-output")
+    assert proc.returncode == 2
+    assert "--stable-output" in proc.stderr
+
+
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
     # a suite failure must surface as exit code 1
     def fake_run_suite(name, trials, base_seed):

@@ -8,6 +8,7 @@ from aluthgelab import (
     IllConditionedEigenbasisError,
     InvalidDeltaError,
     LengthMismatchError,
+    NoConvergenceError,
     NotHyperbolicError,
     NotInvertibleError,
     PseudoOrbit,
@@ -128,6 +129,15 @@ def test_noisy_orbit_flags_expanding_map():
     orbit = generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=3, mode="noisy")
     assert orbit.unbounded_risk
     assert np.max(orbit_defects(SADDLE, orbit)) <= 0.01 + 1e-15
+
+
+def test_noisy_orbit_eigenvalue_failure_is_typed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NoConvergenceError):
+        generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=3, mode="noisy")
 
 
 def test_noisy_orbit_contracting_stays_bounded():

@@ -1,6 +1,7 @@
 """Verification suites and their reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,12 @@ from aluthgelab import (
     RNG_IDENTIFIER,
     SUITE_NAMES,
     ExperimentReport,
+    NotInvertibleError,
     run_all,
     run_suite,
+    suites,
 )
+from aluthgelab.cli import main
 
 
 def test_suite_names():
@@ -77,3 +81,38 @@ def test_run_suite_rejects_bad_arguments():
         run_suite("nonsense", trials=5, base_seed=0)
     with pytest.raises(ValueError):
         run_suite("spectral", trials=0, base_seed=0)
+
+
+def test_shadowing_report_lists_every_delta_it_runs():
+    report = run_suite("shadowing", trials=1, base_seed=0)
+    assert report.tolerances["deltas"] == [0.01, 0.001, 0.005]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NotInvertibleError("refused")
+
+    for entry in ("aluthge_transform", "aluthge_iterates", "hyperbolic_splitting"):
+        monkeypatch.setattr(suites, entry, refuse)
+    trials, base_seed = 7, 3
+    report = run_suite(name, trials=trials, base_seed=base_seed)
+    assert report.passes == 0
+    kinds = report.spec["kinds"]
+    lo, hi = report.spec["dims"]
+    for i, failure in enumerate(report.failures):
+        kind, dim = kinds[i % len(kinds)], lo + i % (hi - lo + 1)
+        assert failure["seed"] == base_seed + i
+        problems = failure["diagnostic"].split("; ")
+        assert problems[0] == f"{kind} dim {dim}: error: refused"
+        if name == "iterates":
+            assert problems[1:] == ["non-converged trial (population rate 0.00 below 0.95)"]
+        else:
+            assert problems[1:] == []
+
+
+def test_verify_all_matches_golden_report(capsys):
+    golden = Path(__file__).parent / "data" / "verify_all_seed1_trials12.json"
+    argv = ["verify", "--suite", "all", "--trials", "12", "--seed", "1", "--stable-output"]
+    assert main(argv) == 1  # the iterates gate trips on this short stream
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
