@@ -23,13 +23,11 @@ from datetime import datetime, timezone
 from .aluthge import aluthge_iterates, aluthge_transform, write_trace_csv
 from .errors import AluthgeLabError
 from .linalg_core import load_matrix, matrix_to_json, save_matrix
-from .shadowing import generate_pseudo_orbit, hyperbolic_splitting, shadow_orbit, transfer_shadowing, verify_shadowing
+from .shadowing import EPSILON_SLACK, generate_pseudo_orbit, hyperbolic_splitting, shadow_orbit, transfer_shadowing, verify_shadowing
 from .spectral import is_quasi_hyperbolic_spectral, quasi_hyperbolic_definitional, spectrum_report
 from .suites import SUITE_NAMES, run_all, run_suite
 
 __all__ = ["main"]
-
-EPSILON_SLACK = 1e-9
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -40,6 +38,16 @@ def _emit_json(payload: dict, path: str | None) -> None:
         print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+
+
+def _shadow_payload(T, orbit, result) -> dict:
+    """Orbit, shadow and the check of the shadow against C * delta + EPSILON_SLACK."""
+    claim = result.constant_bound * orbit.delta + EPSILON_SLACK
+    return {
+        "orbit": orbit.to_json(),
+        "shadow": result.to_json(),
+        "verified": verify_shadowing(T, orbit, result, claim),
+    }
 
 
 def _cmd_transform(args) -> int:
@@ -90,13 +98,7 @@ def _cmd_shadow(args) -> int:
     splitting = hyperbolic_splitting(T)
     orbit = generate_pseudo_orbit(T, args.delta, args.length, args.seed)
     result = shadow_orbit(T, splitting, orbit)
-    claim = result.constant_bound * args.delta + EPSILON_SLACK
-    payload = {
-        "orbit": orbit.to_json(),
-        "shadow": result.to_json(),
-        "verified": verify_shadowing(T, orbit, result, claim),
-    }
-    _emit_json(payload, args.json)
+    _emit_json(_shadow_payload(T, orbit, result), args.json)
     return 0
 
 
@@ -105,13 +107,7 @@ def _cmd_transfer(args) -> int:
     transform = aluthge_transform(T, args.lam)
     orbit = generate_pseudo_orbit(transform, args.delta, args.length, args.seed)
     result = transfer_shadowing(T, args.lam, orbit)
-    claim = result.constant_bound * args.delta + EPSILON_SLACK
-    payload = {
-        "orbit": orbit.to_json(),
-        "shadow": result.to_json(),
-        "verified": verify_shadowing(transform, orbit, result, claim),
-    }
-    _emit_json(payload, None)
+    _emit_json(_shadow_payload(transform, orbit, result), None)
     return 0
 
 

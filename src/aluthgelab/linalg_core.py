@@ -212,12 +212,28 @@ def polar_decompose(T) -> PolarParts:
     return PolarParts(isometry_part=U, modulus=P)
 
 
+def _complex_to_json(z: np.ndarray) -> list:
+    """Complex array as nested lists with one ``[re, im]`` pair per entry."""
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
+def _complex_from_json(pairs, ndim: int) -> np.ndarray:
+    """Parse nested ``[re, im]`` number pairs into a complex array with
+    ``ndim`` axes; anything else raises SizeMismatchError."""
+    try:
+        parts = np.array(pairs)
+    except ValueError as exc:  # ragged nesting
+        raise SizeMismatchError(f"malformed [re, im] data: {exc}") from exc
+    if parts.dtype.kind not in "biuf" or parts.shape[ndim:] != (2,):
+        raise SizeMismatchError(f"expected {ndim}-d [re, im] numbers, got {parts.dtype} {parts.shape}")
+    return parts.astype(float).view(complex)[..., 0]
+
+
 def matrix_to_json(T) -> dict:
     """Matrix as a JSON-ready dict in the {"rows", "cols", "data"} format."""
     T = as_matrix(T)
     n, m = T.shape
-    data = [[float(z.real), float(z.imag)] for z in T.ravel()]
-    return {"rows": int(n), "cols": int(m), "data": data}
+    return {"rows": int(n), "cols": int(m), "data": _complex_to_json(T.ravel())}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -230,11 +246,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise SizeMismatchError(
             f"data length {len(data)} does not match {rows}x{cols}"
         )
-    try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise SizeMismatchError(f"malformed matrix data: {exc}") from exc
-    return as_matrix(flat.reshape(rows, cols))
+    return as_matrix(_complex_from_json(data, ndim=1).reshape(rows, cols))
 
 
 def load_matrix(path) -> np.ndarray:

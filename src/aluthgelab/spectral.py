@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SizeMismatchError
-from .linalg_core import as_matrix, eigenvalues
+from .linalg_core import _complex_to_json, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",
@@ -66,7 +66,7 @@ class SpectrumReport:
 
     def to_json(self) -> dict:
         return {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
+            "eigenvalues": _complex_to_json(self.eigenvalues),
             "spectral_radius": self.spectral_radius,
             "circle_distance": self.circle_distance,
             "hyperbolic": self.hyperbolic,
@@ -147,14 +147,11 @@ class QuasiHyperbolicVerdict:
     budget_exhausted: bool = False
 
     def to_json(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = [[float(z.real), float(z.imag)] for z in self.witness]
         return {
             "verdict": self.verdict,
             "method": self.method,
             "exponent": self.exponent,
-            "witness": witness,
+            "witness": None if self.witness is None else _complex_to_json(self.witness),
             "margin": self.margin,
             "budget_exhausted": self.budget_exhausted,
         }

@@ -56,6 +56,7 @@ from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import eigenvalues, operator_norm
 from .shadowing import (
+    EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
     generate_pseudo_orbit,
     hyperbolic_splitting,
@@ -128,7 +129,7 @@ def _check_spectral(trial, spec, tolerances):
     weights = None
     if trial.kind == "shift":
         rng = np.random.Generator(np.random.Philox(trial.seed))
-        weights = tuple(rng.uniform(0.25, 2.25, trial.dim - 1))
+        weights = tuple(rng.uniform(*spec["shift_weights"], trial.dim - 1))
     T = _sample(trial, spec, weights=weights)
     tol = tolerances["eigenvalue_match_factor"] * (1.0 + operator_norm(T))
     matched, distance = multiset_match(
@@ -267,6 +268,7 @@ _SUITES = {
             "dims": [2, 12],
             "lambdas": list(LAMBDA_GRID),
             "cond_cap": 1e4,
+            "shift_weights": [0.25, 2.25],
         },
         tolerances={"eigenvalue_match_factor": 1e-7},
         check=_check_spectral,
@@ -293,7 +295,7 @@ _SUITES = {
         spec={"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4},
         tolerances={
             "residual_factor": RESIDUAL_TOL_FACTOR,
-            "epsilon_slack": 1e-9,
+            "epsilon_slack": EPSILON_SLACK,
             "linear_response_rel": 0.1,
             "deltas": [1e-2, 1e-3, 5e-3],
             "orbit_length": 200,
@@ -310,7 +312,7 @@ _SUITES = {
         },
         tolerances={
             "residual_factor": RESIDUAL_TOL_FACTOR,
-            "epsilon_slack": 1e-9,
+            "epsilon_slack": EPSILON_SLACK,
             "delta": 1e-2,
             "orbit_length": 200,
         },

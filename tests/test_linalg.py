@@ -208,6 +208,13 @@ def test_matrix_json_round_trip():
     np.testing.assert_allclose(matrix_from_json(obj), T, atol=0.0)
 
 
+def test_matrix_json_round_trip_is_bitwise():
+    # signed zeros and extreme magnitudes survive the [re, im] pairs
+    T = np.array([[complex(-0.0, -0.0), 1e-310 - 2.5e300j], [np.pi, complex(0.1, -0.0)]])
+    again = matrix_from_json(json.loads(json.dumps(matrix_to_json(T))))
+    assert again.tobytes() == T.tobytes()
+
+
 def test_matrix_file_round_trip(tmp_path):
     T = np.array([[0, 4], [1, 0]], dtype=complex)
     path = tmp_path / "T.json"
@@ -223,3 +230,6 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(SizeMismatchError):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0, 0]]})
+    for bad in ([["a", 0]], [[None, 0]]):
+        with pytest.raises(SizeMismatchError):
+            matrix_from_json({"rows": 1, "cols": 1, "data": bad})

@@ -13,6 +13,7 @@ from aluthgelab import (
     NotInvertibleError,
     PseudoOrbit,
     ShadowResult,
+    UnstableOverflowError,
     aluthge_transform,
     generate_pseudo_orbit,
     hyperbolic_splitting,
@@ -23,6 +24,7 @@ from aluthgelab import (
     transfer_shadowing,
     verify_shadowing,
 )
+from aluthgelab.shadowing import MEASUREMENT_HORIZON
 
 SADDLE = np.diag([2.0, 0.5])
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -90,6 +92,55 @@ def test_splitting_projector_algebra(seed):
     assert operator_norm(Ps @ Pu) <= slack
     assert operator_norm(T @ Ps - Ps @ T) <= slack * operator_norm(T)
     assert split.stable_rate < 1.0 < split.unstable_rate
+
+
+def per_power_bounds(T, split):
+    """K_s and K_u from one operator_norm per power: the reference loop
+    the splitting's batched measurement must reproduce bit for bit."""
+    Ks = Ku = 0.0
+    Ps, Pu = split.stable_projector, split.unstable_projector
+    if split.stable_rate > 0.0:
+        propagator, power = T @ Ps, Ps.copy()
+        Ks = operator_norm(power)
+        for m in range(1, MEASUREMENT_HORIZON + 1):
+            power = propagator @ power
+            Ks = max(Ks, operator_norm(power) / split.stable_rate**m)
+    if split.unstable_rate < np.inf:
+        propagator, power = np.linalg.solve(T, Pu), Pu.copy()
+        Ku = operator_norm(power)
+        for m in range(1, MEASUREMENT_HORIZON + 1):
+            power = propagator @ power
+            Ku = max(Ku, operator_norm(power) * split.unstable_rate**m)
+    return Ks, Ku
+
+
+SPLITTING_SIDES = [
+    (side, dim)
+    for side in ("stable", "unstable", "mixed")
+    for dim in range(1, 9)
+    if not (side == "mixed" and dim == 1)
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("side, dim", SPLITTING_SIDES)
+def test_splitting_constants_match_per_power_loop(side, dim, seed):
+    rng = np.random.default_rng([seed, dim])
+    stable = {"stable": True, "unstable": False, "mixed": np.arange(dim) % 2 == 0}[side]
+    moduli = np.where(stable, rng.uniform(0.3, 0.8, dim), rng.uniform(1.25, 3.0, dim))
+    ev = moduli * np.exp(2j * np.pi * rng.random(dim))
+    V = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    T = V @ np.diag(ev) @ np.linalg.inv(V)
+    split = hyperbolic_splitting(T)
+    Ks, Ku = per_power_bounds(T, split)
+    assert (split.stable_bound, split.unstable_bound) == (Ks, Ku)
+    assert (Ks > 0.0, Ku > 0.0) == (side != "unstable", side != "stable")
+    C = 0.0
+    if Ks:
+        C += Ks / (1.0 - split.stable_rate)
+    if Ku:
+        C += Ku * split.unstable_rate / (split.unstable_rate - 1.0)
+    assert split.constant_bound == C
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -243,6 +294,39 @@ def test_shadow_linear_response(seed):
     assert eps[1e-2] / eps[5e-3] == pytest.approx(2.0, rel=1e-9)
 
 
+def test_shadow_with_foreign_splitting_overflows():
+    # the splitting of diag(2, 0.5) inverts the first axis, where
+    # T = diag(0.1, 0.5) contracts: the back-substitution grows tenfold a step
+    split = hyperbolic_splitting(SADDLE)
+    T = np.diag([0.1, 0.5])
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=200, seed=0)
+    with pytest.raises(UnstableOverflowError, match="overflow at step 47"):
+        shadow_orbit(T, split, orbit)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_shadow_short_orbits(length):
+    T = hyperbolic_sample(0, dim=3)
+    delta = 1e-2
+    orbit = generate_pseudo_orbit(T, delta=delta, length=length, seed=5)
+    result = shadow_orbit(T, hyperbolic_splitting(T), orbit)
+    assert len(result) == length + 1
+    claim = result.constant_bound * delta + 1e-9
+    assert result.epsilon <= claim
+    assert verify_shadowing(T, orbit, result, claim)
+    if length == 0:
+        # nothing to correct: the single point is its own orbit
+        assert (result.epsilon, result.orbit_residual) == (0.0, 0.0)
+        np.testing.assert_array_equal(result.shadow_points, orbit.points)
+    moved = ShadowResult(
+        shadow_points=result.shadow_points + 1.0,
+        epsilon=result.epsilon,
+        orbit_residual=result.orbit_residual,
+        constant_bound=result.constant_bound,
+    )
+    assert not verify_shadowing(T, orbit, moved, claim)
+
+
 def test_shadow_result_json_round_trip():
     T = np.array([[2.0]])
     orbit = constant_orbit(0.01, delta=0.01, length=10)
@@ -320,6 +404,22 @@ def test_transfer_scalar_modulus_is_identity_conjugation():
         transferred.shadow_points, direct.shadow_points, atol=1e-11
     )
     assert transferred.constant_bound == pytest.approx(direct.constant_bound, rel=1e-9)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_transfer_short_orbits(length, reverse):
+    T = np.array([[0.0, 4.0], [1.0, 0.0]])
+    target = T if reverse else aluthge_transform(T, 0.5)
+    delta = 1e-2
+    orbit = generate_pseudo_orbit(target, delta=delta, length=length, seed=6)
+    result = transfer_shadowing(T, 0.5, orbit, reverse=reverse)
+    assert len(result) == length + 1
+    assert verify_shadowing(target, orbit, result, result.constant_bound * delta + 1e-9)
+    if length == 0:
+        # no step to check; the point only makes the round trip H^-1 H
+        assert result.orbit_residual == 0.0
+        assert result.epsilon <= 1e-15
 
 
 def test_transfer_rejects_singular_and_nonhyperbolic():
