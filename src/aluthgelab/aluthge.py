@@ -6,21 +6,26 @@ For T = U|T| (polar decomposition) and lambda in (0, 1), the transform is
     D_lam(T) = |T|^lam U |T|^(1-lam).
 
 Everything is read off one singular value decomposition T = W S V*.  Let
-r be the number of singular values above ``rank_tolerance``; then
-|T|^t = V_r S_r^t V_r* and U = W_r V_r*, so
+S_r be S with the singular values at or below ``rank_tolerance`` set to
+zero; then |T|^t = V S_r^t V* and U = W_r V_r*, so
 
-    D_lam(T) = V_r S_r^lam (V_r* W_r) S_r^(1-lam) V_r*.
+    D_lam(T) = V S_r^lam (V* W) S_r^(1-lam) V*.
 
-Both fractional powers are truncated to rank r, which keeps the kernel
-convention ker U = ker |T| = ker T of the polar factor: singular values
-at roundoff level are zero, not raised to a small power (for T = x y*
-the result is exactly (y*x / ||y||^2) y y*).  See Higham, *Functions of
-Matrices* (SIAM 2008), ch. 8.
+Both fractional powers are truncated to the numerical rank r, which keeps
+the kernel convention ker U = ker |T| = ker T of the polar factor:
+singular values at roundoff level are zero, not raised to a small power
+(for T = x y* the result is exactly (y*x / ||y||^2) y y*).  See Higham,
+*Functions of Matrices* (SIAM 2008), ch. 8.
 
 Iterating the transform drives a finite-dimensional operator toward a
 normal one while the operator norm decreases to the spectral radius; the
 iterate trace records both diagnostics per step, read off the eigenvalues
-of the Hermitian matrices S*S and S*S - SS*.  For invertible T the
+of the Hermitian matrices S*S and S*S - SS*.  :func:`aluthge_iterates`
+also takes a stack of k matrices of one size and iterates them in
+lockstep: each step is one batched SVD, transform and diagnostic over the
+members still running, and each member stops early on its own.  The early
+stop compares the defect and the starting norm scaled by powers of two,
+so it does not depend on the scale of T.  For invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertibleError
-from .linalg_core import SvdParts, as_matrix, eigenvalues, operator_norm, rank_tolerance, svd
+from .errors import NonFiniteEntryError, NotInvertibleError, SizeMismatchError
+from .linalg_core import SvdParts, _eigenvalues, _svd, as_matrix, operator_norm, rank_tolerance, svd
 
 __all__ = [
     "IterateTrace",
@@ -65,17 +70,18 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
-def _numerical_rank(parts: SvdParts) -> int:
-    s = parts.singular_values
-    return int(np.count_nonzero(s > rank_tolerance(s, s.size)))
+def _truncated(s: np.ndarray) -> np.ndarray:
+    """Singular values with those at or below ``rank_tolerance`` set to
+    zero; ``s`` may carry a leading stack axis."""
+    return np.where(s > rank_tolerance(s, s.shape[-1])[..., None], s, 0.0)
 
 
-def _transform(parts: SvdParts, rank: int, lam: float) -> np.ndarray:
-    """V_r S_r^lam (V_r* W_r) S_r^(1-lam) V_r* from the SVD of T."""
-    s = parts.singular_values[:rank]
-    V = parts.right[:, :rank]
-    Vh = V.conj().T
-    return (V * s**lam) @ (Vh @ parts.left[:, :rank]) @ (s[:, None] ** (1.0 - lam) * Vh)
+def _transform(parts: SvdParts, lam: float) -> np.ndarray:
+    """V S_r^lam (V* W) S_r^(1-lam) V* from the SVD of T, or of a stack."""
+    s = _truncated(parts.singular_values)
+    V = parts.right
+    Vh = V.conj().swapaxes(-1, -2)
+    return (V * s[..., None, :] ** lam) @ (Vh @ parts.left) @ (s[..., :, None] ** (1.0 - lam) * Vh)
 
 
 def _modulus_power(parts: SvdParts, t: float) -> np.ndarray:
@@ -87,31 +93,48 @@ def _modulus_power(parts: SvdParts, t: float) -> np.ndarray:
 def aluthge_transform(T, lam: float = 0.5) -> np.ndarray:
     """Lambda-Aluthge transform |T|^lam U |T|^(1-lam), from one SVD of T."""
     lam = check_lambda(lam)
-    parts = svd(T)
-    return _transform(parts, _numerical_rank(parts), lam)
+    return _transform(svd(T), lam)
 
 
-def _hermitian_norm(A: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: its largest |eigenvalue|."""
-    return float(np.abs(np.linalg.eigvalsh(A)).max(initial=0.0))
+def _hermitian_norm(A: np.ndarray) -> np.ndarray:
+    """Operator norm of a Hermitian matrix (or of each in a stack): its
+    largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(A)).max(axis=-1, initial=0.0)
 
 
-def _norm_and_defect(S: np.ndarray) -> tuple[float, float]:
-    """||S|| = sqrt(lambda_max(S*S)) and ||S*S - SS*||.
+def _norm_and_defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||S|| = sqrt(lambda_max(S*S)) and ||S*S - SS*|| of S, or of each
+    member of a stack, as ``(norm, defect, exponent)`` with the true
+    values ``norm * 2**exponent`` and ``defect * 4**exponent``.
 
-    S is first scaled by a power of two, which is exact, so that its
-    squares neither overflow nor underflow while ||S|| is a normal float.
+    S is first scaled by 2**-exponent, which is exact, so that its squares
+    neither overflow nor underflow; :func:`_unscaled` gives the true values.
     """
-    peak = float(np.abs(S).max(initial=0.0))
-    if peak == 0.0:
-        return 0.0, 0.0
+    peak = np.abs(S).max(axis=(-2, -1), initial=0.0)
     # the floor keeps 2**-exponent finite when the entries are subnormal
-    exponent = max(int(np.frexp(peak)[1]), -1000)
-    A = S * np.ldexp(1.0, -exponent)
-    gram = A.conj().T @ A
-    norm = np.sqrt(_hermitian_norm(gram))
-    defect = _hermitian_norm(gram - A @ A.conj().T)
-    return float(np.ldexp(norm, exponent)), float(np.ldexp(defect, 2 * exponent))
+    exponent = np.maximum(np.frexp(peak)[1], -1000)
+    A = S * np.ldexp(1.0, -exponent)[..., None, None]
+    Ah = A.conj().swapaxes(-1, -2)
+    gram = Ah @ A
+    return np.sqrt(_hermitian_norm(gram)), _hermitian_norm(gram - A @ Ah), exponent
+
+
+def _unscaled(norm, defect, exponent) -> tuple[np.ndarray, np.ndarray]:
+    """The true norm and defect from :func:`_norm_and_defect`.
+
+    Raises
+    ------
+    NonFiniteEntryError
+        If either is beyond the float range (the defect scales as ||T||^2).
+    """
+    with np.errstate(over="ignore"):
+        norm, defect = np.ldexp(norm, exponent), np.ldexp(defect, 2 * exponent)
+    if not (np.isfinite(norm).all() and np.isfinite(defect).all()):
+        raise NonFiniteEntryError(
+            "operator norm or normality defect beyond the float range "
+            f"(largest entry near 2**{int(np.max(exponent))})"
+        )
+    return norm, defect
 
 
 def normality_defect(T) -> float:
@@ -119,8 +142,13 @@ def normality_defect(T) -> float:
 
     Zero exactly for normal matrices; the scale is ||T||^2.  The
     commutator is Hermitian, so its norm is its largest |eigenvalue|.
+
+    Raises
+    ------
+    NonFiniteEntryError
+        If the defect is beyond the float range.
     """
-    return _norm_and_defect(as_matrix(T))[1]
+    return float(_unscaled(*_norm_and_defect(as_matrix(T)))[1])
 
 
 def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
@@ -161,39 +189,80 @@ class IterateTrace:
         return len(self.iterates)
 
 
-def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace:
+def _as_stack(T) -> tuple[np.ndarray, bool]:
+    """``(stack, single)``: a matrix as a stack of one (``single``), or a
+    stack of k matrices, validated by :func:`as_matrix` member by member."""
+    try:
+        stack = np.asarray(T, dtype=complex)
+    except ValueError as exc:  # ragged nesting
+        raise SizeMismatchError(f"expected a square matrix or a stack of them: {exc}") from exc
+    if stack.ndim != 3:
+        return as_matrix(stack)[None], True
+    for member in stack:
+        as_matrix(member)
+    return stack, False
+
+
+def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | list[IterateTrace]:
     """Iterate the lambda-Aluthge transform up to ``n_max`` times.
 
     Stops early once an iterate's normality defect falls below
     ``EARLY_STOP_FACTOR * ||T||^2``; one further iterate is appended past
     that point so a trace always exhibits the fixed point it reached.
+    Both sides are compared scaled by powers of two, so the stop is the
+    same at every scale of T.
+
+    ``T`` may also be a stack of k matrices of one size, shape (k, n, n);
+    the members are iterated in lockstep, each stopping on its own, and
+    one :class:`IterateTrace` per member is returned, in input order.
+    Each trace equals the one for that member alone.
+
+    Raises
+    ------
+    NonFiniteEntryError
+        If an entry is not finite, or a norm or defect overflows.
+    SizeMismatchError
+        If a member is not square, or the members differ in size.
     """
     lam = check_lambda(lam)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    T = as_matrix(T)
-    norm, defect = _norm_and_defect(T)
-    threshold = EARLY_STOP_FACTOR * norm**2
-    iterates = [T]
-    norms = [norm]
-    defects = [defect]
+    stack, single = _as_stack(T)
+    norm, defect, start = _norm_and_defect(stack)
+    threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
+    true_norms, true_defects = _unscaled(norm, defect, start)
+    iterates = [[M] for M in stack]
+    norms = [[x] for x in true_norms.tolist()]
+    defects = [[y] for y in true_defects.tolist()]
+    live = np.arange(len(stack))  # members still iterating
     at_floor = defect < threshold
+    S = stack
     for _ in range(n_max):
-        S = aluthge_transform(iterates[-1], lam)
-        norm, defect = _norm_and_defect(S)
-        iterates.append(S)
-        norms.append(norm)
-        defects.append(defect)
-        if at_floor:
-            break  # this iterate confirms the fixed point
-        at_floor = defects[-1] < threshold
-    radius = float(np.abs(eigenvalues(T)).max()) if T.shape[0] else 0.0
-    return IterateTrace(
-        iterates=iterates,
-        operator_norms=np.array(norms),
-        normality_defects=np.array(defects),
-        spectral_radius=radius,
-    )
+        S = _transform(_svd(S), lam)
+        norm, defect, exponent = _norm_and_defect(S)
+        true_norms, true_defects = _unscaled(norm, defect, exponent)
+        for i, M, x, y in zip(live.tolist(), S, true_norms.tolist(), true_defects.tolist()):
+            iterates[i].append(M)
+            norms[i].append(x)
+            defects[i].append(y)
+        going = ~at_floor  # a member at the floor stops: this iterate confirms it
+        if not going.any():
+            break
+        at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
+        if not going.all():
+            live, S, at_floor = live[going], S[going], at_floor[going]
+            start, threshold = start[going], threshold[going]
+    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
+    traces = [
+        IterateTrace(
+            iterates=steps,
+            operator_norms=np.array(step_norms),
+            normality_defects=np.array(step_defects),
+            spectral_radius=radius,
+        )
+        for steps, step_norms, step_defects, radius in zip(iterates, norms, defects, radii.tolist())
+    ]
+    return traces[0] if single else traces
 
 
 def write_trace_csv(trace: IterateTrace, path_or_file) -> None:
@@ -230,9 +299,9 @@ class Conjugator:
     inverse_norm: float
 
 
-def _conjugator(parts: SvdParts, rank: int, lam: float) -> Conjugator:
+def _conjugator(parts: SvdParts, lam: float) -> Conjugator:
     s = parts.singular_values
-    if rank == 0 or rank < s.size:
+    if not s.size or not _truncated(s)[-1]:
         raise NotInvertibleError(
             f"operator is numerically singular (min singular value {s[-1] if s.size else 0.0:.3e})"
         )
@@ -252,8 +321,7 @@ def conjugator(T, lam: float = 0.5) -> Conjugator:
         If the smallest singular value of T is within the rank tolerance.
     """
     lam = check_lambda(lam)
-    parts = svd(T)
-    return _conjugator(parts, _numerical_rank(parts), lam)
+    return _conjugator(svd(T), lam)
 
 
 def conjugacy(T, lam: float) -> tuple[np.ndarray, Conjugator, np.ndarray]:
@@ -266,6 +334,5 @@ def conjugacy(T, lam: float) -> tuple[np.ndarray, Conjugator, np.ndarray]:
     """
     lam = check_lambda(lam)
     parts = svd(T)
-    rank = _numerical_rank(parts)
-    conj = _conjugator(parts, rank, lam)
-    return _transform(parts, rank, lam), conj, _modulus_power(parts, -lam)
+    conj = _conjugator(parts, lam)
+    return _transform(parts, lam), conj, _modulus_power(parts, -lam)

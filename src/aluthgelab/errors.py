@@ -11,7 +11,8 @@ class AluthgeLabError(Exception):
 
 
 class NonFiniteEntryError(AluthgeLabError):
-    """A matrix contains NaN or infinite entries."""
+    """A matrix contains NaN or infinite entries, or a norm derived from
+    it (such as the normality defect ||T*T - TT*||) overflows."""
 
 
 class NoConvergenceError(AluthgeLabError):

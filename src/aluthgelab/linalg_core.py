@@ -55,7 +55,8 @@ class SvdParts:
     """Singular value decomposition T = left @ diag(singular_values) @ right*.
 
     ``left`` and ``right`` are unitary; ``singular_values`` is a real
-    nonincreasing nonnegative vector.
+    nonincreasing nonnegative vector.  For a stack of matrices each field
+    carries the same leading axis.
     """
 
     left: np.ndarray
@@ -99,12 +100,14 @@ def operator_norm(T) -> float:
     return float(np.linalg.norm(np.asarray(T, dtype=complex), 2))
 
 
-def rank_tolerance(singular_values: np.ndarray, dim: int) -> float:
+def rank_tolerance(singular_values: np.ndarray, dim: int) -> float | np.ndarray:
     """Threshold below which a singular value counts as zero.
 
     Standard numerical rank cutoff: dim * machine epsilon * sigma_max.
+    For a stack of singular-value vectors, one threshold per member.
     """
-    smax = float(singular_values[0]) if len(singular_values) else 0.0
+    s = np.asarray(singular_values)
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     return dim * np.finfo(float).eps * smax
 
 
@@ -120,12 +123,16 @@ def svd(T) -> SvdParts:
     NoConvergenceError
         If the underlying iteration fails to converge.
     """
-    T = as_matrix(T)
+    return _svd(as_matrix(T))
+
+
+def _svd(T: np.ndarray) -> SvdParts:
+    """:func:`svd` of a validated matrix, or of a stack of them."""
     try:
         W, s, Vh = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdParts(left=W, singular_values=s, right=Vh.conj().T)
+    return SvdParts(left=W, singular_values=s, right=Vh.conj().swapaxes(-1, -2))
 
 
 def eigenvalues(T) -> np.ndarray:
@@ -135,7 +142,11 @@ def eigenvalues(T) -> np.ndarray:
     input but otherwise unspecified; use spectral.multiset_match to compare
     spectra.
     """
-    T = as_matrix(T)
+    return _eigenvalues(as_matrix(T))
+
+
+def _eigenvalues(T: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalues` of a validated matrix, or of a stack of them."""
     try:
         return np.linalg.eigvals(T)
     except np.linalg.LinAlgError as exc:

@@ -18,6 +18,11 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
+The iterates suite runs the trials of each dim as one stack: a single
+``aluthge_iterates`` call iterates their (k, n, n) stack in lockstep, and
+each trial's check reads its own trace.  If that call raises, each trial
+of the stack is run alone, so only the failing trial records the error.
+
 Suites
 ------
 spectral
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -156,9 +161,36 @@ def _check_fixedpoint(trial, spec, tolerances):
     return problems
 
 
-def _check_iterates(trial, spec, tolerances):
-    T = _sample(trial, spec)
-    trace = aluthge_iterates(T, trial.lam, tolerances["iteration_budget"])
+def _stack_iterates(trials, spec, tolerances):
+    """Each trial's iterate trace, by seed, from one stacked
+    ``aluthge_iterates`` call per dim (and lambda).
+
+    A stack that raises is left out; its trials then run alone in
+    :func:`_check_iterates`, so the failing one records its own error.
+    Each trace keeps only its first iterate, the one the check reads, so
+    one stack's iterates are held at a time.
+    """
+    budget = tolerances["iteration_budget"]
+    groups = {}
+    for trial in trials:
+        groups.setdefault((trial.dim, trial.lam), []).append(trial)
+    traces = {}
+    for (_, lam), group in groups.items():
+        try:
+            stack = np.stack([_sample(trial, spec) for trial in group])
+            traces.update(
+                (trial.seed, replace(trace, iterates=trace.iterates[:1]))
+                for trial, trace in zip(group, aluthge_iterates(stack, lam, budget))
+            )
+        except AluthgeLabError:
+            continue
+    return traces
+
+
+def _check_iterates(trial, spec, tolerances, trace=None):
+    if trace is None:
+        trace = aluthge_iterates(_sample(trial, spec), trial.lam, tolerances["iteration_budget"])
+    T = trace.iterates[0]
     problems = []
     steps = np.diff(trace.operator_norms)
     if steps.size and steps.max() > tolerances["monotonicity_slack"]:
@@ -258,7 +290,10 @@ def _check_quasihyp(trial, spec, tolerances):
 class _Suite(NamedTuple):
     spec: dict
     tolerances: dict
-    check: Callable[[_Trial, dict, dict], list]
+    check: Callable[..., list]
+    #: work done for all trials at once, before the trial loop: maps a
+    #: trial's seed to a result that its check takes as a fourth argument
+    stack: Optional[Callable[[list, dict, dict], dict]] = None
 
 
 _SUITES = {
@@ -290,6 +325,7 @@ _SUITES = {
             "iteration_budget": 500,
         },
         check=_check_iterates,
+        stack=_stack_iterates,
     ),
     "shadowing": _Suite(
         spec={"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4},
@@ -347,11 +383,15 @@ def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     suite = _SUITES[name]
     spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
     tolerances = copy.deepcopy(suite.tolerances)
+    runs = [_trial(spec, index) for index in range(trials)]
+    stacked = suite.stack(runs, spec, tolerances) if suite.stack else {}
     diagnostics = []
-    for index in range(trials):
-        trial = _trial(spec, index)
+    for trial in runs:
         try:
-            problems = suite.check(trial, spec, tolerances)
+            if trial.seed in stacked:
+                problems = suite.check(trial, spec, tolerances, stacked[trial.seed])
+            else:
+                problems = suite.check(trial, spec, tolerances)
         except AluthgeLabError as exc:
             problems = [f"{trial.kind} dim {trial.dim}: error: {exc}", _UNCONVERGED]
         diagnostics.append((trial.seed, problems))

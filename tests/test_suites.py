@@ -3,15 +3,18 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aluthgelab import (
     RNG_IDENTIFIER,
     SUITE_NAMES,
+    EnsembleSpec,
     ExperimentReport,
     NotInvertibleError,
     run_all,
     run_suite,
+    sample_matrix,
     suites,
 )
 from aluthgelab.cli import main
@@ -109,6 +112,42 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
             assert problems[1:] == ["non-converged trial (population rate 0.00 below 0.95)"]
         else:
             assert problems[1:] == []
+
+
+def test_iterates_suite_runs_one_stack_per_dim(monkeypatch):
+    calls = []
+    real = suites.aluthge_iterates
+
+    def recorded(T, *args):
+        calls.append(np.shape(T))
+        return real(T, *args)
+
+    monkeypatch.setattr(suites, "aluthge_iterates", recorded)
+    run_suite("iterates", trials=10, base_seed=1)
+    assert calls == [(2, n, n) for n in range(2, 7)]
+
+
+def test_iterates_stack_error_retries_each_trial_alone(monkeypatch):
+    # trial 5 (seed 6, dim 2) is refused, alone or inside a stack; trial 0
+    # shares its stack and passes when run alone
+    refused = sample_matrix(EnsembleSpec(kind="invertible", dim=2, seed=6, cond_cap=1e4))
+    real = suites.aluthge_iterates
+
+    def flaky(T, *args):
+        members = T if np.ndim(T) == 3 else [T]
+        if any(np.array_equal(M, refused) for M in members):
+            raise NotInvertibleError("refused")
+        return real(T, *args)
+
+    monkeypatch.setattr(suites, "aluthge_iterates", flaky)
+    report = run_suite("iterates", trials=8, base_seed=1)
+    assert report.failures == [
+        {
+            "seed": 6,
+            "diagnostic": "invertible dim 2: error: refused; "
+            "non-converged trial (population rate 0.88 below 0.95)",
+        }
+    ]
 
 
 def test_verify_all_matches_golden_report(capsys):

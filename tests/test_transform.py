@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from aluthgelab import (
+    NonFiniteEntryError,
     NotInvertibleError,
+    SizeMismatchError,
     aluthge_iterates,
     aluthge_transform,
     conjugator,
@@ -179,6 +181,102 @@ def test_iterates_diagnostics_keep_their_scale():
     T = 1e-170 * random_matrix(90, 4)
     trace = aluthge_iterates(T, 0.5, 3)
     assert trace.operator_norms[0] == pytest.approx(operator_norm(T), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e150])
+def test_iterates_early_stop_is_scale_free(scale):
+    # at 1e-200 the threshold 1e-12 ||T||^2 underflows to 0, so a stop
+    # taken on unscaled values never comes
+    U = np.linalg.qr(random_matrix(95, 4))[0]
+    normal = U @ np.diag([1.0, 2.0j, -3.0, 0.5]) @ U.conj().T
+    assert len(aluthge_iterates(scale * normal, 0.5, 50)) == 2
+    trace = aluthge_iterates(scale * T_MONOMIAL, 0.5, 50)
+    assert len(trace) == 3
+    assert trace.operator_norms[1] == pytest.approx(2.0 * scale, rel=1e-12)
+    assert trace.normality_defects[0] == pytest.approx(15.0 * scale**2, rel=1e-12)
+
+
+def test_iterates_overflowing_defect_is_a_typed_error():
+    # ||T||^2 is about 1.6e321, beyond the float range
+    T = 1e160 * T_MONOMIAL
+    with pytest.raises(NonFiniteEntryError):
+        normality_defect(T)
+    with pytest.raises(NonFiniteEntryError):
+        aluthge_iterates(T, 0.5, 10)
+    with pytest.raises(NonFiniteEntryError):
+        aluthge_iterates(np.stack([T_MONOMIAL, T]), 0.5, 10)
+    # a normal operator at that scale has a representable defect
+    assert len(aluthge_iterates(1e160 * np.diag([1.0, 2.0j]), 0.5, 10)) == 2
+
+
+def _mixed_stack(n):
+    """A normal matrix, a slow draw, a rank-one x y* and the zero matrix."""
+    rng = np.random.default_rng(500 + n)
+    U = np.linalg.qr(random_matrix(600 + n, n))[0]
+    normal = U @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ U.conj().T
+    # nearly equal eigenvalues under a full upper triangle converge slowly
+    slow = np.triu(random_matrix(700 + n, n), 1)
+    slow += np.exp(2j * np.pi * rng.random()) * np.diag(1 - 1e-2 * np.arange(n))
+    x, y = random_matrix(800 + n, max(n, 2))[:2, :n]
+    return np.stack([normal, slow, np.outer(x, y.conj()), np.zeros((n, n))])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_iterate_stack_equals_one_call_per_member(n):
+    stack = _mixed_stack(n)
+    traces = aluthge_iterates(stack, 0.5, 40)
+    assert isinstance(traces, list) and len(traces) == len(stack)
+    for T, trace in zip(stack, traces):
+        alone = aluthge_iterates(T, 0.5, 40)
+        assert np.array_equal(trace.iterates[0], T)  # input order
+        assert len(trace) == len(alone)
+        assert np.array_equal(trace.operator_norms, alone.operator_norms)
+        assert np.array_equal(trace.normality_defects, alone.normality_defects)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, alone.iterates))
+        assert trace.spectral_radius == alone.spectral_radius
+    # members stop on their own: the normal one at once, the zero matrix
+    # (never below a zero threshold) and the slow draw at the budget
+    assert len(traces[0]) == 2
+    assert len(traces[3]) == 41
+    if n > 1:
+        assert len(traces[1]) == 41
+        assert len(traces[2]) == 3  # x y* is normal after one step
+
+
+def test_iterate_stack_of_one_equals_the_matrix_call():
+    T = random_matrix(97, 5)
+    (member,) = aluthge_iterates(T[None], 0.5, 60)
+    alone = aluthge_iterates(T, 0.5, 60)
+    assert np.array_equal(member.operator_norms, alone.operator_norms)
+    assert np.array_equal(member.normality_defects, alone.normality_defects)
+    assert all(np.array_equal(a, b) for a, b in zip(member.iterates, alone.iterates))
+    assert member.spectral_radius == alone.spectral_radius
+
+
+def test_iterate_stack_is_validated_at_its_boundary(monkeypatch):
+    with pytest.raises(SizeMismatchError):
+        aluthge_iterates([np.eye(2), np.eye(3)], 0.5, 5)
+    with pytest.raises(SizeMismatchError):
+        aluthge_iterates(np.zeros((3, 2, 4)), 0.5, 5)
+    stack = _mixed_stack(3)
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(NonFiniteEntryError):
+        aluthge_iterates(stack, 0.5, 5)
+
+    from aluthgelab import aluthge, linalg_core
+
+    calls = []
+    validate = linalg_core.as_matrix
+
+    def counted(a):
+        calls.append(1)
+        return validate(a)
+
+    monkeypatch.setattr(aluthge, "as_matrix", counted)
+    monkeypatch.setattr(linalg_core, "as_matrix", counted)
+    traces = aluthge_iterates(_mixed_stack(4), 0.5, 40)
+    assert sum(len(trace) for trace in traces) > 40  # many steps ...
+    assert len(calls) == 4  # ... one validation per member
 
 
 def test_iterates_rejects_bad_budget():
