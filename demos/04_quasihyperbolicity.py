@@ -3,9 +3,10 @@
 
 An operator is quasi-hyperbolic when max(||T^{2n} x||, ||x||) >= 2 ||T^n x||
 for all n >= 1 and all x.  For matrices this is equivalent to the spectrum
-avoiding the unit circle, so there is a fast spectral route and a slow
-definitional route that searches for a violating vector.  When both are
-available they must agree; the definitional route also produces witnesses.
+avoiding the unit circle, so there is a spectral route and a definitional
+route that decides the inequality itself, exponent by exponent: for each n
+it either certifies the inequality for every x or produces a violating
+unit vector (a witness).  The two routes must agree.
 """
 import numpy as np
 
@@ -24,13 +25,13 @@ for label, T in (("diag(2, 1/2)", saddle), ("rotation by pi/2", rotation)):
     print(f"  {label:18s}: quasi-hyperbolic = {v.verdict}, circle distance = {v.margin:.4f}")
 print()
 
-# the definitional search on the saddle: exponent n = 1 admits a violating
-# vector (split mass between the expanding and contracting directions),
-# but from n = 2 on the inequality holds for every unit vector
+# the definitional decision on the saddle: exponent n = 1 admits a
+# violating vector (split mass between the expanding and contracting
+# directions), but from n = 2 on the inequality holds for every unit vector
 v = quasi_hyperbolic_definitional(saddle, n_max=5)
 print("definitional, diag(2, 1/2):")
 print("  verdict  :", v.verdict)
-print("  exponent :", v.exponent, "(first n surviving the search)")
+print("  exponent :", v.exponent, "(smallest n at which the inequality holds)")
 print("  margin   :", round(v.margin, 6))
 assert v.verdict and v.exponent == 2
 

@@ -65,7 +65,6 @@ from .shadowing import (
 from .spectral import (
     MatchResult,
     QuasiHyperbolicVerdict,
-    SearchBudget,
     SpectrumReport,
     is_quasi_hyperbolic_spectral,
     multiset_match,
@@ -104,7 +103,6 @@ __all__ = [
     "SpectrumReport",
     "MatchResult",
     "QuasiHyperbolicVerdict",
-    "SearchBudget",
     "spectrum_report",
     "multiset_match",
     "is_quasi_hyperbolic_spectral",

@@ -207,8 +207,9 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     """Iterate the lambda-Aluthge transform up to ``n_max`` times.
 
     Stops early once an iterate's normality defect falls below
-    ``EARLY_STOP_FACTOR * ||T||^2``; one further iterate is appended past
-    that point so a trace always exhibits the fixed point it reached.
+    ``EARLY_STOP_FACTOR * ||T||^2``, or at once for the zero matrix; one
+    further iterate is appended past that point so a trace always exhibits
+    the fixed point it reached.
     Both sides are compared scaled by powers of two, so the stop is the
     same at every scale of T.
 
@@ -235,7 +236,7 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     norms = [[x] for x in true_norms.tolist()]
     defects = [[y] for y in true_defects.tolist()]
     live = np.arange(len(stack))  # members still iterating
-    at_floor = defect < threshold
+    at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
     S = stack
     for _ in range(n_max):
         S = _transform(_svd(S), lam)

@@ -88,7 +88,7 @@ def _cmd_quasihyp(args) -> int:
     if args.method == "spectral":
         verdict = is_quasi_hyperbolic_spectral(T)
     else:
-        verdict = quasi_hyperbolic_definitional(T, n_max=args.nmax, seed=args.seed)
+        verdict = quasi_hyperbolic_definitional(T, n_max=args.nmax)
     _emit_json(verdict.to_json(), None)
     return 0
 
@@ -166,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
     p.add_argument("--method", choices=["spectral", "definitional"], default="spectral")
     p.add_argument("--nmax", type=int, default=20, help="largest exponent to test")
-    p.add_argument("--seed", type=int, default=0, help="falsifier multistart seed")
     p.set_defaults(handler=_cmd_quasihyp)
 
     p = sub.add_parser("shadow", help="generate and shadow a ball-mode pseudo-orbit")

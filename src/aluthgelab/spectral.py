@@ -13,10 +13,13 @@ Two verdict routes are provided and kept deliberately independent:
 * ``is_quasi_hyperbolic_spectral`` reads the criterion off the spectrum
   (no eigenvalue modulus equal to one), which is exact in finite
   dimension.
-* ``quasi_hyperbolic_definitional`` attacks the displayed inequality
-  directly, searching the unit sphere for a counterexample with a seeded
-  multistart projected-gradient descent.  It is a falsifier: a positive
-  verdict means "no counterexample found under the stated budget".
+* ``quasi_hyperbolic_definitional`` decides the displayed inequality
+  itself, exponent by exponent, from the matrix powers alone.  The two
+  Hermitian forms it compares have a convex joint numerical range
+  (Toeplitz-Hausdorff), so a one-dimensional search over a separating
+  line settles each exponent exactly (the S-lemma; Polik & Terlaky,
+  SIAM Review 2007): either a certificate that the inequality holds for
+  every vector, or a unit vector that violates it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "SpectrumReport",
     "MatchResult",
     "QuasiHyperbolicVerdict",
-    "SearchBudget",
     "spectrum_report",
     "multiset_match",
     "is_quasi_hyperbolic_spectral",
@@ -44,8 +46,8 @@ __all__ = [
 #: most this factor times (1 + spectral radius).
 HYPERBOLICITY_TOL_FACTOR = 1e-8
 
-#: Matrix powers abort for a given exponent once any repeated-squaring
-#: stage exceeds this norm.
+#: An exponent n is left undecided when an entry of T^1..T^(2n) exceeds
+#: this modulus.
 OVERFLOW_LIMIT = 1e150
 
 
@@ -130,13 +132,17 @@ class QuasiHyperbolicVerdict:
     """Outcome of a quasi-hyperbolicity check.
 
     ``method`` is "spectral" or "definitional".  For a definitional true
-    verdict, ``exponent`` is the smallest n not falsified.  For a
+    verdict, ``exponent`` is the smallest n at which the inequality holds
+    and ``margin`` >= 0 is the inequality margin at the vector x* that
+    settled it (see :func:`quasi_hyperbolic_definitional`).  For a
     definitional false verdict, ``witness`` is a unit vector violating the
     inequality by |margin| at exponent ``exponent``.  For the spectral
     method, ``margin`` is the distance of the spectrum to the unit circle.
-    ``budget_exhausted`` marks a true verdict whose deciding exponent was
-    aborted (power overflow) rather than searched to completion; its
-    margin is reported as 0.
+    ``budget_exhausted`` marks a true verdict reached without a deciding
+    exponent: none held, and ``exponent`` is the smallest one left
+    undecided, because its powers passed OVERFLOW_LIMIT or because neither
+    a certificate nor a violating vector could be resolved in floating
+    point.  Its margin is reported as 0.
     """
 
     verdict: bool
@@ -171,173 +177,152 @@ def is_quasi_hyperbolic_spectral(T) -> QuasiHyperbolicVerdict:
     )
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Multistart budget for the definitional falsifier."""
+def _powers(T: np.ndarray, count: int) -> np.ndarray:
+    """The stack T^1, T^2, ... of ``count`` powers by successive products,
+    cut before the first power with an entry of modulus above
+    OVERFLOW_LIMIT.
 
-    starts: int = 12
-    iters: int = 160
-
-    def __post_init__(self):
-        if self.starts < 1 or self.iters < 1:
-            raise ValueError("search budget must allow at least one start and one iteration")
-
-
-class _PowerOverflow(Exception):
-    """Internal: repeated squaring exceeded OVERFLOW_LIMIT."""
-
-
-def _matrix_power_monitored(T: np.ndarray, n: int) -> np.ndarray:
-    """T^n by repeated squaring; aborts when any stage norm passes
-    OVERFLOW_LIMIT."""
-    result = np.eye(T.shape[0], dtype=complex)
-    base = T
-    k = n
-    while k:
-        if k & 1:
-            result = result @ base
-            if not np.isfinite(result).all() or np.linalg.norm(result) > OVERFLOW_LIMIT:
-                raise _PowerOverflow(f"norm exceeded {OVERFLOW_LIMIT:g} at exponent {n}")
-        k >>= 1
-        if k:
-            base = base @ base
-            if not np.isfinite(base).all() or np.linalg.norm(base) > OVERFLOW_LIMIT:
-                raise _PowerOverflow(f"norm exceeded {OVERFLOW_LIMIT:g} at exponent {n}")
-    return result
+    The largest entry modulus squares nothing, so the check itself cannot
+    overflow, and products of the kept powers stay finite.
+    """
+    powers = []
+    power = T
+    while len(powers) < count and np.abs(power).max() <= OVERFLOW_LIMIT:
+        powers.append(power)
+        power = power @ T
+    return np.array(powers).reshape(-1, *T.shape)
 
 
-def _realify(G: np.ndarray) -> np.ndarray:
-    """Real symmetric form of a Hermitian G: quadratic values agree under
-    the identification x = v[:d] + i v[d:]."""
-    A, B = G.real, G.imag
-    R = np.block([[A, -B], [B, A]])
-    return 0.5 * (R + R.T)
+def _lowest(K: np.ndarray, h: np.ndarray, t: np.ndarray):
+    """Minimal eigenvalue and unit eigenvector y of each K + t diag(h) in a
+    stack, and the slope y* diag(h) y of that eigenvalue in t."""
+    w, V = np.linalg.eigh(K + (t[:, None] * h)[..., None] * np.eye(K.shape[-1]))
+    y = V[..., 0]
+    return w[..., 0], y, (h * np.abs(y) ** 2).sum(axis=-1)
 
 
-def _sphere_descent(GA, GB, v0, iters):
-    """Minimize f(v) = max(sqrt(v GA v), 1) - 2 sqrt(v GB v) on the unit
-    sphere by projected subgradient descent with Armijo backtracking."""
-
-    def value(v):
-        a = np.sqrt(max(float(v @ GA @ v), 0.0))
-        b = np.sqrt(max(float(v @ GB @ v), 0.0))
-        return max(a, 1.0) - 2.0 * b, a, b
-
-    v = v0 / np.linalg.norm(v0)
-    fv, a, b = value(v)
-    step = 1.0
-    for _ in range(iters):
-        grad = np.zeros_like(v)
-        if a > 1.0:
-            grad += (GA @ v) / a
-        if b > 1e-300:
-            grad -= 2.0 * (GB @ v) / b
-        grad -= (grad @ v) * v  # tangent to the sphere
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-14:
-            break
-        moved = False
-        while step > 1e-18:
-            w = v - step * grad
-            w /= np.linalg.norm(w)
-            fw, aw, bw = value(w)
-            if fw < fv - 1e-4 * step * gnorm * gnorm:
-                v, fv, a, b = w, fw, aw, bw
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        step = min(step * 2.0, 1.0)
-    return v, fv
+def _isotropic(u, w, huu, hww, h):
+    """Unit vectors x in span{u, w} with x* diag(h) x = 0, for stacked unit
+    vectors with huu = u* diag(h) u > 0 > hww = w* diag(h) w."""
+    huw = (u.conj() * h * w).sum(axis=-1)
+    # x = a u + b e^(i theta) w, with e^(i theta) huw real and positive, has
+    # x* diag(h) x = a^2 huu + 2ab |huw| + b^2 hww, zero at these a, b > 0;
+    # dividing by the larger keeps tiny a and b from underflowing
+    a = -hww
+    b = np.abs(huw) + np.sqrt(np.abs(huw) ** 2 - huu * hww)
+    scale = np.maximum(a, b)
+    x = (a / scale)[:, None] * u + (b / scale * np.exp(-1j * np.angle(huw)))[:, None] * w
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _witness_margin(Tn: np.ndarray, T2n: np.ndarray, x: np.ndarray) -> float:
-    """Exact inequality margin max(||T^(2n) x||, ||x||) - 2 ||T^n x|| at a
-    unit vector x."""
-    return float(
-        max(np.linalg.norm(T2n @ x), np.linalg.norm(x)) - 2.0 * np.linalg.norm(Tn @ x)
-    )
+def _witness_margin(Tn: np.ndarray, T2n: np.ndarray, x: np.ndarray):
+    """Exact inequality margin max(||T^(2n) x||, ||x||) - 2 ||T^n x|| at unit
+    vectors x, one per matrix of a stack."""
+
+    def norms(A):
+        return np.linalg.norm((A @ x[..., None])[..., 0], axis=-1)
+
+    return np.maximum(norms(T2n), np.linalg.norm(x, axis=-1)) - 2.0 * norms(Tn)
 
 
-def quasi_hyperbolic_definitional(
-    T,
-    n_max: int = 20,
-    budget: SearchBudget | None = None,
-    seed: int = 0,
-) -> QuasiHyperbolicVerdict:
-    """Definitional route: search for a counterexample to the displayed
-    inequality at each exponent n = 1..n_max.
+def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyperbolicVerdict:
+    """Definitional route: decide the displayed inequality exactly at each
+    exponent n = 1..n_max and report the smallest one at which it holds.
 
-    For each n the inequality margin is minimized over the unit sphere by
-    seeded multistart projected-gradient descent on the equivalent real
-    quadratic forms.  The first exponent where no violation is found
-    yields a true verdict (with the minimum margin located); if every
-    exponent is falsified the verdict is false, reporting the worst
-    witness found and its exponent.  Exponents whose matrix powers
-    overflow are skipped; if only such exponents remain un-falsified, the
-    verdict is true with ``budget_exhausted`` set.
+    With GA = (T^2n)* T^2n and GB = (T^n)* T^n, exponent n fails iff the
+    forms GA - 4 GB and I - 4 GB are negative at one vector.  Their joint
+    numerical range is convex (Toeplitz-Hausdorff), so by the S-lemma n
+    holds iff phi(t) = lambda_min(X* (t GA + (1 - t) I - 4 GB) X) >= 0 for
+    some t in [0, 1], for any invertible X.  X = V (I + S^2)^(-1/2), from
+    the SVD T^2n = U S V*, makes the pencil X* (t GA + (1 - t) I) X
+    diagonal with entries in [0, 1], read off S without forming GA, and
+    leaves 4 X* GB X = W* W with W = 2 T^n X bounded by 2 for normal T.
+    phi is concave, with slope y* X* (GA - I) X y at its minimal
+    eigenvector y.  All exponents bisect on the sign of that slope in
+    lockstep, one batched ``eigh`` per step, and exponents above the
+    smallest certified one are dropped.
+
+    Each step, an exponent's minimax vector x* is X y for y the minimal
+    eigenvector at t = 0 or t = 1 when phi peaks there, and otherwise for y
+    the vector of the span of the two bracketing eigenvectors on which
+    X* (GA - I) X vanishes (scaled to unit length).  The exponent is
+    settled by a certificate (some phi(t) >= 0) with a nonnegative margin
+    at x*, or, without one, by a negative margin at x*, which makes x* a
+    witness.  An exponent that is neither when its bracket can no longer
+    move is undecided.  Exponents whose powers pass OVERFLOW_LIMIT count
+    as undecided too.
+
+    The verdict is true at the smallest settled exponent that holds.
+    Failing that, an undecided exponent makes it true with
+    ``budget_exhausted`` set, at the smallest such exponent.  Otherwise it
+    is false with the most negative witness.  ``seed`` is accepted for
+    compatibility and ignored: the decision is deterministic.
     """
     T = as_matrix(T)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    budget = budget or SearchBudget()
-    rng = np.random.Generator(np.random.Philox(seed))
-    d = T.shape[0]
-    worst_margin = np.inf
-    worst_witness = None
-    worst_exponent = None
-    first_aborted = None
-    for n in range(1, n_max + 1):
-        try:
-            Tn = _matrix_power_monitored(T, n)
-            T2n = Tn @ Tn
-            if not np.isfinite(T2n).all() or np.linalg.norm(T2n) > OVERFLOW_LIMIT:
-                raise _PowerOverflow(f"norm exceeded {OVERFLOW_LIMIT:g} at exponent {2 * n}")
-        except _PowerOverflow:
-            if first_aborted is None:
-                first_aborted = n
-            continue
-        GA = _realify(T2n.conj().T @ T2n)
-        GB = _realify(Tn.conj().T @ Tn)
-        best_margin = np.inf
-        best_vector = None
-        for _ in range(budget.starts):
-            v0 = rng.standard_normal(2 * d)
-            v, fv = _sphere_descent(GA, GB, v0, budget.iters)
-            if fv < best_margin:
-                best_margin = fv
-                best_vector = v
-            if best_margin < -1e-8:
-                break  # a clear violation settles this exponent
-        x = best_vector[:d] + 1j * best_vector[d:]
-        margin = _witness_margin(Tn, T2n, x)
-        if margin < 0.0:
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_witness = x
-                worst_exponent = n
-            continue
+    powers = _powers(T, 2 * n_max)
+    m = len(powers) // 2
+    n = np.arange(1, m + 1)
+    Tn, T2n = powers[n - 1], powers[2 * n - 1]
+    _, sigma, Vh = np.linalg.svd(T2n)
+    # cos and sin of arctan(sigma): X* GA X = diag(cos^2), X* X = diag(sin^2)
+    cos, sin = sigma / np.hypot(1.0, sigma), 1.0 / np.hypot(1.0, sigma)
+    X = Vh.conj().swapaxes(-1, -2) * sin[:, None, :]
+    W = 2.0 * (Tn @ X)
+    # phi(t) is lambda_min(K + t diag(h))
+    K = sin[..., None] ** 2 * np.eye(T.shape[0]) - W.conj().swapaxes(-1, -2) @ W
+    h = cos**2 - sin**2
+    # the brackets: t, the minimal eigenvector y and the slope at each end
+    t = np.tile([0.0, 1.0], (m, 1))
+    ends = np.repeat([0.0, 1.0], m)
+    phi, y, slope = _lowest(np.concatenate([K, K]), np.concatenate([h, h]), ends)
+    v = np.stack([y[:m], y[m:]], axis=1)
+    s = np.stack([slope[:m], slope[m:]], axis=1)
+    certified = (phi[:m] >= 0) | (phi[m:] >= 0)
+    live = np.arange(m)
+    held, fails, undecided = None, [], list(range(m + 1, n_max + 1))
+    while live.size:
+        inner = (s[:, 0] > 0) & (s[:, 1] < 0)
+        y = np.where((s[:, 0] <= 0)[:, None], v[:, 0], v[:, 1])
+        y[inner] = _isotropic(v[inner, 0], v[inner, 1], s[inner, 0], s[inner, 1], h[live[inner]])
+        x = (X[live] @ y[..., None])[..., 0]
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        margin = _witness_margin(Tn[live], T2n[live], x)
+        mid = t.mean(axis=1)
+        holds = certified & (margin >= 0)
+        fails_now = ~certified & (margin < 0)
+        stuck = ~(holds | fails_now) & (certified | ~inner | (mid <= t[:, 0]) | (mid >= t[:, 1]))
+        for i in np.flatnonzero(fails_now):
+            fails.append((float(margin[i]), int(live[i]) + 1, x[i]))
+        undecided += [int(i) + 1 for i in live[stuck]]
+        keep = ~(holds | fails_now | stuck)
+        if holds.any():
+            first = np.flatnonzero(holds)[0]
+            held = (int(live[first]) + 1, float(margin[first]))
+            keep &= live < live[first]
+        live, t, v, s, certified, mid = (a[keep] for a in (live, t, v, s, certified, mid))
+        if not live.size:
+            break
+        phi, y, slope = _lowest(K[live], h[live], mid)
+        certified |= phi >= 0
+        # the bisection point replaces the bracket end on its side of the peak
+        rows, end = np.arange(live.size), (slope <= 0).astype(int)
+        t[rows, end], v[rows, end], s[rows, end] = mid, y, slope
+    if held is not None:
         return QuasiHyperbolicVerdict(
-            verdict=True,
-            method="definitional",
-            exponent=n,
-            witness=None,
-            margin=margin,
+            verdict=True, method="definitional", exponent=held[0], witness=None, margin=held[1]
         )
-    if first_aborted is not None:
+    if undecided:
         return QuasiHyperbolicVerdict(
             verdict=True,
             method="definitional",
-            exponent=first_aborted,
+            exponent=min(undecided),
             witness=None,
             margin=0.0,
             budget_exhausted=True,
         )
+    margin, exponent, witness = min(fails, key=lambda f: f[:2])
     return QuasiHyperbolicVerdict(
-        verdict=False,
-        method="definitional",
-        exponent=worst_exponent,
-        witness=worst_witness,
-        margin=worst_margin,
+        verdict=False, method="definitional", exponent=exponent, witness=witness, margin=margin
     )

@@ -43,8 +43,8 @@ transfer
     the Lipschitz-inflated bound.
 quasihyp
     Spectral quasi-hyperbolicity verdicts of T and D_lam(T) agree, and
-    the definitional falsifier agrees with the spectral route away from
-    the unit circle.
+    the exact definitional decision agrees with the spectral route away
+    from the unit circle.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .shadowing import (
     transfer_shadowing,
     verify_shadowing,
 )
-from .spectral import SearchBudget, is_quasi_hyperbolic_spectral, multiset_match, quasi_hyperbolic_definitional
+from .spectral import is_quasi_hyperbolic_spectral, multiset_match, quasi_hyperbolic_definitional
 
 __all__ = ["ExperimentReport", "SUITE_NAMES", "LAMBDA_GRID", "run_suite", "run_all"]
 
@@ -250,7 +250,6 @@ def _check_transfer(trial, spec, tolerances):
 
 
 def _check_quasihyp(trial, spec, tolerances):
-    budget = SearchBudget(tolerances["falsifier_starts"], tolerances["falsifier_iters"])
     where = f"{trial.kind} dim {trial.dim}"
     problems = []
     if trial.kind == "hyperbolic":
@@ -263,9 +262,7 @@ def _check_quasihyp(trial, spec, tolerances):
             )
         Tdef = _sample(trial, spec, gap=spec["definitional_gap"])
         spectral = is_quasi_hyperbolic_spectral(Tdef).verdict
-        definitional = quasi_hyperbolic_definitional(
-            Tdef, n_max=tolerances["n_max"], budget=budget, seed=trial.seed
-        ).verdict
+        definitional = quasi_hyperbolic_definitional(Tdef, n_max=tolerances["n_max"]).verdict
         if spectral != definitional:
             problems.append(
                 f"{where}: definitional {definitional} disagrees with spectral {spectral}"
@@ -279,9 +276,7 @@ def _check_quasihyp(trial, spec, tolerances):
                 f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, "
                 "expected false/false"
             )
-        definitional = quasi_hyperbolic_definitional(
-            T, n_max=tolerances["n_max"], budget=budget, seed=trial.seed
-        )
+        definitional = quasi_hyperbolic_definitional(T, n_max=tolerances["n_max"])
         if definitional.verdict:
             problems.append(f"{where}: definitional verdict true")
     return problems
@@ -363,11 +358,7 @@ _SUITES = {
             "cond_cap": 1e4,
             "lambdas": list(LAMBDA_GRID),
         },
-        tolerances={
-            "n_max": 20,
-            "falsifier_starts": SearchBudget().starts,
-            "falsifier_iters": SearchBudget().iters,
-        },
+        tolerances={"n_max": 20},
         check=_check_quasihyp,
     ),
 }

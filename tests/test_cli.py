@@ -117,7 +117,7 @@ def test_quasihyp_spectral(saddle_file):
 def test_quasihyp_definitional_rotation(tmp_path):
     path = tmp_path / "rot.json"
     save_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]), path)
-    proc = run_cli("quasihyp", "--in", str(path), "--method", "definitional", "--nmax", "4", "--seed", "1")
+    proc = run_cli("quasihyp", "--in", str(path), "--method", "definitional", "--nmax", "4")
     assert proc.returncode == 0
     verdict = json.loads(proc.stdout)
     assert verdict["verdict"] is False

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from aluthgelab import (
     EnsembleSpec,
-    SearchBudget,
     SizeMismatchError,
     aluthge_transform,
     is_quasi_hyperbolic_spectral,
@@ -18,12 +17,20 @@ from aluthgelab import (
 )
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+SHEAR = np.array([[2.0, 1.0], [0.0, 0.5]])
 
 # margins of the displayed inequality on diag(2, 1/2), minimized over the
 # unit sphere by hand: the minimizer concentrates weight on the slow
 # direction, giving 1 - 2 sqrt(8/17) at n = 1 and 1 - 2 sqrt(32/257) at n = 2
 MARGIN_N1 = 1.0 - 2.0 * np.sqrt(8.0 / 17.0)
 MARGIN_N2 = 1.0 - 2.0 * np.sqrt(32.0 / 257.0)
+
+
+def _violation(T, n, x):
+    """The inequality margin at x, from powers formed independently."""
+    Tn = np.linalg.matrix_power(T, n)
+    T2n = np.linalg.matrix_power(T, 2 * n)
+    return max(np.linalg.norm(T2n @ x), np.linalg.norm(x)) - 2 * np.linalg.norm(Tn @ x)
 
 
 def test_report_diagonal_oracle():
@@ -128,12 +135,10 @@ def test_definitional_diagonal_falsified_at_one():
     T = np.diag([2.0, 0.5])
     verdict = quasi_hyperbolic_definitional(T, n_max=1, seed=0)
     assert not verdict.verdict
-    # the found margin cannot beat the global minimum and must be a clear
-    # violation; the search may stop early once the verdict is settled
-    assert MARGIN_N1 - 1e-6 <= verdict.margin <= -0.35
-    x = verdict.witness
+    # the witness is the minimax vector, which here is the global minimizer
+    assert verdict.margin == pytest.approx(MARGIN_N1, abs=1e-9)
     # recompute the inequality at the witness: it must be violated
-    value = max(np.linalg.norm(T @ T @ x), np.linalg.norm(x)) - 2 * np.linalg.norm(T @ x)
+    value = _violation(T, 1, verdict.witness)
     assert value == pytest.approx(verdict.margin, abs=1e-9)
     assert value < 0
 
@@ -156,8 +161,8 @@ def test_definitional_unitary_false_every_n():
 
 
 def test_definitional_budget_exhausted_flag():
-    # a huge shear overflows the power monitor at every exponent, so the
-    # verdict degrades to "not falsified under budget" with the flag set
+    # a huge shear overflows the powers at every exponent, so no exponent
+    # is decided and the verdict degrades to true with the flag set
     T = np.array([[1.0, 1e150], [0.0, 1.0]])
     verdict = quasi_hyperbolic_definitional(T, n_max=4, seed=0)
     assert verdict.verdict
@@ -175,11 +180,91 @@ def test_definitional_agrees_with_spectral_on_gapped_samples():
         assert spectral and definitional
 
 
-def test_search_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(starts=0)
-    with pytest.raises(ValueError):
-        SearchBudget(iters=0)
+# quasihyp suite trials (base seed 1, definitional gap 0.3) whose
+# violating vectors at exponent - 1 are hard to find by local search
+@pytest.mark.parametrize(
+    "seed,dim,exponent", [(5, 6, 5), (7, 8, 4), (55, 7, 5), (73, 4, 6)]
+)
+def test_definitional_exponent_is_exact(seed, dim, exponent):
+    spec = EnsembleSpec(kind="hyperbolic", dim=dim, seed=seed, gap=0.3, cond_cap=1e4)
+    T = sample_matrix(spec)
+    verdict = quasi_hyperbolic_definitional(T)
+    assert verdict.verdict and verdict.exponent == exponent
+    assert verdict.margin >= 0
+    below = quasi_hyperbolic_definitional(T, n_max=exponent - 1)
+    assert not below.verdict
+    assert np.linalg.norm(below.witness) == pytest.approx(1.0, abs=1e-12)
+    value = _violation(T, below.exponent, below.witness)
+    assert value == pytest.approx(below.margin, abs=1e-9)
+    assert value < 0
+
+
+def test_definitional_false_verdict_reports_the_worst_witness():
+    # every exponent up to 6 fails here, each with its own witness; the
+    # reported one is the most negative, so it never rises with n_max
+    T = np.random.default_rng(66).standard_normal((3, 3))
+    T = 1.05 * T / np.abs(np.linalg.eigvals(T)).max()
+    verdicts = [quasi_hyperbolic_definitional(T, n_max=k) for k in range(1, 7)]
+    assert not any(v.verdict for v in verdicts)
+    margins = [v.margin for v in verdicts]
+    assert margins == sorted(margins, reverse=True)
+    assert margins[-1] < margins[0]
+    for v in verdicts:
+        assert _violation(T, v.exponent, v.witness) == pytest.approx(v.margin, abs=1e-9)
+
+
+def test_definitional_defective_jordan_block():
+    verdict = quasi_hyperbolic_definitional(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    assert verdict.verdict and verdict.exponent == 2
+    assert not verdict.budget_exhausted
+    assert not quasi_hyperbolic_definitional(np.array([[2.0, 1.0], [0.0, 2.0]]), n_max=1).verdict
+
+
+def test_definitional_complex_witness():
+    rng = np.random.default_rng(5)
+    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    verdict = quasi_hyperbolic_definitional(T)
+    assert verdict.verdict and verdict.exponent == 2
+    below = quasi_hyperbolic_definitional(T, n_max=1)
+    assert not below.verdict and below.exponent == 1
+    value = _violation(T, 1, below.witness)
+    assert value == pytest.approx(below.margin, abs=1e-9)
+    assert value < 0
+
+
+def test_definitional_balanced_pencil_on_gaussian_draws():
+    # expected values from a 60-digit bisection on the unbalanced pencil;
+    # in double precision that pencil claims exponent 10 holds for the
+    # first draw and leaves exponent 10 of the second undecided
+    T = np.random.default_rng(54).standard_normal((4, 4))
+    below = quasi_hyperbolic_definitional(T, n_max=10)
+    assert not below.verdict
+    value = _violation(T, below.exponent, below.witness)
+    assert value == pytest.approx(below.margin, abs=1e-9)
+    assert value < 0
+    T = np.random.default_rng(14).standard_normal((4, 4))
+    verdict = quasi_hyperbolic_definitional(T)
+    assert verdict.verdict and verdict.exponent == 10
+    assert not verdict.budget_exhausted
+
+
+@pytest.mark.parametrize("scale", [1e120, 1e300])
+def test_definitional_huge_scale_overflows_quietly(scale):
+    # the powers pass the overflow limit by T^2, so every exponent is left
+    # undecided; finding that must not square an entry (RuntimeWarnings
+    # are errors under pytest)
+    verdict = quasi_hyperbolic_definitional(scale * SHEAR, n_max=4)
+    assert verdict.verdict and verdict.budget_exhausted
+    assert verdict.exponent == 1
+    assert verdict.margin == 0.0
+
+
+def test_definitional_tiny_scale_holds_at_one():
+    # the powers underflow towards zero, and ||x|| >= 2 ||T x|| everywhere
+    verdict = quasi_hyperbolic_definitional(2.0**-1000 * SHEAR, n_max=4)
+    assert verdict.verdict and not verdict.budget_exhausted
+    assert verdict.exponent == 1
+    assert verdict.margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verdict_json_round_trip_fields():
