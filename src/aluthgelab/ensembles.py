@@ -98,7 +98,8 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _conditioned_gaussian(rng: np.random.Generator, dim: int, cond_cap: float) -> np.ndarray:
     for _ in range(_MAX_RESAMPLES):
         S = _complex_gaussian(rng, dim)
-        if np.linalg.cond(S) <= cond_cap:
+        sing = np.linalg.svd(S, compute_uv=False)
+        if sing[0] / sing[-1] <= cond_cap:
             return S
     raise InvalidSpecError(f"could not draw a matrix with condition <= {cond_cap:g}")
 

@@ -38,8 +38,8 @@ class NotHyperbolicError(AluthgeLabError):
 
 
 class IllConditionedEigenbasisError(AluthgeLabError):
-    """The eigenvector matrix is too ill conditioned for a reliable
-    spectral splitting."""
+    """Never raised: hyperbolic splittings need no eigenbasis any more.
+    Kept public so that code catching it keeps working."""
 
 
 class InvalidDeltaError(AluthgeLabError):

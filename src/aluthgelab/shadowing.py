@@ -3,8 +3,8 @@ and conjugacy transfer of shadowing between an operator and its
 lambda-Aluthge transform.
 
 A hyperbolic operator splits the space into spectral stable and unstable
-subspaces.  Given a finite delta-pseudo-orbit x_0..x_N with defects
-e_k = x_{k+1} - T x_k, the correction
+subspaces, P_s = (I - sign((T - I)^(-1) (T + I)))/2.  Given a finite
+delta-pseudo-orbit x_0..x_N with defects e_k = x_{k+1} - T x_k, the correction
 
     c_k = - sum_{j<k} (T restricted to stable)^(k-1-j) P_s e_j
           + sum_{j>=k} (T restricted to unstable)^(k-1-j) P_u e_j
@@ -20,8 +20,8 @@ The achieved distance obeys max_k ||c_k|| <= C * delta with
 
     C = K_s / (1 - rho_s) + K_u * rho_u / (rho_u - 1),
 
-where the rates and constants are measured from projected power norms up
-to a finite horizon.  Conjugating by H = |T|^lam transfers this bound to
+where the rates and constants are measured from normalized power norms
+up to a finite horizon.  Conjugating by H = |T|^lam transfers this bound to
 the transform at the cost of the factor ||H|| * ||H^(-1)||.
 """
 
@@ -33,14 +33,13 @@ import numpy as np
 
 from .aluthge import conjugacy
 from .errors import (
-    IllConditionedEigenbasisError,
     InvalidDeltaError,
     LengthMismatchError,
     NoConvergenceError,
     NotHyperbolicError,
     UnstableOverflowError,
 )
-from .linalg_core import _complex_from_json, _complex_to_json, as_matrix, eigenvalues, operator_norm, rank_tolerance
+from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, eigenvalues, operator_norm, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -58,8 +57,8 @@ __all__ = [
 #: Power-norm measurement horizon for the contraction/expansion constants.
 MEASUREMENT_HORIZON = 50
 
-#: Eigenvector matrices with condition number above this are rejected.
-EIGENBASIS_CONDITION_LIMIT = 1e8
+#: Newton steps allowed for the matrix sign function of the Cayley transform.
+_SIGN_NEWTON_STEPS = 100
 
 #: A recomputed shadow residual must stay below
 #: RESIDUAL_TOL_FACTOR * (1 + ||T||) * orbit.bound.
@@ -81,10 +80,10 @@ class HyperbolicSplitting:
     ``unstable_projector`` P_u those with |lambda| > 1 (P_u = I - P_s).
     ``stable_rate`` rho_s < 1 and ``unstable_rate`` rho_u > 1 bound the
     eigenvalue moduli on each side; ``stable_bound`` K_s and
-    ``unstable_bound`` K_u are measured so that over the horizon
+    ``unstable_bound`` K_u are the largest power norms over the horizon
 
-        ||(T P_s)^m P_s|| <= K_s rho_s^m,
-        ||(T^(-1) P_u)^m P_u|| <= K_u rho_u^(-m).
+        K_s = max_m ||(T P_s / rho_s)^m P_s||,
+        K_u = max_m ||(rho_u T^(-1) P_u)^m P_u||.
 
     An empty side has projector 0, bound 0, and rate 0 (stable) or
     infinity (unstable).
@@ -96,7 +95,6 @@ class HyperbolicSplitting:
     unstable_rate: float
     stable_bound: float
     unstable_bound: float
-    eigenbasis_condition: float
 
     @property
     def constant_bound(self) -> float:
@@ -116,9 +114,8 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting:
     NotHyperbolicError
         If T is numerically singular or has an eigenvalue within the
         hyperbolicity tolerance of the unit circle.
-    IllConditionedEigenbasisError
-        If the eigenvector matrix condition number exceeds
-        EIGENBASIS_CONDITION_LIMIT; the splitting would be unreliable.
+    NoConvergenceError
+        If the eigenvalue or the matrix sign iteration does not converge.
     """
     T = as_matrix(T)
     n = T.shape[0]
@@ -127,37 +124,21 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting:
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"
         )
-    try:
-        ev, V = np.linalg.eig(T)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    ev = _eigenvalues(T)
     _, circle, hyperbolic = _hyperbolicity(ev)
     if not hyperbolic:
         raise NotHyperbolicError(f"spectrum within {circle:.3e} of the unit circle")
-    V = V / np.linalg.norm(V, axis=0)
-    condition = float(np.linalg.cond(V))
-    if condition > EIGENBASIS_CONDITION_LIMIT:
-        raise IllConditionedEigenbasisError(
-            f"eigenbasis condition {condition:.3e} exceeds {EIGENBASIS_CONDITION_LIMIT:g}"
-        )
     identity = np.eye(n, dtype=complex)
     stable = np.abs(ev) < 1.0
-    if stable.all():
-        Ps = identity.copy()
-    elif not stable.any():
-        Ps = np.zeros((n, n), dtype=complex)
-    else:
-        Ps = V[:, stable] @ np.linalg.inv(V)[stable, :]
+    if stable.all() or not stable.any():  # one empty side: exactly I or 0
+        Ps = identity * stable.all()
+    else:  # the Cayley map sends the open unit disc to the left half-plane
+        Ps = (identity - _matrix_sign(np.linalg.solve(T - identity, T + identity))) / 2
     Pu = identity - Ps
     rho_s = float(np.abs(ev[stable]).max()) if stable.any() else 0.0
     rho_u = float(np.abs(ev[~stable]).min()) if (~stable).any() else np.inf
-    Ks = Ku = 0.0
-    if stable.any():
-        norms = _power_norms(T @ Ps, Ps)
-        Ks = max(norm / rho_s**m for m, norm in enumerate(norms))
-    if (~stable).any():
-        norms = _power_norms(np.linalg.solve(T, Pu), Pu)
-        Ku = max(norm * rho_u**m for m, norm in enumerate(norms))
+    Ks = _largest_power_norm(T @ Ps / rho_s, Ps) if stable.any() else 0.0
+    Ku = _largest_power_norm(rho_u * np.linalg.solve(T, Pu), Pu) if (~stable).any() else 0.0
     return HyperbolicSplitting(
         stable_projector=Ps,
         unstable_projector=Pu,
@@ -165,17 +146,34 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting:
         unstable_rate=rho_u,
         stable_bound=Ks,
         unstable_bound=Ku,
-        eigenbasis_condition=condition,
     )
 
 
-def _power_norms(propagator: np.ndarray, projector: np.ndarray) -> list[float]:
-    """2-norms of propagator^m @ projector for m = 0..MEASUREMENT_HORIZON,
-    read from one batched SVD."""
+def _matrix_sign(X: np.ndarray) -> np.ndarray:
+    """sign(X) by determinant-scaled Newton, X <- (mu X + (mu X)^(-1))/2 with
+    mu = |det X|^(-1/n), stopped by the quadratic convergence test of
+    Higham, Functions of Matrices (2008), ch. 5."""
+    n = X.shape[0]
+    for _ in range(_SIGN_NEWTON_STEPS):
+        try:
+            X_inv = np.linalg.inv(X)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"matrix sign iterate is singular: {exc}") from exc
+        mu = np.exp(-np.linalg.slogdet(X)[1] / n)
+        previous, X = X, (mu * X + X_inv / mu) / 2
+        step = np.linalg.norm(X - previous, 1)
+        if step <= np.sqrt(n * np.finfo(float).eps * np.linalg.norm(X, 1) / np.linalg.norm(X_inv, 1)):
+            return X
+    raise NoConvergenceError(f"matrix sign iteration did not converge in {_SIGN_NEWTON_STEPS} steps")
+
+
+def _largest_power_norm(propagator: np.ndarray, projector: np.ndarray) -> float:
+    """Largest 2-norm of propagator^m @ projector over
+    m = 0..MEASUREMENT_HORIZON, read from one batched SVD."""
     powers = [projector]
     for _ in range(MEASUREMENT_HORIZON):
         powers.append(propagator @ powers[-1])
-    return np.linalg.svd(np.stack(powers), compute_uv=False)[:, 0].tolist()
+    return float(np.linalg.svd(np.stack(powers), compute_uv=False)[:, 0].max())
 
 
 def _steps(T: np.ndarray, points: np.ndarray) -> np.ndarray:

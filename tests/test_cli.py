@@ -148,6 +148,16 @@ def test_shadow_non_finite_delta_exits_2(saddle_file, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_shadow_tiny_scalar_exits_0(tmp_path, capsys):
+    # 1e-200^m underflows to 0 for m >= 2; the splitting must not divide by it
+    path = tmp_path / "tiny.json"
+    save_matrix(np.array([[1e-200]]), path)
+    assert main(["shadow", "--in", str(path), "--delta", "0.01", "--len", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True
+    assert payload["shadow"]["constant_bound"] == 1.0
+
+
 def test_transfer_payload(monomial_file):
     proc = run_cli("transfer", "--in", monomial_file, "--lambda", "0.5", "--delta", "0.01", "--len", "100", "--seed", "5")
     assert proc.returncode == 0

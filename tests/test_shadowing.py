@@ -5,7 +5,6 @@ import pytest
 
 from aluthgelab import (
     EnsembleSpec,
-    IllConditionedEigenbasisError,
     InvalidDeltaError,
     LengthMismatchError,
     NoConvergenceError,
@@ -24,6 +23,7 @@ from aluthgelab import (
     transfer_shadowing,
     verify_shadowing,
 )
+from aluthgelab import shadowing
 from aluthgelab.shadowing import MEASUREMENT_HORIZON
 
 SADDLE = np.diag([2.0, 0.5])
@@ -72,12 +72,68 @@ def test_splitting_rejects_singular():
         hyperbolic_splitting(np.diag([0.0, 3.0]))
 
 
-def test_splitting_rejects_ill_conditioned_eigenbasis():
-    # nearly defective: eigenvalues 2 and 2 + 1e-7 with almost parallel
-    # eigenvectors, invertible and far from the unit circle
+def test_splitting_near_defective_is_all_unstable():
+    # eigenvalues 2 and 2 + 1e-7 with almost parallel eigenvectors: no
+    # eigenbasis is needed, the whole space is unstable
     T = np.array([[2.0, 100.0], [0.0, 2.0 + 1e-7]])
-    with pytest.raises(IllConditionedEigenbasisError):
-        hyperbolic_splitting(T)
+    split = hyperbolic_splitting(T)
+    np.testing.assert_array_equal(split.unstable_projector, np.eye(2))
+    np.testing.assert_array_equal(split.stable_projector, np.zeros((2, 2)))
+    assert split.unstable_rate == pytest.approx(2.0, rel=1e-12)
+
+
+def test_splitting_triangular_oracle():
+    # for [[a, b], [0, d]] with |a| < 1 < |d| the stable projector is
+    # [[1, b/(a - d)], [0, 0]]
+    a, b, d = 0.5, 100.0, 2.0
+    split = hyperbolic_splitting(np.array([[a, b], [0.0, d]]))
+    np.testing.assert_allclose(split.stable_projector, [[1.0, b / (a - d)], [0.0, 0.0]], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(split.unstable_projector, [[0.0, -b / (a - d)], [0.0, 1.0]], rtol=1e-12, atol=1e-12)
+    assert (split.stable_rate, split.unstable_rate) == (a, d)
+
+
+DEFECTIVE = {
+    "jordan_unstable": [[2.0, 1.0], [0.0, 2.0]],
+    "jordan_stable": [[0.5, 1.0], [0.0, 0.5]],
+    "mixed": [[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("name", DEFECTIVE)
+def test_splitting_defective_operators_split_and_shadow(name):
+    T = np.array(DEFECTIVE[name])
+    split = hyperbolic_splitting(T)
+    Ps = split.stable_projector
+    size = 1.0 + operator_norm(Ps)
+    assert operator_norm(Ps @ Ps - Ps) <= 1e-13 * size**2
+    assert operator_norm(T @ Ps - Ps @ T) <= 1e-13 * size * operator_norm(T)
+    stable_count = int(np.count_nonzero(np.abs(np.diag(T)) < 1.0))
+    assert np.trace(Ps) == pytest.approx(stable_count, abs=1e-12)
+    delta = 1e-2
+    orbit = generate_pseudo_orbit(T, delta=delta, length=200, seed=3)
+    result = shadow_orbit(T, split, orbit)
+    assert verify_shadowing(T, orbit, result, split.constant_bound * delta + 1e-9)
+
+
+def test_splitting_sign_iteration_cap_is_typed(monkeypatch):
+    # one Newton step cannot reach the sign of the Cayley transform
+    monkeypatch.setattr(shadowing, "_SIGN_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="sign iteration"):
+        hyperbolic_splitting(np.array(DEFECTIVE["mixed"]))
+
+
+@pytest.mark.parametrize("scale", [2.0**-660, 2.0**660])
+def test_splitting_extreme_scales(scale):
+    # a one-sided diagonal at a power-of-two scale: the normalized
+    # propagators have norm 1, so K = 1 and C = 1 exactly
+    T = scale * (np.diag([1.0, 0.5]) if scale < 1.0 else np.diag([1.0, 2.0]))
+    split = hyperbolic_splitting(T)
+    assert split.stable_bound + split.unstable_bound == 1.0
+    assert split.constant_bound == 1.0
+    delta = 1e-2
+    orbit = generate_pseudo_orbit(T, delta=delta, length=200, seed=4)
+    result = shadow_orbit(T, split, orbit)
+    assert verify_shadowing(T, orbit, result, split.constant_bound * delta + 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -85,7 +141,7 @@ def test_splitting_projector_algebra(seed):
     T = hyperbolic_sample(seed)
     split = hyperbolic_splitting(T)
     Ps, Pu = split.stable_projector, split.unstable_projector
-    slack = 1e-9 * split.eigenbasis_condition
+    slack = 1e-9 * operator_norm(Ps)
     assert operator_norm(Ps + Pu - np.eye(4)) <= slack
     assert operator_norm(Ps @ Ps - Ps) <= slack
     assert operator_norm(Pu @ Pu - Pu) <= slack
@@ -95,22 +151,23 @@ def test_splitting_projector_algebra(seed):
 
 
 def per_power_bounds(T, split):
-    """K_s and K_u from one operator_norm per power: the reference loop
-    the splitting's batched measurement must reproduce bit for bit."""
+    """K_s and K_u from one operator_norm per power of the normalized
+    propagators T P_s / rho_s and rho_u T^(-1) P_u: the reference loop the
+    splitting's batched measurement must reproduce bit for bit."""
     Ks = Ku = 0.0
     Ps, Pu = split.stable_projector, split.unstable_projector
     if split.stable_rate > 0.0:
-        propagator, power = T @ Ps, Ps.copy()
+        propagator, power = T @ Ps / split.stable_rate, Ps.copy()
         Ks = operator_norm(power)
-        for m in range(1, MEASUREMENT_HORIZON + 1):
+        for _ in range(MEASUREMENT_HORIZON):
             power = propagator @ power
-            Ks = max(Ks, operator_norm(power) / split.stable_rate**m)
+            Ks = max(Ks, operator_norm(power))
     if split.unstable_rate < np.inf:
-        propagator, power = np.linalg.solve(T, Pu), Pu.copy()
+        propagator, power = split.unstable_rate * np.linalg.solve(T, Pu), Pu.copy()
         Ku = operator_norm(power)
-        for m in range(1, MEASUREMENT_HORIZON + 1):
+        for _ in range(MEASUREMENT_HORIZON):
             power = propagator @ power
-            Ku = max(Ku, operator_norm(power) * split.unstable_rate**m)
+            Ku = max(Ku, operator_norm(power))
     return Ks, Ku
 
 
