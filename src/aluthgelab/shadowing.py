@@ -10,11 +10,15 @@ delta-pseudo-orbit x_0..x_N with defects e_k = x_{k+1} - T x_k, the correction
           + sum_{j>=k} (T restricted to unstable)^(k-1-j) P_u e_j
 
 turns it into the true orbit y_k = x_k + c_k (the sums telescope against
-the defects exactly; only roundoff remains).  Both sums are evaluated by
-linear recursions driven by the projected propagators T P_s and
-T^(-1) P_u, which keeps every intermediate inside its invariant subspace:
-iterating the raw operator instead would amplify roundoff along the
-complementary directions exponentially.
+the defects exactly; only roundoff remains).  Both sums are linear
+recursions driven by the projected propagators T P_s and T^(-1) P_u, which
+keeps every intermediate inside its invariant subspace: iterating the raw
+operator instead would amplify roundoff along the complementary directions
+exponentially.  A linear recursion is a prefix scan, so each is evaluated
+by doubling: round r adds A^(2^r) z_(k - 2^r) to every z_k at once and
+then squares A, which takes ceil(log2 (N + 1)) batched products for
+N + 1 points.  The squared powers of a propagator that does not belong to
+T can overflow; the unstable side is checked once, after its scan.
 
 The achieved distance obeys max_k ||c_k|| <= C * delta with
 
@@ -61,7 +65,7 @@ MEASUREMENT_HORIZON = 50
 _SIGN_NEWTON_STEPS = 100
 
 #: A recomputed shadow residual must stay below
-#: RESIDUAL_TOL_FACTOR * (1 + ||T||) * orbit.bound.
+#: RESIDUAL_TOL_FACTOR * (1 + ||T||) * max(orbit.bound, max_k ||y_k||).
 RESIDUAL_TOL_FACTOR = 1e-9
 
 #: Slack added to C * delta when a shadow's epsilon is checked, so that a
@@ -320,37 +324,59 @@ def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
     return np.linalg.norm(_steps(as_matrix(T), orbit.points), axis=1)
 
 
+def _scan(z: np.ndarray, A: np.ndarray) -> None:
+    """Set z_k <- sum_{j<=k} A^(k-j) z_j in place by prefix doubling.
+
+    Round r adds A^h z_{k-h} to every z_k with h = 2^r, so after it each
+    z_k holds the terms j > k - 2h.
+    """
+    h = 1
+    while h < len(z):
+        z[h:] = z[h:] + z[:-h] @ A.T
+        h *= 2
+        if h < len(z):  # the square after the last round is never used
+            A = A @ A
+
+
 def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> ShadowResult:
     """True orbit within C * delta of the pseudo-orbit.
 
-    Evaluates the stable correction by the forward recursion
-    s_{k+1} = (T P_s) s_k + P_s e_k and the unstable one by the backward
-    recursion u_k = (T^(-1) P_u)(e_k + u_{k+1}), truncating the series at
-    the available defects; returns y_k = x_k + (u_k - s_k) together with
-    the achieved epsilon, the recomputed residual, and the constant C.
+    The stable correction solves s_{k+1} = (T P_s) s_k + P_s e_k and the
+    unstable one u_k = (T^(-1) P_u)(e_k + u_{k+1}), truncating the series
+    at the available defects; returns y_k = x_k + (u_k - s_k) together
+    with the achieved epsilon, the recomputed residual, and the constant C.
+    Both linear recursions are prefix scans, evaluated by doubling: the
+    unstable one runs forward over the reversed sequence, and each takes
+    ceil(log2 (N + 1)) batched products with squared propagators instead
+    of N matrix-vector steps.
 
     Raises
     ------
     UnstableOverflowError
-        If the backward recursion overflows; the splitting then does not
-        belong to this operator.
+        If the unstable correction overflows; the splitting then does not
+        belong to this operator.  It is checked once, after the scan, and
+        names the last step whose norm is non-finite or above
+        BACKSUB_OVERFLOW_LIMIT, the step where the backward recursion
+        first crosses it.
     """
     T = as_matrix(T)
     x = orbit.points
     e = _steps(T, x)
     Ps, Pu = splitting.stable_projector, splitting.unstable_projector
-    forward = T @ Ps
     backward = np.linalg.solve(T, Pu)
     s = np.zeros(x.shape, dtype=complex)
-    for k in range(len(e)):
-        s[k + 1] = forward @ s[k] + Ps @ e[k]
+    s[1:] = e @ Ps.T
+    _scan(s, T @ Ps)
     u = np.zeros(x.shape, dtype=complex)
-    for k in reversed(range(len(e))):
-        u[k] = backward @ (e[k] + u[k + 1])
-        if np.linalg.norm(u[k]) > BACKSUB_OVERFLOW_LIMIT:
-            raise UnstableOverflowError(
-                f"unstable back-substitution overflow at step {k}"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        u[:-1] = e @ backward.T
+        _scan(u[::-1], backward)
+        norms = np.linalg.norm(u, axis=1)
+    overflow = np.flatnonzero(~(norms <= BACKSUB_OVERFLOW_LIMIT))
+    if overflow.size:
+        raise UnstableOverflowError(
+            f"unstable back-substitution overflow at step {overflow[-1]}"
+        )
     y = x - s + u
     return ShadowResult(
         shadow_points=y,
@@ -419,8 +445,10 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
 
     Recomputes both diagnostics from the points: the shadow must be a true
     orbit of T up to the tolerance
-    RESIDUAL_TOL_FACTOR * (1 + ||T||) * orbit.bound, and must stay within
-    ``eps_claim`` of the pseudo-orbit.
+    RESIDUAL_TOL_FACTOR * (1 + ||T||) * max(orbit.bound, max_k ||y_k||),
+    and must stay within ``eps_claim`` of the pseudo-orbit.  The residual
+    is roundoff in T y_k, so it scales with the shadow, which can be far
+    larger than the pseudo-orbit when the projectors are large.
 
     Raises
     ------
@@ -431,5 +459,5 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     x, y = orbit.points, shadow.shadow_points
     if len(x) != len(y):
         raise LengthMismatchError(f"orbit has {len(x)} points, shadow has {len(y)}")
-    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + operator_norm(T)) * orbit.bound
+    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + operator_norm(T)) * max(orbit.bound, _largest(y))
     return bool(_largest(_steps(T, y)) <= tolerance and _largest(y - x) <= eps_claim)

@@ -351,14 +351,71 @@ def test_shadow_linear_response(seed):
     assert eps[1e-2] / eps[5e-3] == pytest.approx(2.0, rel=1e-9)
 
 
-def test_shadow_with_foreign_splitting_overflows():
+@pytest.mark.parametrize("length, step", [(200, 47), (1000, 847), (5000, 4847)])
+def test_shadow_with_foreign_splitting_overflows(length, step):
     # the splitting of diag(2, 0.5) inverts the first axis, where
-    # T = diag(0.1, 0.5) contracts: the back-substitution grows tenfold a step
+    # T = diag(0.1, 0.5) contracts: the back-substitution grows tenfold a
+    # step and first passes the limit 153 steps before the end; at 5000
+    # steps the doubled propagator powers themselves overflow to inf
     split = hyperbolic_splitting(SADDLE)
     T = np.diag([0.1, 0.5])
-    orbit = generate_pseudo_orbit(T, delta=1e-2, length=200, seed=0)
-    with pytest.raises(UnstableOverflowError, match="overflow at step 47"):
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=length, seed=0)
+    with pytest.raises(UnstableOverflowError, match=f"overflow at step {step}$"):
         shadow_orbit(T, split, orbit)
+
+
+def test_shadow_non_finite_correction_is_an_overflow():
+    # T^(-1) P_u = diag((1 + 1j) 1e300, 0) for this foreign splitting: the
+    # last step's complex product is inf - inf, a NaN, not a large number
+    split = hyperbolic_splitting(SADDLE)
+    T = np.diag([0.5e-300 * (1 - 1j), 0.5])
+    orbit = generate_pseudo_orbit(T, delta=1e12, length=10, seed=0)
+    with pytest.raises(UnstableOverflowError, match="overflow at step 9$"):
+        shadow_orbit(T, split, orbit)
+
+
+def sequential_shadow(T, split, orbit):
+    """Shadow points from the per-step recursions s_{k+1} = (T P_s) s_k +
+    P_s e_k and u_k = (T^(-1) P_u)(e_k + u_{k+1}): the reference the
+    doubling scan in shadow_orbit must reproduce up to roundoff."""
+    x = orbit.points
+    e = x[1:] - x[:-1] @ T.T
+    Ps, Pu = split.stable_projector, split.unstable_projector
+    forward = T @ Ps
+    backward = np.linalg.solve(T, Pu)
+    s = np.zeros(x.shape, dtype=complex)
+    for k in range(len(e)):
+        s[k + 1] = forward @ s[k] + Ps @ e[k]
+    u = np.zeros(x.shape, dtype=complex)
+    for k in reversed(range(len(e))):
+        u[k] = backward @ (e[k] + u[k + 1])
+    return x - s + u
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 200, 256, 257])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_shadow_matches_sequential_recursion(dim, length):
+    # lengths around the powers of two are where the doubling rounds end
+    T = hyperbolic_sample(dim, dim=dim)
+    split = hyperbolic_splitting(T)
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=length, seed=dim + length)
+    y = sequential_shadow(T, split, orbit)
+    result = shadow_orbit(T, split, orbit)
+    scale = np.linalg.norm(orbit.points, axis=1).max()
+    assert np.linalg.norm(result.shadow_points - y, axis=1).max() <= 1e-10 * scale
+    epsilon = np.linalg.norm(y - orbit.points, axis=1).max()
+    assert result.epsilon == pytest.approx(epsilon, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("T", [[[0.5, 100.0], [0.0, 2.0]], DEFECTIVE["mixed"]], ids=["triangular", "mixed"])
+def test_shadow_long_orbit_residual_is_roundoff(T):
+    # 5000 steps take 13 doubling rounds; the shadow must still be a true
+    # orbit to a few ulps of T y_k
+    T = np.array(T)
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=5000, seed=0)
+    result = shadow_orbit(T, hyperbolic_splitting(T), orbit)
+    size = np.linalg.norm(result.shadow_points, axis=1).max()
+    assert result.orbit_residual <= 16 * np.finfo(float).eps * operator_norm(T) * size
 
 
 @pytest.mark.parametrize("length", [0, 1])
@@ -402,6 +459,27 @@ def test_verify_rejects_perturbed_shadow():
     assert verify_shadowing(T, orbit, result, claim)
     broken_points = result.shadow_points.copy()
     broken_points[30] += 10 * claim
+    broken = ShadowResult(
+        shadow_points=broken_points,
+        epsilon=result.epsilon,
+        orbit_residual=result.orbit_residual,
+        constant_bound=result.constant_bound,
+    )
+    assert not verify_shadowing(T, orbit, broken, claim)
+
+
+def test_verify_tolerance_scales_with_the_shadow():
+    # eigenvalues 1 -+ 3e-8 with ||P_s|| = 1.7e7: the shadow is 1e7 times
+    # the pseudo-orbit's radius, and so is the roundoff in its residual
+    T = np.array([[1.0 - 3e-8, 1.0], [0.0, 1.0 + 3e-8]])
+    split = hyperbolic_splitting(T)
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=200, seed=3)
+    result = shadow_orbit(T, split, orbit)
+    claim = split.constant_bound * 1e-2 + 1e-9
+    assert result.orbit_residual > 1e-9 * (1 + operator_norm(T)) * orbit.bound
+    assert verify_shadowing(T, orbit, result, claim)
+    broken_points = result.shadow_points.copy()
+    broken_points[100] += result.epsilon
     broken = ShadowResult(
         shadow_points=broken_points,
         epsilon=result.epsilon,

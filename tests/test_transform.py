@@ -124,6 +124,19 @@ def test_homogeneity_random_complex(seed):
     assert disc <= 1e-10 * (1 + abs(alpha) * operator_norm(T))
 
 
+@pytest.mark.parametrize("k", [-990, -500, 500, 990])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transform_scale_covariant_at_float_range_edges(n, k):
+    # D_lam(2^k T) = 2^k D_lam(T); the power of two is exact, so only the
+    # factorization's roundoff separates the two sides
+    T = random_matrix(n, n)
+    T = T / operator_norm(T)
+    for lam in LAMBDAS:
+        D = aluthge_transform(T, lam)
+        scaled = aluthge_transform(T * 2.0**k, lam) * 2.0**-k
+        assert operator_norm(scaled - D) <= 1e-13 * operator_norm(D)
+
+
 def test_normality_defect_oracles():
     # T*T = diag(1,16), TT* = diag(16,1), difference has norm 15
     assert normality_defect(T_MONOMIAL) == pytest.approx(15.0, abs=1e-12)
