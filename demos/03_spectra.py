@@ -46,7 +46,8 @@ print("  ||H^(-1)||  =", round(conj.inverse_norm, 6))
 print("  ||H T H^(-1) - D(T)|| =", f"{residual:.3e}")
 print()
 
-# multiset matching is assignment based, so near-ties in modulus are safe
+# multiset matching pairs eigenvalues by distance, not by sorted modulus,
+# so near-ties in modulus are safe
 a = np.array([1.0 + 0.0j, 1.0j])
 b = np.array([1.0j, 1.0 + 1e-9j])
 print("match {1, i} against {i, 1+1e-9i}:", multiset_match(a, b, tol=1e-8))

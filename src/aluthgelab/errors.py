@@ -60,4 +60,5 @@ class InvalidSpecError(AluthgeLabError):
 
 
 class UnstableOverflowError(AluthgeLabError):
-    """Back-substitution along the unstable subspace overflowed."""
+    """A shadow correction overflowed: the forward sum along the stable
+    subspace or the back-substitution along the unstable one."""

@@ -72,7 +72,7 @@ RESIDUAL_TOL_FACTOR = 1e-9
 #: roundoff-level epsilon on an exact orbit still verifies.
 EPSILON_SLACK = 1e-9
 
-#: Back-substitution along the unstable subspace aborts above this norm.
+#: A shadow correction, stable or unstable, aborts above this norm.
 BACKSUB_OVERFLOW_LIMIT = 1e150
 
 
@@ -353,11 +353,12 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
     Raises
     ------
     UnstableOverflowError
-        If the unstable correction overflows; the splitting then does not
-        belong to this operator.  It is checked once, after the scan, and
-        names the last step whose norm is non-finite or above
-        BACKSUB_OVERFLOW_LIMIT, the step where the backward recursion
-        first crosses it.
+        If either correction overflows; the splitting then does not belong
+        to this operator.  Both are checked once, after the scans, and the
+        message names the side and the step where its recursion first
+        crosses BACKSUB_OVERFLOW_LIMIT (or turns non-finite): the first
+        such step for the forward stable recursion, the last one for the
+        backward unstable recursion.
     """
     T = as_matrix(T)
     x = orbit.points
@@ -365,18 +366,20 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
     Ps, Pu = splitting.stable_projector, splitting.unstable_projector
     backward = np.linalg.solve(T, Pu)
     s = np.zeros(x.shape, dtype=complex)
-    s[1:] = e @ Ps.T
-    _scan(s, T @ Ps)
     u = np.zeros(x.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        s[1:] = e @ Ps.T
+        _scan(s, T @ Ps)
         u[:-1] = e @ backward.T
         _scan(u[::-1], backward)
-        norms = np.linalg.norm(u, axis=1)
-    overflow = np.flatnonzero(~(norms <= BACKSUB_OVERFLOW_LIMIT))
-    if overflow.size:
+        stable = np.flatnonzero(~(np.linalg.norm(s, axis=1) <= BACKSUB_OVERFLOW_LIMIT))
+        unstable = np.flatnonzero(~(np.linalg.norm(u, axis=1) <= BACKSUB_OVERFLOW_LIMIT))
+    if unstable.size:
         raise UnstableOverflowError(
-            f"unstable back-substitution overflow at step {overflow[-1]}"
+            f"unstable back-substitution overflow at step {unstable[-1]}"
         )
+    if stable.size:
+        raise UnstableOverflowError(f"stable correction overflow at step {stable[0]}")
     y = x - s + u
     return ShadowResult(
         shadow_points=y,

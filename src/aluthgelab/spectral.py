@@ -3,6 +3,10 @@ quasi-hyperbolicity verdicts.
 
 In finite dimension the approximate point spectrum, the point spectrum,
 and the spectrum coincide, so one eigenvalue report answers all three.
+Two multisets are compared by their bottleneck distance, the least
+largest paired distance over all pairings, computed exactly with
+augmenting paths in numpy and plain Python.
+
 An operator is hyperbolic when its spectrum avoids the unit circle, and
 quasi-hyperbolic when for some exponent n
 
@@ -29,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import NonFiniteEntryError, SizeMismatchError
 from .linalg_core import _complex_to_json, as_matrix, eigenvalues
 
 __all__ = [
@@ -102,15 +106,17 @@ class MatchResult(NamedTuple):
 def multiset_match(a, b, tol: float) -> MatchResult:
     """Compare two eigenvalue multisets up to tolerance.
 
-    Builds the pairwise distance matrix and solves the optimal assignment
-    problem (minimal total distance); the multisets match when the largest
-    paired distance is at most ``tol``.  Assignment, not modulus sorting:
-    near-ties in modulus make sorted comparisons unstable.
+    ``max_distance`` is the bottleneck distance: the least, over all
+    pairings of ``a`` with ``b``, of the largest paired distance.  The
+    multisets match when it is at most ``tol``.  Pairing, not modulus
+    sorting: near-ties in modulus make sorted comparisons unstable.
 
     Raises
     ------
     SizeMismatchError
         If the multisets have different cardinality.
+    NonFiniteEntryError
+        If an entry is NaN or infinite, or a pairwise distance overflows.
     """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
@@ -118,13 +124,81 @@ def multiset_match(a, b, tol: float) -> MatchResult:
         raise SizeMismatchError(f"multiset sizes differ: {a.size} vs {b.size}")
     if a.size == 0:
         return MatchResult(True, 0.0)
-    # imported here: scipy.optimize dominates the package's import time
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    max_distance = float(cost[rows, cols].max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.abs(a[:, None] - b[None, :])
+    if not np.isfinite(cost).all():
+        raise NonFiniteEntryError("multiset entries or their distances are not finite")
+    max_distance = _bottleneck(cost)
     return MatchResult(bool(max_distance <= tol), max_distance)
+
+
+def _bottleneck(cost: np.ndarray) -> float:
+    """The least d at which some permutation pairs every row of ``cost``
+    with a column at distance at most d (Gabow & Tarjan 1988).
+
+    Every row and every column needs a partner within d, so d is at least
+    max(largest row minimum, largest column minimum).  That bound is tried
+    first, and when the multisets agree up to small perturbations it is
+    almost always the answer; otherwise a binary search runs over the
+    sorted distinct distances above it.
+    """
+    ranked = np.argsort(cost, axis=1, kind="stable").tolist()
+    nearest = np.sort(cost, axis=1)
+
+    def perfect(d) -> bool:
+        counts = (nearest <= d).sum(axis=1).tolist()
+        return _perfect_matching([cols[:k] for cols, k in zip(ranked, counts)])
+
+    lower = max(nearest[:, 0].max(), cost.min(axis=0).max())
+    if perfect(lower):
+        return float(lower)
+    levels = np.unique(cost)
+    lo, hi = int(np.searchsorted(levels, lower, side="right")), len(levels) - 1
+    while lo < hi:  # levels[hi], the largest distance, always admits one
+        mid = (lo + hi) // 2
+        if perfect(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def _perfect_matching(neighbours: list[list[int]]) -> bool:
+    """Whether the bipartite graph in which row i may take the columns
+    ``neighbours[i]`` (nearest first) pairs every row with a column of its own.
+
+    Kuhn's augmenting paths (1955) from a greedy matching, each searched
+    depth first with an explicit stack.  A row with no augmenting path
+    never gains one later, so the first such row settles the answer.
+    """
+    owner = [-1] * len(neighbours)  # the row holding each column
+    free = []
+    for row, cols in enumerate(neighbours):
+        col = next((c for c in cols if owner[c] < 0), None)
+        if col is None:
+            free.append(row)
+        else:
+            owner[col] = row
+    for root in free:
+        seen = [False] * len(neighbours)
+        frames, path = [(root, iter(neighbours[root]))], []
+        while frames:
+            col = next((c for c in frames[-1][1] if not seen[c]), None)
+            if col is None:  # dead end: back up to the previous row
+                frames.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[col] = True
+            path.append(col)
+            if owner[col] < 0:  # augment: each row on the path takes its column
+                for (row, _), c in zip(frames, path):
+                    owner[c] = row
+                break
+            frames.append((owner[col], iter(neighbours[owner[col]])))
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

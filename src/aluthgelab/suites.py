@@ -167,8 +167,8 @@ def _stack_iterates(trials, spec, tolerances):
 
     A stack that raises is left out; its trials then run alone in
     :func:`_check_iterates`, so the failing one records its own error.
-    Each trace keeps only its first iterate, the one the check reads, so
-    one stack's iterates are held at a time.
+    The check reads the norms, defects and radius but no iterate, so the
+    traces keep none, and one stack's iterates are held at a time.
     """
     budget = tolerances["iteration_budget"]
     groups = {}
@@ -179,7 +179,7 @@ def _stack_iterates(trials, spec, tolerances):
         try:
             stack = np.stack([_sample(trial, spec) for trial in group])
             traces.update(
-                (trial.seed, replace(trace, iterates=trace.iterates[:1]))
+                (trial.seed, replace(trace, iterates=[]))
                 for trial, trace in zip(group, aluthge_iterates(stack, lam, budget))
             )
         except AluthgeLabError:
@@ -190,7 +190,6 @@ def _stack_iterates(trials, spec, tolerances):
 def _check_iterates(trial, spec, tolerances, trace=None):
     if trace is None:
         trace = aluthge_iterates(_sample(trial, spec), trial.lam, tolerances["iteration_budget"])
-    T = trace.iterates[0]
     problems = []
     steps = np.diff(trace.operator_norms)
     if steps.size and steps.max() > tolerances["monotonicity_slack"]:
@@ -198,7 +197,8 @@ def _check_iterates(trial, spec, tolerances, trace=None):
     radius = trace.spectral_radius
     norm_limit = tolerances["norm_limit_factor"] * (1.0 + radius)
     norm_ok = abs(trace.operator_norms[-1] - radius) <= norm_limit
-    defect_ok = trace.normality_defects[-1] <= tolerances["defect_factor"] * operator_norm(T) ** 2
+    defect_limit = tolerances["defect_factor"] * trace.operator_norms[0] ** 2
+    defect_ok = trace.normality_defects[-1] <= defect_limit
     if not (norm_ok and defect_ok):
         problems.append(_UNCONVERGED)
     return problems

@@ -364,6 +364,17 @@ def test_shadow_with_foreign_splitting_overflows(length, step):
         shadow_orbit(T, split, orbit)
 
 
+def test_shadow_with_foreign_splitting_overflows_on_the_stable_side():
+    # the splitting of diag(0.5, 2) sums the first axis forward as stable,
+    # where T = diag(10, 0.5) grows tenfold a step: the stable correction
+    # first passes the limit at step 154, as a per-step recursion does
+    split = hyperbolic_splitting(np.diag([0.5, 2.0]))
+    T = np.diag([10.0, 0.5])
+    orbit = generate_pseudo_orbit(T, delta=1e-2, length=200, seed=0)
+    with pytest.raises(UnstableOverflowError, match="stable correction overflow at step 154$"):
+        shadow_orbit(T, split, orbit)
+
+
 def test_shadow_non_finite_correction_is_an_overflow():
     # T^(-1) P_u = diag((1 + 1j) 1e300, 0) for this foreign splitting: the
     # last step's complex product is inf - inf, a NaN, not a large number

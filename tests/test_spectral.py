@@ -1,5 +1,11 @@
 """Spectrum reports, multiset matching, and both quasi-hyperbolicity routes."""
 
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,7 @@ from hypothesis import strategies as st
 
 from aluthgelab import (
     EnsembleSpec,
+    NonFiniteEntryError,
     SizeMismatchError,
     aluthge_transform,
     is_quasi_hyperbolic_spectral,
@@ -15,6 +22,8 @@ from aluthgelab import (
     sample_matrix,
     spectrum_report,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 SHEAR = np.array([[2.0, 1.0], [0.0, 0.5]])
@@ -76,9 +85,11 @@ def test_multiset_within_tolerance():
 
 
 def test_multiset_conjugate_mismatch():
+    # pairing 1 with 1 leaves 1j and -1j at distance 2; crossing the pairs
+    # puts both at distance sqrt(2), the smallest largest distance
     result = multiset_match([1.0, 1j], [1.0, -1j], 1e-3)
     assert not result.matched
-    assert result.max_distance == pytest.approx(2.0, abs=1e-12)
+    assert result.max_distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_multiset_size_mismatch():
@@ -87,7 +98,7 @@ def test_multiset_size_mismatch():
 
 
 def test_multiset_prefers_optimal_pairing():
-    # sorted-by-modulus pairing would cross these; assignment must not
+    # sorted-by-modulus pairing would cross these; the matching must not
     a = [1.0, 1.0 + 1e-12j]
     b = [1.0 + 1e-12j, 1.0]
     result = multiset_match(a, b, 1e-9)
@@ -108,6 +119,82 @@ def test_multiset_symmetric_and_reflexive(seed, size):
     assert ab.matched == ba.matched
     assert ab.max_distance == pytest.approx(ba.max_distance, abs=1e-12)
     assert multiset_match(a, a, 0.0).matched
+
+
+def test_multiset_bottleneck_not_min_sum():
+    # the min-sum pairing (0 with 0) has largest distance 3; pairing each
+    # point with a partner sqrt(5) away is better in the largest distance
+    result = multiset_match([-1 + 1j, 1 + 1j, 0], [0, 1 - 2j, -1 + 2j], 2.5)
+    assert result.matched
+    assert result.max_distance == np.sqrt(5.0)
+
+
+POINTS = st.one_of(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    # points of a coarse grid, so that distances tie
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(*2 * [st.lists(POINTS, min_size=n, max_size=n)])
+    ),
+    tol=st.floats(min_value=0.0, max_value=20.0),
+)
+def test_multiset_max_distance_is_brute_force_bottleneck(pair, tol):
+    a, b = (np.array(points, dtype=complex) for points in pair)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows = range(len(a))
+    best = min(cost[rows, list(perm)].max() for perm in itertools.permutations(rows))
+    result = multiset_match(a, b, tol)
+    assert result.max_distance == best
+    assert result.matched == (best <= tol)
+
+
+def test_multiset_large_permuted_perturbed():
+    # 1100 points: an augmenting-path search that recursed would pass
+    # Python's default recursion limit of 1000
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(1100) + 1j * rng.standard_normal(1100)
+    noise = rng.standard_normal(1100) + 1j * rng.standard_normal(1100)
+    b = a[rng.permutation(1100)] + 1e-10 * noise
+    result = multiset_match(a, b, 1e-8)
+    assert result.matched
+    assert result.max_distance < 1e-9
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, np.nan], [1.0, 2.0]),
+        ([1.0, 2.0], [np.inf, 2.0]),
+        ([complex(0, -np.inf)], [0.0]),
+        ([1e308], [-1e308]),  # finite entries, overflowing distance
+    ],
+)
+def test_multiset_non_finite_is_typed(a, b):
+    with pytest.raises(NonFiniteEntryError):
+        multiset_match(a, b, 1.0)
+
+
+def test_suites_run_without_scipy():
+    # a None entry in sys.modules makes every import of scipy fail
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from aluthgelab import run_all\n"
+        "run_all(2, 1)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spectral_verdict_diagonal():
