@@ -18,7 +18,15 @@ exponentially.  A linear recursion is a prefix scan, so each is evaluated
 by doubling: round r adds A^(2^r) z_(k - 2^r) to every z_k at once and
 then squares A, which takes ceil(log2 (N + 1)) batched products for
 N + 1 points.  The squared powers of a propagator that does not belong to
-T can overflow; the unstable side is checked once, after its scan.
+T can overflow; each side is checked once, after its scan.  A side whose
+projector is 0 is not recursed at all.
+
+The splitting, the shadow and its check also run over a stack of
+operators of one size, with every factorization and product batched over
+the stack: :func:`hyperbolic_splitting` takes a (k, n, n) stack and
+returns one splitting per member, and :func:`shadow_orbit`,
+:func:`transfer_shadowing` and :func:`verify_shadowing` are the
+stack-of-one callers of the same private array-level core.
 
 The achieved distance obeys max_k ||c_k|| <= C * delta with
 
@@ -35,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aluthge import conjugacy
+from .aluthge import _as_stack, conjugacy
 from .errors import (
     InvalidDeltaError,
     LengthMismatchError,
@@ -110,8 +118,21 @@ class HyperbolicSplitting:
         return stable + unstable
 
 
-def hyperbolic_splitting(T) -> HyperbolicSplitting:
+def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     """Spectral projectors, rates, and measured constants for hyperbolic T.
+
+    ``T`` may also be a stack of k matrices of one size, shape (k, n, n).
+    Every factorization is then one batched call over the stack (the
+    singular values, the eigenvalues, the Cayley solve, each Newton sign
+    step and one SVD for the power norms of every member on both sides),
+    and one :class:`HyperbolicSplitting` per member is returned, in input
+    order, equal to the splitting of that member alone.  A member that is
+    refused makes the whole call raise.
+
+    The power norms are measured on the normalized propagators formed from
+    T scaled by a power of two, which is exact: subnormal or huge operators
+    neither overflow 1/rho nor lose digits, and at every other scale the
+    constants are those of the unscaled propagators, bit for bit.
 
     Raises
     ------
@@ -120,74 +141,110 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting:
         hyperbolicity tolerance of the unit circle.
     NoConvergenceError
         If the eigenvalue or the matrix sign iteration does not converge.
+    SizeMismatchError
+        If a member is not square, or the members differ in size.
     """
-    T = as_matrix(T)
-    n = T.shape[0]
-    sing = np.linalg.svd(T, compute_uv=False)
-    if sing.size and sing[-1] <= rank_tolerance(sing, n):
+    stack, single = _as_stack(T)
+    n = stack.shape[-1]
+    sing = np.linalg.svd(stack, compute_uv=False)
+    if n and (sing[:, -1] <= rank_tolerance(sing, n)).any():
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"
         )
-    ev = _eigenvalues(T)
-    _, circle, hyperbolic = _hyperbolicity(ev)
-    if not hyperbolic:
-        raise NotHyperbolicError(f"spectrum within {circle:.3e} of the unit circle")
+    ev = _eigenvalues(stack)
+    for member in ev:
+        _, circle, hyperbolic = _hyperbolicity(member)
+        if not hyperbolic:
+            raise NotHyperbolicError(f"spectrum within {circle:.3e} of the unit circle")
+    moduli = np.abs(ev)
+    stable = moduli < 1.0
+    has_s, has_u = stable.any(axis=-1), (~stable).any(axis=-1)
     identity = np.eye(n, dtype=complex)
-    stable = np.abs(ev) < 1.0
-    if stable.all() or not stable.any():  # one empty side: exactly I or 0
-        Ps = identity * stable.all()
-    else:  # the Cayley map sends the open unit disc to the left half-plane
-        Ps = (identity - _matrix_sign(np.linalg.solve(T - identity, T + identity))) / 2
+    Ps = np.zeros(stack.shape, dtype=complex)
+    Ps[~has_u] = identity  # one empty side: exactly I or 0
+    both = has_s & has_u
+    if both.any():  # the Cayley map sends the open unit disc to the left half-plane
+        C = stack[both]
+        Ps[both] = (identity - _matrix_sign(np.linalg.solve(C - identity, C + identity))) / 2
     Pu = identity - Ps
-    rho_s = float(np.abs(ev[stable]).max()) if stable.any() else 0.0
-    rho_u = float(np.abs(ev[~stable]).min()) if (~stable).any() else np.inf
-    Ks = _largest_power_norm(T @ Ps / rho_s, Ps) if stable.any() else 0.0
-    Ku = _largest_power_norm(rho_u * np.linalg.solve(T, Pu), Pu) if (~stable).any() else 0.0
-    return HyperbolicSplitting(
-        stable_projector=Ps,
-        unstable_projector=Pu,
-        stable_rate=rho_s,
-        unstable_rate=rho_u,
-        stable_bound=Ks,
-        unstable_bound=Ku,
-    )
+    rho_s = np.where(stable, moduli, 0.0).max(axis=-1, initial=0.0)
+    rho_u = np.where(stable, np.inf, moduli).min(axis=-1, initial=np.inf)
+    Ks, Ku = _power_bounds(stack, Ps, Pu, rho_s, rho_u)
+    splittings = [
+        HyperbolicSplitting(*fields) for fields in zip(Ps, Pu, rho_s.tolist(), rho_u.tolist(), Ks, Ku)
+    ]
+    return splittings[0] if single else splittings
 
 
 def _matrix_sign(X: np.ndarray) -> np.ndarray:
-    """sign(X) by determinant-scaled Newton, X <- (mu X + (mu X)^(-1))/2 with
-    mu = |det X|^(-1/n), stopped by the quadratic convergence test of
-    Higham, Functions of Matrices (2008), ch. 5."""
-    n = X.shape[0]
+    """sign(X) of each member of a stack by determinant-scaled Newton,
+    X <- (mu X + (mu X)^(-1))/2 with mu = |det X|^(-1/n), stopped by the
+    quadratic convergence test of Higham, Functions of Matrices (2008),
+    ch. 5.  A member leaves the batch at the step where its own test
+    passes, so it takes the steps it would take alone."""
+    n = X.shape[-1]
+    sign = np.empty_like(X)
+    live = np.arange(len(X))  # members still iterating
     for _ in range(_SIGN_NEWTON_STEPS):
         try:
             X_inv = np.linalg.inv(X)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"matrix sign iterate is singular: {exc}") from exc
-        mu = np.exp(-np.linalg.slogdet(X)[1] / n)
+        mu = np.exp(-np.linalg.slogdet(X)[1] / n)[:, None, None]
         previous, X = X, (mu * X + X_inv / mu) / 2
-        step = np.linalg.norm(X - previous, 1)
-        if step <= np.sqrt(n * np.finfo(float).eps * np.linalg.norm(X, 1) / np.linalg.norm(X_inv, 1)):
-            return X
+        step = _norm1(X - previous)
+        done = step <= np.sqrt(n * np.finfo(float).eps * _norm1(X) / _norm1(X_inv))
+        sign[live[done]] = X[done]
+        live, X = live[~done], X[~done]
+        if not live.size:
+            return sign
     raise NoConvergenceError(f"matrix sign iteration did not converge in {_SIGN_NEWTON_STEPS} steps")
 
 
-def _largest_power_norm(propagator: np.ndarray, projector: np.ndarray) -> float:
-    """Largest 2-norm of propagator^m @ projector over
-    m = 0..MEASUREMENT_HORIZON, read from one batched SVD."""
-    powers = [projector]
-    for _ in range(MEASUREMENT_HORIZON):
-        powers.append(propagator @ powers[-1])
-    return float(np.linalg.svd(np.stack(powers), compute_uv=False)[:, 0].max())
+def _norm1(X: np.ndarray) -> np.ndarray:
+    """Largest absolute column sum of each member of a stack."""
+    return np.linalg.norm(X, 1, axis=(-2, -1))
+
+
+def _power_bounds(T, Ps, Pu, rho_s, rho_u) -> tuple[list, list]:
+    """K_s and K_u of each member of a stack: the largest 2-norm of
+    propagator^m @ projector over m = 0..MEASUREMENT_HORIZON, for the
+    normalized propagators T P_s / rho_s and rho_u T^(-1) P_u, read from
+    one batched SVD over every power of every nonempty side; 0 for an
+    empty side.
+
+    The propagators are formed from T 2^-e, with 2^e the binade of its
+    largest entry (floored so that 2^-e stays finite), and rates scaled
+    alike.
+    """
+    has_s, has_u = rho_s > 0.0, rho_u < np.inf
+    peak = np.abs(T).max(axis=(-2, -1), initial=0.0)
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1000))
+    Ts = T * scale[:, None, None]
+    propagators = np.concatenate([
+        Ts[has_s] @ Ps[has_s] / (rho_s * scale)[has_s, None, None],
+        (rho_u * scale)[has_u, None, None] * np.linalg.solve(Ts[has_u], Pu[has_u]),
+    ])
+    powers = np.empty((len(propagators), MEASUREMENT_HORIZON + 1) + T.shape[1:], dtype=complex)
+    powers[:, 0] = np.concatenate([Ps[has_s], Pu[has_u]])
+    for m in range(MEASUREMENT_HORIZON):
+        np.matmul(propagators, powers[:, m], out=powers[:, m + 1])
+    Ks, Ku = np.zeros(len(T)), np.zeros(len(T))
+    if len(propagators):
+        norms = np.linalg.svd(powers, compute_uv=False)[..., 0].max(axis=-1)
+        Ks[has_s], Ku[has_u] = np.split(norms, [int(has_s.sum())])
+    return Ks.tolist(), Ku.tolist()
 
 
 def _steps(T: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Step defects x_{k+1} - T x_k of a point sequence, one row per step."""
-    return points[1:] - points[:-1] @ T.T
+    """Step defects x_{k+1} - T x_k of a point sequence, one row per step;
+    T and the points may carry a leading stack axis."""
+    return points[..., 1:, :] - points[..., :-1, :] @ T.swapaxes(-1, -2)
 
 
-def _largest(rows: np.ndarray) -> float:
-    """Largest row norm; 0 for no rows."""
-    return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
+def _largest(rows: np.ndarray) -> np.ndarray:
+    """Largest row norm, 0 for no rows; one per member of a stack."""
+    return np.linalg.norm(rows, axis=-1).max(axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -325,17 +382,91 @@ def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
 
 
 def _scan(z: np.ndarray, A: np.ndarray) -> None:
-    """Set z_k <- sum_{j<=k} A^(k-j) z_j in place by prefix doubling.
+    """Set z_k <- sum_{j<=k} A^(k-j) z_j in place by prefix doubling, for
+    each member of a stack of sequences z (k, N + 1, n) and matrices A.
 
     Round r adds A^h z_{k-h} to every z_k with h = 2^r, so after it each
     z_k holds the terms j > k - 2h.
     """
-    h = 1
-    while h < len(z):
-        z[h:] = z[h:] + z[:-h] @ A.T
+    h, length = 1, z.shape[-2]
+    while h < length:
+        z[:, h:] += z[:, :-h] @ A.swapaxes(-1, -2)
         h *= 2
-        if h < len(z):  # the square after the last round is never used
+        if h < length:  # the square after the last round is never used
             A = A @ A
+
+
+def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Shadow points y = x - s + u of a stack of pseudo-orbits x (k, N + 1, n)
+    under operators T with projectors Ps and Pu (k, n, n).
+
+    A side whose projector is 0 is not recursed: its correction is 0
+    exactly, and T^(-1) is never formed for it.
+
+    Raises
+    ------
+    UnstableOverflowError
+        As described in :func:`shadow_orbit`; the step is taken over all
+        members.
+    """
+    s = np.zeros(x.shape, dtype=complex)
+    u = np.zeros(x.shape, dtype=complex)
+    has_s, has_u = Ps.any(), Pu.any(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _steps(T, x)
+        if has_s:
+            s[:, 1:] = e @ Ps.swapaxes(-1, -2)
+        if has_u.any():
+            backward = np.zeros(T.shape, dtype=complex)
+            backward[has_u] = np.linalg.solve(T[has_u], Pu[has_u])
+            u[:, :-1] = e @ backward.swapaxes(-1, -2)
+        del e  # the scans run in place, so the defects need not stay alive
+        if has_s:
+            _scan(s, T @ Ps)
+        if has_u.any():
+            _scan(u[:, ::-1], backward)
+        stable = np.flatnonzero((~(np.linalg.norm(s, axis=-1) <= BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
+        unstable = np.flatnonzero((~(np.linalg.norm(u, axis=-1) <= BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
+    if unstable.size:
+        raise UnstableOverflowError(
+            f"unstable back-substitution overflow at step {unstable[-1]}"
+        )
+    if stable.size:
+        raise UnstableOverflowError(f"stable correction overflow at step {stable[0]}")
+    y = np.subtract(x, s, out=s)
+    y += u
+    return y
+
+
+def _closeness(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """epsilon = max_k ||y_k - x_k|| and the residual max_k ||y_{k+1} - T y_k||
+    of each member of a stack, recomputed from the points."""
+    return _largest(y - x), _largest(_steps(T, y))
+
+
+def _verified(T, bound, y, epsilon, residual, claim) -> np.ndarray:
+    """The check of :func:`verify_shadowing` for each member of a stack:
+    the residual is at most RESIDUAL_TOL_FACTOR * (1 + ||T||) *
+    max(bound, max_k ||y_k||) and epsilon at most the claim."""
+    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + np.linalg.norm(T, 2, axis=(-2, -1))) * np.maximum(bound, _largest(y))
+    return (residual <= tolerance) & (epsilon <= claim)
+
+
+def _shadow(T, splittings, x, pull=None, push=None, target=None):
+    """Shadow points y, epsilon and residual of a stack of pseudo-orbits x
+    (k, N + 1, n) under operators T (k, n, n) with their splittings.
+
+    With a conjugacy, each x belongs to ``target``: it is pulled back by
+    ``pull``, shadowed under T, pushed forward by ``push``, and epsilon
+    and the residual are measured against ``target``.
+    """
+    Ps = np.stack([split.stable_projector for split in splittings])
+    Pu = np.stack([split.unstable_projector for split in splittings])
+    if pull is None:
+        y, target = _corrected(T, Ps, Pu, x), T
+    else:
+        y = _corrected(T, Ps, Pu, x @ pull.swapaxes(-1, -2)) @ push.swapaxes(-1, -2)
+    return (y, *_closeness(target, x, y))
 
 
 def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> ShadowResult:
@@ -348,7 +479,7 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
     Both linear recursions are prefix scans, evaluated by doubling: the
     unstable one runs forward over the reversed sequence, and each takes
     ceil(log2 (N + 1)) batched products with squared propagators instead
-    of N matrix-vector steps.
+    of N matrix-vector steps.  The recursion of an empty side is skipped.
 
     Raises
     ------
@@ -360,31 +491,11 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
         such step for the forward stable recursion, the last one for the
         backward unstable recursion.
     """
-    T = as_matrix(T)
-    x = orbit.points
-    e = _steps(T, x)
-    Ps, Pu = splitting.stable_projector, splitting.unstable_projector
-    backward = np.linalg.solve(T, Pu)
-    s = np.zeros(x.shape, dtype=complex)
-    u = np.zeros(x.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s[1:] = e @ Ps.T
-        _scan(s, T @ Ps)
-        u[:-1] = e @ backward.T
-        _scan(u[::-1], backward)
-        stable = np.flatnonzero(~(np.linalg.norm(s, axis=1) <= BACKSUB_OVERFLOW_LIMIT))
-        unstable = np.flatnonzero(~(np.linalg.norm(u, axis=1) <= BACKSUB_OVERFLOW_LIMIT))
-    if unstable.size:
-        raise UnstableOverflowError(
-            f"unstable back-substitution overflow at step {unstable[-1]}"
-        )
-    if stable.size:
-        raise UnstableOverflowError(f"stable correction overflow at step {stable[0]}")
-    y = x - s + u
+    y, epsilon, residual = _shadow(as_matrix(T)[None], [splitting], orbit.points[None])
     return ShadowResult(
-        shadow_points=y,
-        epsilon=_largest(y - x),
-        orbit_residual=_largest(_steps(T, y)),
+        shadow_points=y[0],
+        epsilon=float(epsilon[0]),
+        orbit_residual=float(residual[0]),
         constant_bound=splitting.constant_bound,
     )
 
@@ -415,31 +526,19 @@ def transfer_shadowing(
     """
     T = as_matrix(T)
     transform, conj, H_inv = conjugacy(T, lam)
-    factor = conj.norm * conj.inverse_norm
-    x = orbit_for_transform.points
     if not reverse:
-        base, target = T, transform
-        pull_matrix, push_matrix = H_inv, conj.matrix
-        pull_norm = conj.inverse_norm
+        base, target, pull, push = T, transform, H_inv, conj.matrix
     else:
-        base, target = transform, T
-        pull_matrix, push_matrix = conj.matrix, H_inv
-        pull_norm = conj.norm
-    pulled = x @ pull_matrix.T
-    pulled_delta = pull_norm * orbit_for_transform.delta
-    pulled_bound = pull_norm * orbit_for_transform.bound
+        base, target, pull, push = transform, T, conj.matrix, H_inv
     splitting = hyperbolic_splitting(base)
-    inner = shadow_orbit(
-        base,
-        splitting,
-        PseudoOrbit(points=pulled, delta=float(pulled_delta), bound=float(pulled_bound)),
+    y, epsilon, residual = _shadow(
+        base[None], [splitting], orbit_for_transform.points[None], pull[None], push[None], target[None]
     )
-    y = inner.shadow_points @ push_matrix.T
     return ShadowResult(
-        shadow_points=y,
-        epsilon=_largest(y - x),
-        orbit_residual=_largest(_steps(target, y)),
-        constant_bound=factor * splitting.constant_bound,
+        shadow_points=y[0],
+        epsilon=float(epsilon[0]),
+        orbit_residual=float(residual[0]),
+        constant_bound=conj.norm * conj.inverse_norm * splitting.constant_bound,
     )
 
 
@@ -458,9 +557,8 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     LengthMismatchError
         If the two point sequences have different length.
     """
-    T = as_matrix(T)
-    x, y = orbit.points, shadow.shadow_points
-    if len(x) != len(y):
-        raise LengthMismatchError(f"orbit has {len(x)} points, shadow has {len(y)}")
-    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + operator_norm(T)) * max(orbit.bound, _largest(y))
-    return bool(_largest(_steps(T, y)) <= tolerance and _largest(y - x) <= eps_claim)
+    T = as_matrix(T)[None]
+    x, y = orbit.points[None], shadow.shadow_points[None]
+    if x.shape[1] != y.shape[1]:
+        raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
+    return bool(_verified(T, orbit.bound, y, *_closeness(T, x, y), eps_claim)[0])

@@ -54,6 +54,13 @@ HYPERBOLICITY_TOL_FACTOR = 1e-8
 #: this modulus.
 OVERFLOW_LIMIT = 1e150
 
+#: Witness margins within this factor times (1 + |m|) of the most negative
+#: margin m are tied.  A margin is formed from at most 2 n_max products of
+#: n x n matrices and three vector norms, each off by a few ulps relative
+#: to the terms it compares; at n_max = 20 and n = 8 that is about 1e-13.
+#: On a unitary every margin is -1 up to such roundoff.
+_MARGIN_TIE_FACTOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -329,8 +336,10 @@ def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyp
     The verdict is true at the smallest settled exponent that holds.
     Failing that, an undecided exponent makes it true with
     ``budget_exhausted`` set, at the smallest such exponent.  Otherwise it
-    is false with the most negative witness.  ``seed`` is accepted for
-    compatibility and ignored: the decision is deterministic.
+    is false with the most negative witness; margins tied with it up to
+    roundoff (``_MARGIN_TIE_FACTOR``) go to the smallest exponent, so the
+    report does not change under a unitary change of basis.  ``seed`` is
+    accepted for compatibility and ignored: the decision is deterministic.
     """
     T = as_matrix(T)
     if n_max < 1:
@@ -396,7 +405,9 @@ def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyp
             margin=0.0,
             budget_exhausted=True,
         )
-    margin, exponent, witness = min(fails, key=lambda f: f[:2])
+    lowest = min(margin for margin, _, _ in fails)
+    tied = lowest + _MARGIN_TIE_FACTOR * (1.0 + abs(lowest))
+    margin, exponent, witness = min((f for f in fails if f[0] <= tied), key=lambda f: f[1])
     return QuasiHyperbolicVerdict(
         verdict=False, method="definitional", exponent=exponent, witness=witness, margin=margin
     )

@@ -18,10 +18,19 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
-The iterates suite runs the trials of each dim as one stack: a single
-``aluthge_iterates`` call iterates their (k, n, n) stack in lockstep, and
-each trial's check reads its own trace.  If that call raises, each trial
-of the stack is run alone, so only the failing trial records the error.
+The iterates, shadowing and transfer suites run the trials of each dim
+as one (k, n, n) stack, and each trial's check reads its own result:
+
+    iterates   one ``aluthge_iterates`` call iterates the stack in lockstep
+    shadowing  one ``hyperbolic_splitting`` call splits the stack, then one
+               batched shadow and check covers every trial and delta
+    transfer   the conjugacy of each trial (the lambdas mix in a stack),
+               one ``hyperbolic_splitting`` call for the operators and one
+               for their transforms, then one batched shadow and check of
+               both directions of every trial
+
+If a stack raises, each of its trials is run alone, as a stack of one, so
+only the failing trial records the error.
 
 Suites
 ------
@@ -56,18 +65,17 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import aluthge_iterates, aluthge_transform
+from .aluthge import aluthge_iterates, aluthge_transform, conjugacy
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import eigenvalues, operator_norm
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
+    _shadow,
+    _verified,
     generate_pseudo_orbit,
     hyperbolic_splitting,
-    shadow_orbit,
-    transfer_shadowing,
-    verify_shadowing,
 )
 from .spectral import is_quasi_hyperbolic_spectral, multiset_match, quasi_hyperbolic_definitional
 
@@ -161,30 +169,16 @@ def _check_fixedpoint(trial, spec, tolerances):
     return problems
 
 
-def _stack_iterates(trials, spec, tolerances):
+def _stack_iterates(group, spec, tolerances):
     """Each trial's iterate trace, by seed, from one stacked
-    ``aluthge_iterates`` call per dim (and lambda).
+    ``aluthge_iterates`` call for a group of one dim and lambda.
 
-    A stack that raises is left out; its trials then run alone in
-    :func:`_check_iterates`, so the failing one records its own error.
     The check reads the norms, defects and radius but no iterate, so the
     traces keep none, and one stack's iterates are held at a time.
     """
-    budget = tolerances["iteration_budget"]
-    groups = {}
-    for trial in trials:
-        groups.setdefault((trial.dim, trial.lam), []).append(trial)
-    traces = {}
-    for (_, lam), group in groups.items():
-        try:
-            stack = np.stack([_sample(trial, spec) for trial in group])
-            traces.update(
-                (trial.seed, replace(trace, iterates=[]))
-                for trial, trace in zip(group, aluthge_iterates(stack, lam, budget))
-            )
-        except AluthgeLabError:
-            continue
-    return traces
+    stack = np.stack([_sample(trial, spec) for trial in group])
+    traces = aluthge_iterates(stack, group[0].lam, tolerances["iteration_budget"])
+    return {trial.seed: replace(trace, iterates=[]) for trial, trace in zip(group, traces)}
 
 
 def _check_iterates(trial, spec, tolerances, trace=None):
@@ -204,22 +198,56 @@ def _check_iterates(trial, spec, tolerances, trace=None):
     return problems
 
 
-def _check_shadowing(trial, spec, tolerances):
-    T = _sample(trial, spec, gap=spec["gap"])
-    splitting = hyperbolic_splitting(T)
-    problems = []
-    epsilons = {}
+def _stack_shadowing(group, spec, tolerances):
+    """Each trial's ``(epsilon, residual, claim, verified)`` per delta,
+    by seed, for a group of one dim: one stacked ``hyperbolic_splitting``
+    call, then one batched shadow and check of every trial per delta."""
+    T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
+    splittings = hyperbolic_splitting(T)
+    constant = np.array([split.constant_bound for split in splittings])
+    seeds = [trial.seed for trial in group]
+    per_delta = []
     for delta in tolerances["deltas"]:
-        orbit = generate_pseudo_orbit(T, delta, tolerances["orbit_length"], trial.seed)
-        result = shadow_orbit(T, splitting, orbit)
-        epsilons[delta] = result.epsilon
-        claim = result.constant_bound * delta + tolerances["epsilon_slack"]
-        if not verify_shadowing(T, orbit, result, claim):
+        x, bound = _orbits(T, seeds, delta, tolerances["orbit_length"])
+        claim = constant * delta + tolerances["epsilon_slack"]
+        per_delta.append(_shadows(T, splittings, x, bound, claim))
+    return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_delta))}
+
+
+def _orbits(T, seeds, delta, length):
+    """The points (k, length + 1, n) and bounds of one ball-mode
+    pseudo-orbit per member of a stack."""
+    x = np.empty((len(T), length + 1, T.shape[-1]), dtype=complex)
+    bound = np.empty(len(T))
+    for i, (M, seed) in enumerate(zip(T, seeds)):
+        orbit = generate_pseudo_orbit(M, delta, length, seed)
+        x[i], bound[i] = orbit.points, orbit.bound
+    return x, bound
+
+
+def _shadows(T, splittings, x, bound, claim, **through):
+    """``(epsilon, residual, claim, verified)`` of a stack of pseudo-orbits
+    shadowed under T, one tuple per member, where ``verified`` is what
+    ``verify_shadowing`` answers for the shadow and the claim.  A
+    conjugacy (``pull``, ``push``, ``target``) is applied as in
+    ``transfer_shadowing``."""
+    y, epsilon, residual = _shadow(T, splittings, x, **through)
+    verified = _verified(through.get("target", T), bound, y, epsilon, residual, claim)
+    return list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist()))
+
+
+def _check_shadowing(trial, spec, tolerances, shadows=None):
+    if shadows is None:
+        shadows = _stack_shadowing([trial], spec, tolerances)[trial.seed]
+    problems = []
+    for delta, (epsilon, residual, claim, verified) in zip(tolerances["deltas"], shadows):
+        if not verified:
             problems.append(
-                f"{trial.kind} dim {trial.dim} delta {delta}: epsilon {result.epsilon:.3e} "
-                f"or residual {result.orbit_residual:.3e} outside claim {claim:.3e}"
+                f"{trial.kind} dim {trial.dim} delta {delta}: epsilon {epsilon:.3e} "
+                f"or residual {residual:.3e} outside claim {claim:.3e}"
             )
     # linear response: the deltas hold the first one and its half
+    epsilons = {delta: shadow[0] for delta, shadow in zip(tolerances["deltas"], shadows)}
     delta = tolerances["deltas"][0]
     ratio = epsilons[delta] / epsilons[delta / 2] if epsilons[delta / 2] else np.inf
     if abs(ratio - 2.0) > 2.0 * tolerances["linear_response_rel"]:
@@ -229,21 +257,43 @@ def _check_shadowing(trial, spec, tolerances):
     return problems
 
 
-def _check_transfer(trial, spec, tolerances):
-    delta = tolerances["delta"]
-    T = _sample(trial, spec, gap=spec["gap"])
-    transform = aluthge_transform(T, trial.lam)
+def _stack_transfer(group, spec, tolerances):
+    """Each trial's ``(epsilon, residual, claim, verified)`` forward and in
+    reverse, by seed, for a group of one dim and any lambdas: the
+    conjugacy of each trial, one stacked ``hyperbolic_splitting`` call for
+    the operators and one for their transforms, then one batched shadow
+    and check of every trial per direction.
+    """
+    delta, length = tolerances["delta"], tolerances["orbit_length"]
+    T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
+    conjugacies = [conjugacy(M, trial.lam) for trial, M in zip(group, T)]
+    D = np.stack([transform for transform, _, _ in conjugacies])
+    H = np.stack([conj.matrix for _, conj, _ in conjugacies])
+    H_inv = np.stack([inverse for _, _, inverse in conjugacies])
+    factor = np.array([conj.norm * conj.inverse_norm for _, conj, _ in conjugacies])
+    directions = (
+        # forward: an orbit of D_lam(T) from the trial seed, shadowed under T
+        (T, D, H_inv, H, 0),
+        # reverse: an orbit of T from the next seed, shadowed under D_lam(T)
+        (D, T, H, H_inv, 1),
+    )
+    per_direction = []
+    for base, target, pull, push, offset in directions:
+        splittings = hyperbolic_splitting(base)
+        x, bound = _orbits(target, [trial.seed + offset for trial in group], delta, length)
+        claim = factor * [split.constant_bound for split in splittings] * delta + tolerances["epsilon_slack"]
+        per_direction.append(_shadows(base, splittings, x, bound, claim, pull=pull, push=push, target=target))
+    return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_direction))}
+
+
+def _check_transfer(trial, spec, tolerances, shadows=None):
+    if shadows is None:
+        shadows = _stack_transfer([trial], spec, tolerances)[trial.seed]
     problems = []
-    # forward: an orbit of D_lam(T) from the trial seed; reverse: an orbit
-    # of T from the next seed
-    directions = (("forward", transform, trial.seed), ("reverse", T, trial.seed + 1))
-    for direction, target, seed in directions:
-        orbit = generate_pseudo_orbit(target, delta, tolerances["orbit_length"], seed)
-        result = transfer_shadowing(T, trial.lam, orbit, reverse=direction == "reverse")
-        claim = result.constant_bound * delta + tolerances["epsilon_slack"]
-        if not verify_shadowing(target, orbit, result, claim):
+    for direction, (epsilon, _, claim, verified) in zip(("forward", "reverse"), shadows):
+        if not verified:
             problems.append(
-                f"{direction} dim {trial.dim} lambda {trial.lam}: epsilon {result.epsilon:.3e} "
+                f"{direction} dim {trial.dim} lambda {trial.lam}: epsilon {epsilon:.3e} "
                 f"outside claim {claim:.3e}"
             )
     return problems
@@ -286,9 +336,12 @@ class _Suite(NamedTuple):
     spec: dict
     tolerances: dict
     check: Callable[..., list]
-    #: work done for all trials at once, before the trial loop: maps a
-    #: trial's seed to a result that its check takes as a fourth argument
+    #: work done for a group of trials at once, before the trial loop:
+    #: maps each trial's seed to a result that its check takes as a fourth
+    #: argument
     stack: Optional[Callable[[list, dict, dict], dict]] = None
+    #: the trials with one key share a stack
+    stack_key: Callable[[_Trial], object] = lambda trial: trial.dim
 
 
 _SUITES = {
@@ -321,6 +374,7 @@ _SUITES = {
         },
         check=_check_iterates,
         stack=_stack_iterates,
+        stack_key=lambda trial: (trial.dim, trial.lam),
     ),
     "shadowing": _Suite(
         spec={"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4},
@@ -332,6 +386,7 @@ _SUITES = {
             "orbit_length": 200,
         },
         check=_check_shadowing,
+        stack=_stack_shadowing,
     ),
     "transfer": _Suite(
         spec={
@@ -348,6 +403,7 @@ _SUITES = {
             "orbit_length": 200,
         },
         check=_check_transfer,
+        stack=_stack_transfer,
     ),
     "quasihyp": _Suite(
         spec={
@@ -364,6 +420,26 @@ _SUITES = {
 }
 
 
+def _stacked(suite: _Suite, runs: list, spec: dict, tolerances: dict) -> dict:
+    """The suite's stacked results of all trials, by seed, one stack per key.
+
+    A stack that raises is left out; its trials then run alone in the
+    trial loop, so the failing one records its own error.
+    """
+    if suite.stack is None:
+        return {}
+    groups = {}
+    for trial in runs:
+        groups.setdefault(suite.stack_key(trial), []).append(trial)
+    stacked = {}
+    for group in groups.values():
+        try:
+            stacked.update(suite.stack(group, spec, tolerances))
+        except AluthgeLabError:
+            continue
+    return stacked
+
+
 def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
@@ -375,7 +451,7 @@ def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
     tolerances = copy.deepcopy(suite.tolerances)
     runs = [_trial(spec, index) for index in range(trials)]
-    stacked = suite.stack(runs, spec, tolerances) if suite.stack else {}
+    stacked = _stacked(suite, runs, spec, tolerances)
     diagnostics = []
     for trial in runs:
         try:

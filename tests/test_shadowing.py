@@ -122,10 +122,12 @@ def test_splitting_sign_iteration_cap_is_typed(monkeypatch):
         hyperbolic_splitting(np.array(DEFECTIVE["mixed"]))
 
 
-@pytest.mark.parametrize("scale", [2.0**-660, 2.0**660])
+@pytest.mark.parametrize("scale", [2.0**-1030, 2.0**-1023, 2.0**-660, 2.0**660])
 def test_splitting_extreme_scales(scale):
     # a one-sided diagonal at a power-of-two scale: the normalized
-    # propagators have norm 1, so K = 1 and C = 1 exactly
+    # propagators have norm 1, so K = 1 and C = 1 exactly; at 2^-1030 the
+    # entries are subnormal and 1/rho_s overflows, and at 2^-1023 an
+    # unstable recursion would divide by them
     T = scale * (np.diag([1.0, 0.5]) if scale < 1.0 else np.diag([1.0, 2.0]))
     split = hyperbolic_splitting(T)
     assert split.stable_bound + split.unstable_bound == 1.0
@@ -148,6 +150,100 @@ def test_splitting_projector_algebra(seed):
     assert operator_norm(Ps @ Pu) <= slack
     assert operator_norm(T @ Ps - Ps @ T) <= slack * operator_norm(T)
     assert split.stable_rate < 1.0 < split.unstable_rate
+
+
+def mixed_stack(dim, count, seed):
+    """Stable-only, unstable-only, two-sided and defective operators of
+    one dim, in turn."""
+    rng = np.random.default_rng([seed, dim])
+    members = []
+    for i in range(count):
+        if i % 4 == 3:  # one Jordan block per side
+            moduli = np.where(np.arange(dim) < dim // 2, 0.6, 1.7)
+            members.append(np.diag(moduli) + np.diag(np.ones(dim - 1), 1))
+            continue
+        stable = [np.ones(dim, bool), np.zeros(dim, bool), np.arange(dim) % 2 == 0][i % 4]
+        moduli = np.where(stable, rng.uniform(0.3, 0.8, dim), rng.uniform(1.25, 3.0, dim))
+        ev = moduli * np.exp(2j * np.pi * rng.random(dim))
+        V = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        members.append(V @ np.diag(ev) @ np.linalg.inv(V))
+    return np.stack(members)
+
+
+def assert_same_splitting(a, b):
+    np.testing.assert_array_equal(a.stable_projector, b.stable_projector)
+    np.testing.assert_array_equal(a.unstable_projector, b.unstable_projector)
+    assert (a.stable_rate, a.unstable_rate, a.stable_bound, a.unstable_bound) == (
+        b.stable_rate,
+        b.unstable_rate,
+        b.stable_bound,
+        b.unstable_bound,
+    )
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_splitting_stack_equals_one_call_per_member(dim):
+    stack = mixed_stack(dim, 9, seed=0)
+    splittings = hyperbolic_splitting(stack)
+    assert isinstance(splittings, list) and len(splittings) == len(stack)
+    for T, split in zip(stack, splittings):
+        assert_same_splitting(split, hyperbolic_splitting(T))
+
+
+def test_splitting_stack_members_take_their_own_newton_steps(monkeypatch):
+    # the defective 3x3 needs more sign steps than the triangular 3x3: in
+    # one stack each must stop where it stops alone
+    steps = []
+    real_inv = np.linalg.inv
+
+    def counted(X):
+        steps.append(len(X))
+        return real_inv(X)
+
+    triangular = np.array([[0.5, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    stack = np.stack([np.array(DEFECTIVE["mixed"]), triangular])
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    alone = []
+    for T in stack:
+        steps.clear()
+        hyperbolic_splitting(T)
+        alone.append(len(steps))
+    steps.clear()
+    splittings = hyperbolic_splitting(stack)
+    assert alone[0] != alone[1]
+    assert steps == [2] * min(alone) + [1] * (max(alone) - min(alone))
+    for T, split in zip(stack, splittings):
+        assert_same_splitting(split, hyperbolic_splitting(T))
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [(np.diag([0.0, 3.0]), NotHyperbolicError), (ROTATION, NotHyperbolicError)],
+    ids=["singular", "on_circle"],
+)
+def test_splitting_stack_with_a_refused_member_raises(refused, error):
+    with pytest.raises(error):
+        hyperbolic_splitting(np.stack([SADDLE, refused, np.diag([0.5, 0.25])]))
+
+
+def test_splitting_stack_sign_cap_is_typed(monkeypatch):
+    monkeypatch.setattr(shadowing, "_SIGN_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="sign iteration"):
+        hyperbolic_splitting(np.stack([SADDLE, np.array(DEFECTIVE["mixed"])[:2, :2]]))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_shadow_stack_equals_shadow_orbit(dim):
+    # the stacked core behind the suites against the public single call
+    stack = mixed_stack(dim, 8, seed=1)
+    splittings = hyperbolic_splitting(stack)
+    orbits = [generate_pseudo_orbit(T, delta=1e-2, length=200, seed=i) for i, T in enumerate(stack)]
+    x = np.stack([orbit.points for orbit in orbits])
+    y, epsilon, residual = shadowing._shadow(stack.astype(complex), splittings, x)
+    for i, (T, split, orbit) in enumerate(zip(stack, splittings, orbits)):
+        alone = shadow_orbit(T, split, orbit)
+        np.testing.assert_array_equal(y[i], alone.shadow_points)
+        assert (epsilon[i], residual[i]) == (alone.epsilon, alone.orbit_residual)
 
 
 def per_power_bounds(T, split):

@@ -247,6 +247,19 @@ def test_definitional_unitary_false_every_n():
     assert np.linalg.norm(verdict.witness) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_definitional_unitary_exponent_is_basis_free(seed):
+    # every margin of a unitary is -1 up to roundoff: the tie goes to the
+    # smallest exponent, in any orthonormal basis
+    U = sample_matrix(EnsembleSpec(kind="unitary", dim=4, seed=seed))
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    verdicts = [quasi_hyperbolic_definitional(M) for M in (U, Q @ U @ Q.conj().T)]
+    assert [(v.verdict, v.exponent) for v in verdicts] == [(False, 1), (False, 1)]
+    for v in verdicts:
+        assert v.margin == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_definitional_budget_exhausted_flag():
     # a huge shear overflows the powers at every exponent, so no exponent
     # is decided and the verdict degrades to true with the flag set

@@ -150,6 +150,40 @@ def test_iterates_stack_error_retries_each_trial_alone(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("name, per_dim", [("shadowing", 1), ("transfer", 2)])
+def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
+    calls = []
+    real = suites.hyperbolic_splitting
+
+    def recorded(T):
+        calls.append(np.shape(T))
+        return real(T)
+
+    monkeypatch.setattr(suites, "hyperbolic_splitting", recorded)
+    report = run_suite(name, trials=21, base_seed=1)
+    assert report.all_passed, report.failures
+    # transfer groups by dim alone: each stack mixes the lambdas
+    assert calls == [(3, n, n) for n in range(2, 9) for _ in range(per_dim)]
+
+
+@pytest.mark.parametrize("name", ["shadowing", "transfer"])
+def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
+    # trial 7 (seed 8, dim 2) is refused, alone or inside a stack; trial 0
+    # shares its stack and passes when run alone
+    refused = sample_matrix(EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4))
+    real = suites.hyperbolic_splitting
+
+    def flaky(T):
+        members = T if np.ndim(T) == 3 else [T]
+        if any(np.array_equal(M, refused) for M in members):
+            raise NotInvertibleError("refused")
+        return real(T)
+
+    monkeypatch.setattr(suites, "hyperbolic_splitting", flaky)
+    report = run_suite(name, trials=10, base_seed=1)
+    assert report.failures == [{"seed": 8, "diagnostic": "hyperbolic dim 2: error: refused"}]
+
+
 def test_verify_all_matches_golden_report(capsys):
     golden = Path(__file__).parent / "data" / "verify_all_seed1_trials12.json"
     argv = ["verify", "--suite", "all", "--trials", "12", "--seed", "1", "--stable-output"]
