@@ -24,21 +24,17 @@ from .aluthge import (
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import (
     AluthgeLabError,
-    IllConditionedEigenbasisError,
     InvalidDeltaError,
     InvalidSpecError,
     LengthMismatchError,
-    NegativeSpectrumError,
     NoConvergenceError,
     NonFiniteEntryError,
-    NotHermitianError,
     NotHyperbolicError,
     NotInvertibleError,
     SizeMismatchError,
     UnstableOverflowError,
 )
 from .linalg_core import (
-    PolarParts,
     SvdParts,
     as_matrix,
     eigenvalues,
@@ -46,8 +42,6 @@ from .linalg_core import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    polar_decompose,
-    psd_power,
     save_matrix,
     svd,
 )
@@ -79,13 +73,10 @@ __all__ = [
     "__version__",
     # linalg_core
     "SvdParts",
-    "PolarParts",
     "as_matrix",
     "operator_norm",
     "svd",
     "eigenvalues",
-    "psd_power",
-    "polar_decompose",
     "matrix_to_json",
     "matrix_from_json",
     "load_matrix",
@@ -132,11 +123,8 @@ __all__ = [
     "AluthgeLabError",
     "NonFiniteEntryError",
     "NoConvergenceError",
-    "NotHermitianError",
-    "NegativeSpectrumError",
     "NotInvertibleError",
     "NotHyperbolicError",
-    "IllConditionedEigenbasisError",
     "InvalidDeltaError",
     "SizeMismatchError",
     "LengthMismatchError",

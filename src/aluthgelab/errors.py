@@ -19,15 +19,6 @@ class NoConvergenceError(AluthgeLabError):
     """An iterative factorization exhausted its budget without converging."""
 
 
-class NotHermitianError(AluthgeLabError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
-class NegativeSpectrumError(AluthgeLabError):
-    """A matrix required to be positive semidefinite has an eigenvalue
-    below the clamp threshold."""
-
-
 class NotInvertibleError(AluthgeLabError):
     """A matrix required to be invertible is numerically singular."""
 
@@ -35,11 +26,6 @@ class NotInvertibleError(AluthgeLabError):
 class NotHyperbolicError(AluthgeLabError):
     """The spectrum touches the unit circle, or the operator is singular,
     so no hyperbolic splitting exists."""
-
-
-class IllConditionedEigenbasisError(AluthgeLabError):
-    """Never raised: hyperbolic splittings need no eigenbasis any more.
-    Kept public so that code catching it keeps working."""
 
 
 class InvalidDeltaError(AluthgeLabError):

@@ -1,12 +1,10 @@
-"""Dense complex-matrix kernel: SVD, eigenvalues, PSD fractional powers,
-and the polar decomposition.
+"""Dense complex-matrix kernel: validated SVD and eigenvalues, and the
+matrix JSON wire format.
 
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate.  Factorizations delegate
-to LAPACK through numpy, wrapped so that failures surface as typed errors
-and so that kernel conventions (kernel control in the polar factor,
-eigenvalue clamping before fractional powers) are applied uniformly.
+to LAPACK through numpy, wrapped so that failures surface as typed errors.
 
 The JSON wire format for matrices is::
 
@@ -22,23 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NegativeSpectrumError,
-    NoConvergenceError,
-    NonFiniteEntryError,
-    NotHermitianError,
-    SizeMismatchError,
-)
+from .errors import NoConvergenceError, NonFiniteEntryError, SizeMismatchError
 
 __all__ = [
     "SvdParts",
-    "PolarParts",
     "as_matrix",
     "operator_norm",
     "svd",
     "eigenvalues",
-    "psd_power",
-    "polar_decompose",
     "rank_tolerance",
     "matrix_to_json",
     "matrix_from_json",
@@ -62,19 +51,6 @@ class SvdParts:
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """Polar decomposition T = isometry_part @ modulus.
-
-    ``modulus`` is the Hermitian PSD factor (T*T)^(1/2).  ``isometry_part``
-    is a partial isometry whose kernel equals the kernel of ``modulus``,
-    which equals the kernel of T.  For invertible T it is unitary.
-    """
-
-    isometry_part: np.ndarray
-    modulus: np.ndarray
 
 
 def as_matrix(a) -> np.ndarray:
@@ -151,76 +127,6 @@ def _eigenvalues(T: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def _psd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix with clamping.
-
-    Eigenvalues in [-tau, 0] with tau = dim * eps * ||P|| are clamped to
-    zero; an eigenvalue below -tau raises NegativeSpectrumError.
-    """
-    n = P.shape[0]
-    herm_defect = operator_norm(P - P.conj().T)
-    if herm_defect > 1e-10 * (1.0 + operator_norm(P)):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: ||P - P*|| = {herm_defect:.3e}"
-        )
-    try:
-        w, Q = np.linalg.eigh(P)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    tau = n * np.finfo(float).eps * (abs(w).max() if n else 0.0)
-    if w.min(initial=0.0) < -tau:
-        raise NegativeSpectrumError(
-            f"eigenvalue {w.min():.3e} below clamp threshold {-tau:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return w, Q
-
-
-def psd_power(P, t: float) -> np.ndarray:
-    """Fractional power P^t of a Hermitian PSD matrix, t in [0, 1].
-
-    Computed through the Hermitian eigendecomposition; eigenvalues within
-    roundoff below zero are clamped to zero first.  ``t = 0`` returns the
-    identity matrix (not the range projection): the supported exponent
-    interval for transforms is open, so t = 0 only arises in diagnostics
-    where the identity convention keeps power-addition laws simple.
-
-    Raises
-    ------
-    NotHermitianError
-        If P is not Hermitian within tolerance.
-    NegativeSpectrumError
-        If P has an eigenvalue below the clamp threshold.
-    """
-    P = as_matrix(P)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return np.eye(P.shape[0], dtype=complex)
-    w, Q = _psd_eigh(P)
-    return (Q * w**t) @ Q.conj().T
-
-
-def polar_decompose(T) -> PolarParts:
-    """Polar decomposition T = U P with P = (T*T)^(1/2).
-
-    Computed through the SVD: U = W V*, P = V diag(S) V*.  When T is
-    singular the columns of W paired with zero singular values are dropped,
-    which zeroes U on the kernel of P so that ker(U) = ker(P) = ker(T) up
-    to the rank tolerance.
-    """
-    T = as_matrix(T)
-    n = T.shape[0]
-    parts = svd(T)
-    W, s, V = parts.left, parts.singular_values, parts.right
-    tol = rank_tolerance(s, n)
-    r = int(np.count_nonzero(s > tol))
-    U = W[:, :r] @ V[:, :r].conj().T
-    P = (V * s) @ V.conj().T
-    P = 0.5 * (P + P.conj().T)  # exact Hermitian symmetry for downstream eigh
-    return PolarParts(isometry_part=U, modulus=P)
 
 
 def _complex_to_json(z: np.ndarray) -> list:

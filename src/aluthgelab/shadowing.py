@@ -39,7 +39,7 @@ the transform at the cost of the factor ||H|| * ||H^(-1)||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .errors import (
     LengthMismatchError,
     NoConvergenceError,
     NotHyperbolicError,
+    NotInvertibleError,
     UnstableOverflowError,
 )
-from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, eigenvalues, operator_norm, rank_tolerance
+from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, operator_norm, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -251,16 +252,14 @@ def _largest(rows: np.ndarray) -> np.ndarray:
 class PseudoOrbit:
     """Finite point sequence x_0..x_N with defect bound delta.
 
-    ``bound`` is the radius of a ball containing every point.
-    ``unbounded_risk`` marks noisy-mode orbits of expanding operators,
-    which leave every bounded set as the length grows; it is advisory and
-    not serialized.
+    ``bound`` is the radius of a ball containing every point; for the
+    ball-mode orbits of :func:`generate_pseudo_orbit` it is the radius
+    the points were drawn from.
     """
 
     points: np.ndarray
     delta: float
     bound: float
-    unbounded_risk: bool = field(default=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -325,21 +324,18 @@ def _ball_points(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return scaled[:, :dim] + 1j * scaled[:, dim:]
 
 
-def generate_pseudo_orbit(
-    T, delta: float, length: int, seed: int, mode: str = "ball"
-) -> PseudoOrbit:
-    """Seeded delta-pseudo-orbit with N = ``length`` steps (N + 1 points).
+def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbit:
+    """Seeded ball-mode delta-pseudo-orbit with N = ``length`` steps
+    (N + 1 points).
 
-    Ball mode (default) samples every point uniformly in the ball of
-    radius rho = delta / (1 + ||T||) around the origin, so each defect is
-    at most rho + ||T|| rho = delta and the orbit is bounded by rho no
-    matter how long it runs.  Noisy mode starts from a uniform draw in the
-    unit ball and applies x_{k+1} = T x_k + e_k with ||e_k|| <= delta; for
-    an expanding operator such orbits leave every bounded set, so the
-    result is flagged with ``unbounded_risk``.
+    Every point is drawn uniformly from the ball of radius
+    rho = delta / (1 + ||T||) around the origin, so each defect is at most
+    rho + ||T|| rho = delta and the orbit is bounded by rho no matter how
+    long it runs: the bounded pseudo-orbits of the bounded shadowing
+    property.
 
     The draws are scale-free: two calls differing only in delta return
-    orbits that are exact scalar multiples of each other in ball mode.
+    orbits that are exact scalar multiples of each other.
 
     Raises
     ------
@@ -351,29 +347,10 @@ def generate_pseudo_orbit(
         raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
-    if mode not in ("ball", "noisy"):
-        raise ValueError(f"mode must be 'ball' or 'noisy', got {mode!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    d = T.shape[0]
-    norm = operator_norm(T)
-    if mode == "ball":
-        rho = delta / (1.0 + norm)
-        points = _ball_points(rng, length + 1, d, 1.0) * rho
-        return PseudoOrbit(points=points, delta=float(delta), bound=float(rho))
-    start = _ball_points(rng, 1, d, 1.0)[0]
-    noise = _ball_points(rng, length, d, 1.0) * delta
-    points = np.empty((length + 1, d), dtype=complex)
-    points[0] = start
-    for k in range(length):
-        points[k + 1] = T @ points[k] + noise[k]
-    radius = float(np.linalg.norm(points, axis=1).max())
-    expanding = bool(np.abs(eigenvalues(T)).max() > 1.0)
-    return PseudoOrbit(
-        points=points,
-        delta=float(delta),
-        bound=radius,
-        unbounded_risk=expanding,
-    )
+    rho = delta / (1.0 + operator_norm(T))
+    points = _ball_points(rng, length + 1, T.shape[0], 1.0) * rho
+    return PseudoOrbit(points=points, delta=float(delta), bound=float(rho))
 
 
 def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
@@ -405,6 +382,8 @@ def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> 
 
     Raises
     ------
+    NotInvertibleError
+        As described in :func:`shadow_orbit`, for any member.
     UnstableOverflowError
         As described in :func:`shadow_orbit`; the step is taken over all
         members.
@@ -418,7 +397,10 @@ def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> 
             s[:, 1:] = e @ Ps.swapaxes(-1, -2)
         if has_u.any():
             backward = np.zeros(T.shape, dtype=complex)
-            backward[has_u] = np.linalg.solve(T[has_u], Pu[has_u])
+            try:
+                backward[has_u] = np.linalg.solve(T[has_u], Pu[has_u])
+            except np.linalg.LinAlgError as exc:
+                raise NotInvertibleError(f"operator is singular; T^(-1) P_u cannot be formed: {exc}") from exc
             u[:, :-1] = e @ backward.swapaxes(-1, -2)
         del e  # the scans run in place, so the defects need not stay alive
         if has_s:
@@ -483,6 +465,10 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
 
     Raises
     ------
+    NotInvertibleError
+        If the splitting has an unstable side and the solve that forms
+        T^(-1) P_u finds T singular; the splitting then does not belong to
+        this operator.
     UnstableOverflowError
         If either correction overflows; the splitting then does not belong
         to this operator.  Both are checked once, after the scans, and the

@@ -16,8 +16,6 @@ from aluthgelab import (
     multiset_match,
     normality_defect,
     operator_norm,
-    polar_decompose,
-    psd_power,
     scale_homogeneity_check,
     write_trace_csv,
 )
@@ -85,14 +83,18 @@ def test_transform_rank_one_closed_form(seed):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_transform_matches_polar_construction(n):
-    # invertible T: the one-SVD core equals |T|^lam U |T|^(1-lam) built from
-    # polar_decompose and psd_power
+    # invertible T: the one-SVD core equals |T|^lam U |T|^(1-lam) built
+    # without an SVD, from the Hermitian eigendecomposition T*T = Q diag(w) Q*:
+    # |T|^t = Q diag(w^(t/2)) Q* and U = T |T|^(-1)
     T = random_matrix(300 + n, n)
-    parts = polar_decompose(T)
+    w, Q = np.linalg.eigh(T.conj().T @ T)
+
+    def modulus_power(t):
+        return (Q * w ** (t / 2)) @ Q.conj().T
+
+    U = T @ modulus_power(-1.0)
     for lam in LAMBDAS:
-        reference = psd_power(parts.modulus, lam) @ parts.isometry_part @ psd_power(
-            parts.modulus, 1.0 - lam
-        )
+        reference = modulus_power(lam) @ U @ modulus_power(1.0 - lam)
         err = operator_norm(aluthge_transform(T, lam) - reference)
         assert err <= 1e-12 * operator_norm(T), (lam, err)
 
