@@ -52,7 +52,7 @@ from .errors import (
     NotInvertibleError,
     UnstableOverflowError,
 )
-from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, operator_norm, rank_tolerance
+from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -211,8 +211,8 @@ def _power_bounds(T, Ps, Pu, rho_s, rho_u) -> tuple[list, list]:
     """K_s and K_u of each member of a stack: the largest 2-norm of
     propagator^m @ projector over m = 0..MEASUREMENT_HORIZON, for the
     normalized propagators T P_s / rho_s and rho_u T^(-1) P_u, read from
-    one batched SVD over every power of every nonempty side; 0 for an
-    empty side.
+    one batched SVD over the powers of every nonempty side that can hold
+    its maximum (:func:`_largest_norms`); 0 for an empty side.
 
     The propagators are formed from T 2^-e, with 2^e the binade of its
     largest entry (floored so that 2^-e stays finite), and rates scaled
@@ -232,9 +232,38 @@ def _power_bounds(T, Ps, Pu, rho_s, rho_u) -> tuple[list, list]:
         np.matmul(propagators, powers[:, m], out=powers[:, m + 1])
     Ks, Ku = np.zeros(len(T)), np.zeros(len(T))
     if len(propagators):
-        norms = np.linalg.svd(powers, compute_uv=False)[..., 0].max(axis=-1)
-        Ks[has_s], Ku[has_u] = np.split(norms, [int(has_s.sum())])
+        Ks[has_s], Ku[has_u] = np.split(_largest_norms(powers), [int(has_s.sum())])
     return Ks.tolist(), Ku.tolist()
+
+
+def _largest_norms(powers: np.ndarray) -> np.ndarray:
+    """Largest 2-norm over each row of a (k, m, n, n) stack of matrices, as
+    one batched gesdd call over the whole stack would give it, bit for bit,
+    from the SVDs of only the matrices that can hold the maximum.
+
+    ||M||_2 <= ||M||_F for every matrix M.  A lower bound on a row's
+    largest 2-norm is ||B v|| / ||v|| <= ||B||_2, for B the row's matrix
+    with the largest Frobenius norm, j its largest column and v = B* B e_j:
+    one power step.  In floating point both norms are off by at most about
+    n^2 eps relatively, which stays far below 1e-8 at any n whose powers
+    fit in memory.  So a matrix with ||M||_F below (1 - 1e-8) times that
+    bound has a 2-norm, exact or as gesdd computes it, below the row's
+    largest one, and skipping its SVD keeps the maximum's bits.  A
+    non-finite bound (overflow, or 0/0) proves nothing and keeps the row.
+    """
+    # the Frobenius norms as dot products of the real and imaginary parts,
+    # which forms no temporary the size of the stack
+    parts = powers.reshape(powers.shape[:2] + (-1,)).view(float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        frobenius = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+        B = powers[np.arange(len(powers)), frobenius.argmax(axis=-1)]
+        j = np.linalg.norm(B, axis=-2).argmax(axis=-1)
+        v = B.conj().swapaxes(-1, -2) @ np.take_along_axis(B, j[:, None, None], axis=-1)
+        lower = np.linalg.norm(B @ v, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
+        keep = ~(frobenius < (1.0 - 1e-8) * lower[:, None]) | ~np.isfinite(lower)[:, None]
+    norms = np.zeros(keep.shape)
+    norms[keep] = np.linalg.svd(powers[keep], compute_uv=False)[:, 0]
+    return norms.max(axis=-1)
 
 
 def _steps(T: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -315,13 +344,33 @@ class ShadowResult:
         )
 
 
-def _ball_points(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform draws from the complex ball of the given radius."""
-    g = rng.standard_normal((count, 2 * dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = rng.random((count, 1)) ** (1.0 / (2 * dim))
-    scaled = g * (r * radius)
-    return scaled[:, :dim] + 1j * scaled[:, dim:]
+def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:
+    """Points (k, length + 1, dim) drawn uniformly from the complex unit
+    ball, one Philox stream per seed; nothing is drawn at dim 0."""
+    if not dim:
+        return np.zeros((len(seeds), length + 1, 0), dtype=complex)
+    g = np.empty((len(seeds), length + 1, 2 * dim))
+    r = np.empty((len(seeds), length + 1, 1))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.standard_normal(out=g[i])
+        rng.random(out=r[i])
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    g *= r ** (1.0 / (2 * dim))
+    return g[..., :dim] + 1j * g[..., dim:]
+
+
+def _norms(T: np.ndarray) -> np.ndarray:
+    """Spectral norm ||T|| of each member of a stack, from one batched SVD."""
+    return np.linalg.norm(T, 2, axis=(-2, -1))
+
+
+def _ball_orbits(unit: np.ndarray, norm: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and bounds rho = delta / (1 + ||T||) of the ball-mode
+    pseudo-orbits with unit-ball points ``unit`` (k, N + 1, n) of a stack
+    of operators with spectral norms ``norm``."""
+    rho = delta / (1.0 + norm)
+    return unit * rho[:, None, None], rho
 
 
 def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbit:
@@ -334,8 +383,12 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     long it runs: the bounded pseudo-orbits of the bounded shadowing
     property.
 
-    The draws are scale-free: two calls differing only in delta return
-    orbits that are exact scalar multiples of each other.
+    The points are unit-ball draws from a Philox stream seeded by ``seed``,
+    scaled by rho; the stacked suites draw theirs the same way, so a
+    suite's orbit of T is this function's, bit for bit.  Two calls
+    differing only in delta therefore return orbits that are exact scalar
+    multiples of each other.  A 0 x 0 operator draws nothing: its N + 1
+    points are empty and its bound is delta.
 
     Raises
     ------
@@ -347,10 +400,8 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
         raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    rho = delta / (1.0 + operator_norm(T))
-    points = _ball_points(rng, length + 1, T.shape[0], 1.0) * rho
-    return PseudoOrbit(points=points, delta=float(delta), bound=float(rho))
+    points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), delta)
+    return PseudoOrbit(points=points[0], delta=float(delta), bound=float(rho[0]))
 
 
 def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
@@ -426,11 +477,12 @@ def _closeness(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return _largest(y - x), _largest(_steps(T, y))
 
 
-def _verified(T, bound, y, epsilon, residual, claim) -> np.ndarray:
-    """The check of :func:`verify_shadowing` for each member of a stack:
-    the residual is at most RESIDUAL_TOL_FACTOR * (1 + ||T||) *
-    max(bound, max_k ||y_k||) and epsilon at most the claim."""
-    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + np.linalg.norm(T, 2, axis=(-2, -1))) * np.maximum(bound, _largest(y))
+def _verified(norm, bound, y, epsilon, residual, claim) -> np.ndarray:
+    """The check of :func:`verify_shadowing` for each member of a stack of
+    operators with spectral norms ``norm``: the residual is at most
+    RESIDUAL_TOL_FACTOR * (1 + ||T||) * max(bound, max_k ||y_k||) and
+    epsilon at most the claim."""
+    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + norm) * np.maximum(bound, _largest(y))
     return (residual <= tolerance) & (epsilon <= claim)
 
 
@@ -547,4 +599,4 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     x, y = orbit.points[None], shadow.shadow_points[None]
     if x.shape[1] != y.shape[1]:
         raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
-    return bool(_verified(T, orbit.bound, y, *_closeness(T, x, y), eps_claim)[0])
+    return bool(_verified(_norms(T), orbit.bound, y, *_closeness(T, x, y), eps_claim)[0])

@@ -33,6 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .aluthge import _as_stack
 from .errors import NonFiniteEntryError, SizeMismatchError
 from .linalg_core import _complex_to_json, as_matrix, eigenvalues
 
@@ -258,20 +259,27 @@ def is_quasi_hyperbolic_spectral(T) -> QuasiHyperbolicVerdict:
     )
 
 
-def _powers(T: np.ndarray, count: int) -> np.ndarray:
-    """The stack T^1, T^2, ... of ``count`` powers by successive products,
-    cut before the first power with an entry of modulus above
-    OVERFLOW_LIMIT.
+def _powers(T: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers T^1..T^count of each member of a stack (k, count, n, n),
+    by successive batched products, and how many of them each member
+    keeps: its powers are cut before the first one with an entry of
+    modulus above OVERFLOW_LIMIT, and those past the cut are left 0.
 
     The largest entry modulus squares nothing, so the check itself cannot
-    overflow, and products of the kept powers stay finite.
+    overflow, and products of the kept powers stay finite; a member stops
+    multiplying at its cut.
     """
-    powers = []
-    power = T
-    while len(powers) < count and np.abs(power).max() <= OVERFLOW_LIMIT:
-        powers.append(power)
-        power = power @ T
-    return np.array(powers).reshape(-1, *T.shape)
+    powers = np.zeros((len(T), count) + T.shape[1:], dtype=complex)
+    kept = np.full(len(T), count)
+    live, power = np.arange(len(T)), T
+    for i in range(count):
+        over = ~(np.abs(power).max(axis=(-2, -1), initial=0.0) <= OVERFLOW_LIMIT)
+        kept[live[over]] = i
+        live, power = live[~over], power[~over]
+        powers[live, i] = power
+        if i + 1 < count:
+            power = power @ T[live]
+    return powers, kept
 
 
 def _lowest(K: np.ndarray, h: np.ndarray, t: np.ndarray):
@@ -306,7 +314,9 @@ def _witness_margin(Tn: np.ndarray, T2n: np.ndarray, x: np.ndarray):
     return np.maximum(norms(T2n), np.linalg.norm(x, axis=-1)) - 2.0 * norms(Tn)
 
 
-def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyperbolicVerdict:
+def quasi_hyperbolic_definitional(
+    T, n_max: int = 20, seed: int = 0
+) -> QuasiHyperbolicVerdict | list[QuasiHyperbolicVerdict]:
     """Definitional route: decide the displayed inequality exactly at each
     exponent n = 1..n_max and report the smallest one at which it holds.
 
@@ -338,52 +348,78 @@ def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyp
     ``budget_exhausted`` set, at the smallest such exponent.  Otherwise it
     is false with the most negative witness; margins tied with it up to
     roundoff (``_MARGIN_TIE_FACTOR``) go to the smallest exponent, so the
-    report does not change under a unitary change of basis.  ``seed`` is
+    report does not change under a unitary change of basis.  A 0 x 0
+    operator holds vacuously at exponent 1 with margin 0.  ``seed`` is
     accepted for compatibility and ignored: the decision is deterministic.
+
+    ``T`` may also be a stack of k matrices of one size, shape (k, n, n).
+    One verdict per member is then returned, in input order, equal to the
+    verdict of that member alone: the exponents of every member bisect in
+    one lockstep, and a hold drops only its own member's higher exponents.
     """
-    T = as_matrix(T)
+    stack, single = _as_stack(T)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    powers = _powers(T, 2 * n_max)
-    m = len(powers) // 2
-    n = np.arange(1, m + 1)
-    Tn, T2n = powers[n - 1], powers[2 * n - 1]
-    _, sigma, Vh = np.linalg.svd(T2n)
+    if stack.shape[-1]:
+        verdicts = _decide(stack, n_max)
+    else:
+        verdicts = [QuasiHyperbolicVerdict(True, "definitional", 1, None, 0.0)] * len(stack)
+    return verdicts[0] if single else verdicts
+
+
+def _decide(stack: np.ndarray, n_max: int) -> list[QuasiHyperbolicVerdict]:
+    """The definitional verdict of each member of a stack of nonempty
+    matrices; the exponents of all members run as one set of rows."""
+    powers, kept = _powers(stack, 2 * n_max)
+    # one row per (member, exponent) pair, members in order, exponents rising
+    owner = np.repeat(np.arange(len(stack)), kept // 2)
+    exponent = np.array([n for c in kept.tolist() for n in range(1, c // 2 + 1)], dtype=int)
+    m = len(owner)
+    # T^n and T^2n of each row are gathered from the powers where used, so
+    # that no second copy of them stays alive
+    sigma, Vh = np.linalg.svd(powers[owner, 2 * exponent - 1])[1:]
     # cos and sin of arctan(sigma): X* GA X = diag(cos^2), X* X = diag(sin^2)
     cos, sin = sigma / np.hypot(1.0, sigma), 1.0 / np.hypot(1.0, sigma)
     X = Vh.conj().swapaxes(-1, -2) * sin[:, None, :]
-    W = 2.0 * (Tn @ X)
+    W = 2.0 * (powers[owner, exponent - 1] @ X)
     # phi(t) is lambda_min(K + t diag(h))
-    K = sin[..., None] ** 2 * np.eye(T.shape[0]) - W.conj().swapaxes(-1, -2) @ W
+    K = sin[..., None] ** 2 * np.eye(stack.shape[-1]) - W.conj().swapaxes(-1, -2) @ W
+    del Vh, W
     h = cos**2 - sin**2
     # the brackets: t, the minimal eigenvector y and the slope at each end
     t = np.tile([0.0, 1.0], (m, 1))
-    ends = np.repeat([0.0, 1.0], m)
-    phi, y, slope = _lowest(np.concatenate([K, K]), np.concatenate([h, h]), ends)
-    v = np.stack([y[:m], y[m:]], axis=1)
-    s = np.stack([slope[:m], slope[m:]], axis=1)
-    certified = (phi[:m] >= 0) | (phi[m:] >= 0)
+    ends = [_lowest(K, h, np.full(m, end)) for end in (0.0, 1.0)]
+    v = np.stack([y for _, y, _ in ends], axis=1)
+    s = np.stack([slope for _, _, slope in ends], axis=1)
+    certified = (ends[0][0] >= 0) | (ends[1][0] >= 0)
+    del ends
     live = np.arange(m)
-    held, fails, undecided = None, [], list(range(m + 1, n_max + 1))
+    held = [None] * len(stack)
+    fails = [[] for _ in stack]
+    undecided = [list(range(c // 2 + 1, n_max + 1)) for c in kept.tolist()]
     while live.size:
         inner = (s[:, 0] > 0) & (s[:, 1] < 0)
         y = np.where((s[:, 0] <= 0)[:, None], v[:, 0], v[:, 1])
         y[inner] = _isotropic(v[inner, 0], v[inner, 1], s[inner, 0], s[inner, 1], h[live[inner]])
         x = (X[live] @ y[..., None])[..., 0]
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        margin = _witness_margin(Tn[live], T2n[live], x)
+        member, n = owner[live], exponent[live]
+        margin = _witness_margin(powers[member, n - 1], powers[member, 2 * n - 1], x)
         mid = t.mean(axis=1)
         holds = certified & (margin >= 0)
         fails_now = ~certified & (margin < 0)
         stuck = ~(holds | fails_now) & (certified | ~inner | (mid <= t[:, 0]) | (mid >= t[:, 1]))
         for i in np.flatnonzero(fails_now):
-            fails.append((float(margin[i]), int(live[i]) + 1, x[i]))
-        undecided += [int(i) + 1 for i in live[stuck]]
+            fails[member[i]].append((float(margin[i]), int(n[i]), x[i]))
+        for i in np.flatnonzero(stuck):
+            undecided[member[i]].append(int(n[i]))
         keep = ~(holds | fails_now | stuck)
-        if holds.any():
-            first = np.flatnonzero(holds)[0]
-            held = (int(live[first]) + 1, float(margin[first]))
-            keep &= live < live[first]
+        if holds.any():  # each member's smallest hold drops its higher exponents
+            cut = np.full(len(stack), n_max + 1)
+            np.minimum.at(cut, member[holds], n[holds])
+            for i in np.flatnonzero(holds & (n == cut[member])):
+                held[member[i]] = (int(n[i]), float(margin[i]))
+            keep &= n < cut[member]
         live, t, v, s, certified, mid = (a[keep] for a in (live, t, v, s, certified, mid))
         if not live.size:
             break
@@ -392,6 +428,13 @@ def quasi_hyperbolic_definitional(T, n_max: int = 20, seed: int = 0) -> QuasiHyp
         # the bisection point replaces the bracket end on its side of the peak
         rows, end = np.arange(live.size), (slope <= 0).astype(int)
         t[rows, end], v[rows, end], s[rows, end] = mid, y, slope
+    return [_verdict(*outcome) for outcome in zip(held, undecided, fails)]
+
+
+def _verdict(held, undecided, fails) -> QuasiHyperbolicVerdict:
+    """One member's verdict from its smallest held exponent and margin (or
+    None), its undecided exponents and its failing ``(margin, exponent,
+    witness)`` triples."""
     if held is not None:
         return QuasiHyperbolicVerdict(
             verdict=True, method="definitional", exponent=held[0], witness=None, margin=held[1]

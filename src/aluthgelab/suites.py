@@ -18,16 +18,26 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
-The iterates, shadowing and transfer suites run the trials of each dim
-as one (k, n, n) stack, and each trial's check reads its own result:
+The iterates, shadowing, transfer and quasihyp suites run the trials of
+each dim as one (k, n, n) stack, and each trial's check reads its own
+result:
 
     iterates   one ``aluthge_iterates`` call iterates the stack in lockstep
-    shadowing  one ``hyperbolic_splitting`` call splits the stack, then one
+    shadowing  one ``hyperbolic_splitting`` call splits the stack, one
+               orbit draw per trial is scaled to each delta, then one
                batched shadow and check covers every trial and delta
     transfer   the conjugacy of each trial (the lambdas mix in a stack),
                one ``hyperbolic_splitting`` call for the operators and one
                for their transforms, then one batched shadow and check of
                both directions of every trial
+    quasihyp   one ``quasi_hyperbolic_definitional`` call decides the
+               definitional matrices of the stack; the spectral checks
+               run per trial
+
+The orbits of the shadowing and transfer stacks are those of
+``generate_pseudo_orbit`` bit for bit: unit-ball points from one Philox
+stream per seed, scaled by delta / (1 + ||T||), with ||T|| of every
+member from one batched SVD that the check of the shadows reuses.
 
 If a stack raises, each of its trials is run alone, as a stack of one, so
 only the failing trial records the error.
@@ -72,9 +82,11 @@ from .linalg_core import eigenvalues, operator_norm
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
+    _ball_orbits,
+    _norms,
     _shadow,
+    _unit_orbits,
     _verified,
-    generate_pseudo_orbit,
     hyperbolic_splitting,
 )
 from .spectral import is_quasi_hyperbolic_spectral, multiset_match, quasi_hyperbolic_definitional
@@ -201,38 +213,29 @@ def _check_iterates(trial, spec, tolerances, trace=None):
 def _stack_shadowing(group, spec, tolerances):
     """Each trial's ``(epsilon, residual, claim, verified)`` per delta,
     by seed, for a group of one dim: one stacked ``hyperbolic_splitting``
-    call, then one batched shadow and check of every trial per delta."""
+    call, one orbit draw per trial scaled to each delta, then one batched
+    shadow and check of every trial per delta."""
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
     splittings = hyperbolic_splitting(T)
     constant = np.array([split.constant_bound for split in splittings])
-    seeds = [trial.seed for trial in group]
+    norm = _norms(T)
+    unit = _unit_orbits([trial.seed for trial in group], tolerances["orbit_length"], T.shape[-1])
     per_delta = []
     for delta in tolerances["deltas"]:
-        x, bound = _orbits(T, seeds, delta, tolerances["orbit_length"])
         claim = constant * delta + tolerances["epsilon_slack"]
-        per_delta.append(_shadows(T, splittings, x, bound, claim))
+        per_delta.append(_shadows(T, splittings, *_ball_orbits(unit, norm, delta), claim, norm))
     return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_delta))}
 
 
-def _orbits(T, seeds, delta, length):
-    """The points (k, length + 1, n) and bounds of one ball-mode
-    pseudo-orbit per member of a stack."""
-    x = np.empty((len(T), length + 1, T.shape[-1]), dtype=complex)
-    bound = np.empty(len(T))
-    for i, (M, seed) in enumerate(zip(T, seeds)):
-        orbit = generate_pseudo_orbit(M, delta, length, seed)
-        x[i], bound[i] = orbit.points, orbit.bound
-    return x, bound
-
-
-def _shadows(T, splittings, x, bound, claim, **through):
+def _shadows(T, splittings, x, bound, claim, norm, **through):
     """``(epsilon, residual, claim, verified)`` of a stack of pseudo-orbits
     shadowed under T, one tuple per member, where ``verified`` is what
-    ``verify_shadowing`` answers for the shadow and the claim.  A
+    ``verify_shadowing`` answers for the shadow and the claim, with
+    ``norm`` the spectral norms of the operators the orbits belong to.  A
     conjugacy (``pull``, ``push``, ``target``) is applied as in
     ``transfer_shadowing``."""
     y, epsilon, residual = _shadow(T, splittings, x, **through)
-    verified = _verified(through.get("target", T), bound, y, epsilon, residual, claim)
+    verified = _verified(norm, bound, y, epsilon, residual, claim)
     return list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist()))
 
 
@@ -280,9 +283,12 @@ def _stack_transfer(group, spec, tolerances):
     per_direction = []
     for base, target, pull, push, offset in directions:
         splittings = hyperbolic_splitting(base)
-        x, bound = _orbits(target, [trial.seed + offset for trial in group], delta, length)
+        norm = _norms(target)
+        unit = _unit_orbits([trial.seed + offset for trial in group], length, T.shape[-1])
         claim = factor * [split.constant_bound for split in splittings] * delta + tolerances["epsilon_slack"]
-        per_direction.append(_shadows(base, splittings, x, bound, claim, pull=pull, push=push, target=target))
+        per_direction.append(
+            _shadows(base, splittings, *_ball_orbits(unit, norm, delta), claim, norm, pull=pull, push=push, target=target)
+        )
     return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_direction))}
 
 
@@ -299,9 +305,28 @@ def _check_transfer(trial, spec, tolerances, shadows=None):
     return problems
 
 
-def _check_quasihyp(trial, spec, tolerances):
+def _definitional_matrix(trial, spec):
+    """The trial's matrix for the definitional decision: a hyperbolic
+    draw at the definitional gap, or the trial's own unitary."""
+    if trial.kind == "hyperbolic":
+        return _sample(trial, spec, gap=spec["definitional_gap"])
+    return _sample(trial, spec)
+
+
+def _stack_quasihyp(group, spec, tolerances):
+    """Each trial's definitional matrix and its verdict, by seed, for a
+    group of one dim: one stacked ``quasi_hyperbolic_definitional`` call."""
+    stack = np.stack([_definitional_matrix(trial, spec) for trial in group])
+    verdicts = quasi_hyperbolic_definitional(stack, n_max=tolerances["n_max"])
+    return {trial.seed: decided for trial, decided in zip(group, zip(stack, verdicts))}
+
+
+def _check_quasihyp(trial, spec, tolerances, decided=None):
     where = f"{trial.kind} dim {trial.dim}"
     problems = []
+    if decided is None:
+        decided = _stack_quasihyp([trial], spec, tolerances)[trial.seed]
+    Tdef, definitional = decided
     if trial.kind == "hyperbolic":
         T = _sample(trial, spec, gap=spec["preservation_gap"])
         before = is_quasi_hyperbolic_spectral(T).verdict
@@ -310,23 +335,19 @@ def _check_quasihyp(trial, spec, tolerances):
             problems.append(
                 f"{where} lambda {trial.lam}: spectral verdict flipped {before} -> {after}"
             )
-        Tdef = _sample(trial, spec, gap=spec["definitional_gap"])
         spectral = is_quasi_hyperbolic_spectral(Tdef).verdict
-        definitional = quasi_hyperbolic_definitional(Tdef, n_max=tolerances["n_max"]).verdict
-        if spectral != definitional:
+        if spectral != definitional.verdict:
             problems.append(
-                f"{where}: definitional {definitional} disagrees with spectral {spectral}"
+                f"{where}: definitional {definitional.verdict} disagrees with spectral {spectral}"
             )
     else:
-        T = _sample(trial, spec)
-        before = is_quasi_hyperbolic_spectral(T).verdict
-        after = is_quasi_hyperbolic_spectral(aluthge_transform(T, trial.lam)).verdict
+        before = is_quasi_hyperbolic_spectral(Tdef).verdict
+        after = is_quasi_hyperbolic_spectral(aluthge_transform(Tdef, trial.lam)).verdict
         if before or after:
             problems.append(
                 f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, "
                 "expected false/false"
             )
-        definitional = quasi_hyperbolic_definitional(T, n_max=tolerances["n_max"])
         if definitional.verdict:
             problems.append(f"{where}: definitional verdict true")
     return problems
@@ -416,6 +437,7 @@ _SUITES = {
         },
         tolerances={"n_max": 20},
         check=_check_quasihyp,
+        stack=_stack_quasihyp,
     ),
 }
 

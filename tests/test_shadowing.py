@@ -305,6 +305,58 @@ def test_splitting_constants_match_per_power_loop(side, dim, seed):
     assert split.constant_bound == C
 
 
+def every_power_svd(powers):
+    """The largest 2-norm of each row of a power stack from one SVD of
+    every power: what the pruned measurement must reproduce bit for bit."""
+    return np.linalg.svd(powers, compute_uv=False)[..., 0].max(axis=-1)
+
+
+PRUNING_FIXTURES = {
+    "rank_one_sides": SADDLE,
+    "diag": np.diag([0.3, 2.5, 0.7, 1.6]),
+    "jordan_near_circle": np.array([[0.99, 1.0], [0.0, 0.99]]),
+    "strong_shear": np.array([[0.9, 50.0], [0.0, 0.8]]),
+    "subnormal": 2.0**-1030 * np.array(DEFECTIVE["mixed"]),
+    "huge": 1e200 * np.array(DEFECTIVE["mixed"]),
+    "gap_0.2": np.stack([hyperbolic_sample(seed, dim=5, gap=0.2) for seed in range(12)]),
+    "gap_0.05": np.stack([hyperbolic_sample(seed, dim=7, gap=0.05) for seed in range(12)]),
+}
+
+
+@pytest.mark.parametrize("name", PRUNING_FIXTURES)
+def test_splitting_constants_equal_every_power_svd(name, monkeypatch):
+    T = PRUNING_FIXTURES[name]
+    pruned = hyperbolic_splitting(T)
+    monkeypatch.setattr(shadowing, "_largest_norms", every_power_svd)
+    reference = hyperbolic_splitting(T)
+    if isinstance(pruned, list):
+        pairs = list(zip(pruned, reference))
+    else:
+        pairs = [(pruned, reference)]
+    for a, b in pairs:
+        assert (a.stable_bound, a.unstable_bound) == (b.stable_bound, b.unstable_bound)
+        assert a.constant_bound == b.constant_bound
+
+
+def test_splitting_factors_only_the_powers_that_can_hold_the_maximum(monkeypatch):
+    factored = []
+    real_svd = np.linalg.svd
+
+    def counted(A, *args, **kwargs):
+        if np.ndim(A) == 3:  # the power norms; the singular-value test is 3-d too
+            factored.append(len(A))
+        return real_svd(A, *args, **kwargs)
+
+    T = np.stack([hyperbolic_sample(seed, dim=5, gap=0.2) for seed in range(12)])
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    hyperbolic_splitting(T)
+    sides = sum(len(np.unique(np.abs(np.linalg.eigvals(M)) < 1)) for M in T)
+    # the singular-value test factors the 12 operators; the power norms
+    # factor fewer than every power of every side
+    assert factored[0] == len(T)
+    assert 0 < factored[1] < sides * (MEASUREMENT_HORIZON + 1)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_splitting_power_norm_bounds(seed):
     T = hyperbolic_sample(seed, dim=3)
@@ -355,6 +407,12 @@ def test_orbit_deterministic_and_scale_free():
     np.testing.assert_array_equal(a.points, b.points)
     halved = generate_pseudo_orbit(SADDLE, delta=0.005, length=25, seed=9)
     np.testing.assert_allclose(halved.points, 0.5 * a.points, atol=1e-18)
+
+
+def test_orbit_of_zero_dim_operator_draws_nothing():
+    orbit = generate_pseudo_orbit(np.zeros((0, 0)), 0.1, 3, 1)
+    assert orbit.points.shape == (4, 0)
+    assert (orbit.delta, orbit.bound) == (0.1, 0.1)
 
 
 def test_orbit_json_round_trip():

@@ -367,6 +367,70 @@ def test_definitional_tiny_scale_holds_at_one():
     assert verdict.margin == pytest.approx(1.0, abs=1e-12)
 
 
+def non_normal_triangular():
+    """A strongly non-normal triangular draw with unit-modulus and nearby
+    eigenvalues whose exponent 17 stays undecided (budget_exhausted)."""
+    rng = np.random.default_rng(360)
+    n = int(rng.integers(2, 6))
+    scale = 10.0 ** rng.uniform(0, 5)
+    upper = np.triu(rng.standard_normal((n, n)) * scale, 1)
+    return upper + np.diag(np.exp(2j * np.pi * rng.random(n)) * rng.uniform(0.5, 1.5, n))
+
+
+def assert_same_verdict(a, b):
+    assert (a.verdict, a.method, a.exponent, a.margin, a.budget_exhausted) == (
+        b.verdict,
+        b.method,
+        b.exponent,
+        b.margin,
+        b.budget_exhausted,
+    )
+    if a.witness is None:
+        assert b.witness is None
+    else:
+        np.testing.assert_array_equal(a.witness, b.witness)
+
+
+def test_definitional_stack_equals_one_call_per_member():
+    triangular = non_normal_triangular()
+    dim = len(triangular)
+    jordan = 2.0 * np.eye(dim) + np.diag(np.ones(dim - 1), 1)
+    # 1e50 passes the overflow limit at T^4: one decidable exponent, which fails
+    huge = np.diag([1e50, 1e-50] + [1.0] * (dim - 2))
+    stack = np.stack(
+        [sample_matrix(EnsembleSpec(kind="unitary", dim=dim, seed=seed)) for seed in range(2)]
+        + [
+            jordan,
+            np.zeros((dim, dim)),
+            triangular,
+            huge,
+            sample_matrix(EnsembleSpec(kind="hyperbolic", dim=dim, seed=4, gap=0.3, cond_cap=1e4)),
+            np.random.default_rng(66).standard_normal((dim, dim)),
+        ]
+    )
+    verdicts = quasi_hyperbolic_definitional(stack, n_max=20)
+    assert isinstance(verdicts, list) and len(verdicts) == len(stack)
+    for T, verdict in zip(stack, verdicts):
+        assert_same_verdict(verdict, quasi_hyperbolic_definitional(T, n_max=20))
+    # the stack covers every outcome: held, refuted, undecided by a stuck
+    # bracket and undecided past an overflow cut
+    assert [v.verdict for v in verdicts[:2]] == [False, False]
+    assert verdicts[2].verdict and not verdicts[2].budget_exhausted
+    assert (verdicts[4].budget_exhausted, verdicts[4].exponent) == (True, 17)
+    assert (verdicts[5].budget_exhausted, verdicts[5].exponent) == (True, 2)
+
+
+def test_definitional_zero_dim_holds_vacuously():
+    verdict = quasi_hyperbolic_definitional(np.zeros((0, 0)))
+    assert verdict.verdict and is_quasi_hyperbolic_spectral(np.zeros((0, 0))).verdict
+    assert (verdict.exponent, verdict.margin, verdict.witness) == (1, 0.0, None)
+    assert not verdict.budget_exhausted
+    stacked = quasi_hyperbolic_definitional(np.zeros((2, 0, 0)))
+    assert len(stacked) == 2
+    for member in stacked:
+        assert_same_verdict(member, verdict)
+
+
 def test_verdict_json_round_trip_fields():
     verdict = quasi_hyperbolic_definitional(np.diag([2.0, 0.5]), n_max=2, seed=0)
     obj = verdict.to_json()

@@ -12,6 +12,7 @@ from aluthgelab import (
     EnsembleSpec,
     ExperimentReport,
     NotInvertibleError,
+    generate_pseudo_orbit,
     run_all,
     run_suite,
     sample_matrix,
@@ -166,22 +167,73 @@ def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
     assert calls == [(3, n, n) for n in range(2, 9) for _ in range(per_dim)]
 
 
-@pytest.mark.parametrize("name", ["shadowing", "transfer"])
-def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
-    # trial 7 (seed 8, dim 2) is refused, alone or inside a stack; trial 0
-    # shares its stack and passes when run alone
-    refused = sample_matrix(EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4))
-    real = suites.hyperbolic_splitting
+def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
+    calls = []
+    real = suites.quasi_hyperbolic_definitional
 
-    def flaky(T):
+    def recorded(T, **kwargs):
+        calls.append(np.shape(T))
+        return real(T, **kwargs)
+
+    monkeypatch.setattr(suites, "quasi_hyperbolic_definitional", recorded)
+    report = run_suite("quasihyp", trials=21, base_seed=1)
+    assert report.all_passed, report.failures
+    # each stack mixes hyperbolic and unitary trials of its dim
+    assert calls == [(3, n, n) for n in range(2, 9)]
+
+
+# trial 7 (seed 8, dim 2) is refused, alone or inside a stack; trial 0
+# shares its stack and passes when run alone
+STACK_REFUSALS = {
+    "shadowing": ("hyperbolic_splitting", EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "transfer": ("hyperbolic_splitting", EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "quasihyp": ("quasi_hyperbolic_definitional", EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+}
+
+
+@pytest.mark.parametrize("name", STACK_REFUSALS)
+def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
+    entry, spec = STACK_REFUSALS[name]
+    refused = sample_matrix(spec)
+    real = getattr(suites, entry)
+
+    def flaky(T, *args, **kwargs):
         members = T if np.ndim(T) == 3 else [T]
         if any(np.array_equal(M, refused) for M in members):
             raise NotInvertibleError("refused")
-        return real(T)
+        return real(T, *args, **kwargs)
 
-    monkeypatch.setattr(suites, "hyperbolic_splitting", flaky)
+    monkeypatch.setattr(suites, entry, flaky)
     report = run_suite(name, trials=10, base_seed=1)
-    assert report.failures == [{"seed": 8, "diagnostic": "hyperbolic dim 2: error: refused"}]
+    assert report.failures == [{"seed": 8, "diagnostic": f"{spec.kind} dim 2: error: refused"}]
+
+
+@pytest.mark.parametrize("name", ["shadowing", "transfer"])
+def test_suite_orbits_equal_generate_pseudo_orbit(name, monkeypatch):
+    calls = []
+    real = suites._shadows
+
+    def recorded(T, splittings, x, bound, claim, norm, **through):
+        calls.append((through.get("target", T), x, bound))
+        return real(T, splittings, x, bound, claim, norm, **through)
+
+    monkeypatch.setattr(suites, "_shadows", recorded)
+    base_seed = 3
+    report = run_suite(name, trials=14, base_seed=base_seed)
+    assert report.all_passed, report.failures
+    tolerances = report.tolerances
+    if name == "shadowing":  # every delta, orbits of T from the trial seed
+        runs = [(delta, 0) for delta in tolerances["deltas"]]
+    else:  # forward, orbits of D_lam(T) from the trial seed; reverse, of T from the next
+        runs = [(tolerances["delta"], 0), (tolerances["delta"], 1)]
+    expected = [(dim, delta, offset) for dim in range(2, 9) for delta, offset in runs]
+    assert len(calls) == len(expected)
+    for (target, x, bound), (dim, delta, offset) in zip(calls, expected):
+        seeds = [base_seed + dim - 2 + offset, base_seed + dim - 2 + 7 + offset]
+        for M, points, radius, seed in zip(target, x, bound, seeds):
+            orbit = generate_pseudo_orbit(M, delta, tolerances["orbit_length"], seed)
+            np.testing.assert_array_equal(points, orbit.points)
+            assert radius == orbit.bound
 
 
 def test_verify_all_matches_golden_report(capsys):
