@@ -48,8 +48,8 @@ class EnsembleSpec:
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InvalidSpecError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.seed, int):
-            raise InvalidSpecError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidSpecError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.cond_cap <= 1.0:
             raise InvalidSpecError(f"cond_cap must exceed 1, got {self.cond_cap}")
         if self.kind == "hyperbolic":

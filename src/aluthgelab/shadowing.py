@@ -394,12 +394,16 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     ------
     InvalidDeltaError
         If delta is negative, NaN or infinite.
+    ValueError
+        If length or seed is negative.
     """
     T = as_matrix(T)
     if not 0.0 <= delta < np.inf:
         raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), delta)
     return PseudoOrbit(points=points[0], delta=float(delta), bound=float(rho[0]))
 

@@ -18,10 +18,15 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
-The iterates, shadowing, transfer and quasihyp suites run the trials of
-each dim as one (k, n, n) stack, and each trial's check reads its own
-result:
+Every suite runs the trials of each dim as one (k, n, n) stack, and each
+trial's check reads its own result:
 
+    spectral   one ``_svd`` of the stack, one ``_transform`` per distinct
+               lambda on its members, and one ``_eigenvalues`` call on the
+               operators and their transforms together; the multiset match
+               runs per trial
+    fixedpoint one ``_svd`` of the stack feeds the transform of every
+               lambda; the bounds and drifts are batched spectral norms
     iterates   one ``aluthge_iterates`` call iterates the stack in lockstep
     shadowing  one ``hyperbolic_splitting`` call splits the stack, one
                orbit draw per trial is scaled to each delta, then one
@@ -34,6 +39,10 @@ result:
                definitional matrices of the stack; the spectral checks
                run per trial
 
+A stacked result equals the result of the trial alone bit for bit: each
+transform takes a scalar lambda, as ``aluthge_transform`` does, and every
+batched factorization factors each member on its own.
+
 The orbits of the shadowing and transfer stacks are those of
 ``generate_pseudo_orbit`` bit for bit: unit-ball points from one Philox
 stream per seed, scaled by delta / (1 + ||T||), with ||T|| of every
@@ -41,6 +50,14 @@ member from one batched SVD that the check of the shadows reuses.
 
 If a stack raises, each of its trials is run alone, as a stack of one, so
 only the failing trial records the error.
+
+:func:`run_all` runs the iterates suite, which takes longer than the
+other five together, in one forked worker process while this process runs
+the other five, when the process may use at least two CPUs and the
+``fork`` start method exists; otherwise it runs the six in turn.  The
+reports are the same either way, bit for bit.  ``taskset -c 0`` forces
+the serial path.  With the worker, each process should keep to one BLAS
+thread (``OPENBLAS_NUM_THREADS=1``), or the two oversubscribe the CPUs.
 
 Suites
 ------
@@ -69,16 +86,18 @@ quasihyp
 from __future__ import annotations
 
 import copy
+import os
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import aluthge_iterates, aluthge_transform, conjugacy
+from .aluthge import _transform, aluthge_iterates, aluthge_transform, conjugacy
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
-from .linalg_core import eigenvalues, operator_norm
+from .linalg_core import SvdParts, _eigenvalues, _svd
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
@@ -150,16 +169,41 @@ def _sample(trial: _Trial, spec: dict, **extra) -> np.ndarray:
     return sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed, **extra))
 
 
-def _check_spectral(trial, spec, tolerances):
+def _spectral_matrix(trial, spec):
+    """The trial's matrix; a shift draw takes its weights from the trial
+    seed's own stream."""
     weights = None
     if trial.kind == "shift":
         rng = np.random.Generator(np.random.Philox(trial.seed))
         weights = tuple(rng.uniform(*spec["shift_weights"], trial.dim - 1))
-    T = _sample(trial, spec, weights=weights)
-    tol = tolerances["eigenvalue_match_factor"] * (1.0 + operator_norm(T))
-    matched, distance = multiset_match(
-        eigenvalues(T), eigenvalues(aluthge_transform(T, trial.lam)), tol
-    )
+    return _sample(trial, spec, weights=weights)
+
+
+def _stack_spectral(group, spec, tolerances):
+    """Each trial's eigenvalues of T and of D_lam(T) and its match
+    tolerance, by seed, for a group of one dim: one ``_svd`` of the stack,
+    one ``_transform`` per distinct lambda on its members, then one
+    ``_eigenvalues`` call on T and D stacked together."""
+    T = np.stack([_spectral_matrix(trial, spec) for trial in group])
+    parts = _svd(T)
+    lams = np.array([trial.lam for trial in group])
+    D = np.empty_like(T)
+    for lam in dict.fromkeys(lams.tolist()):
+        members = lams == lam
+        D[members] = _transform(
+            SvdParts(parts.left[members], parts.singular_values[members], parts.right[members]), lam
+        )
+    tols = tolerances["eigenvalue_match_factor"] * (1.0 + _norms(T))
+    spectra = _eigenvalues(np.concatenate([T, D]))
+    return {
+        trial.seed: (before, after, tol)
+        for trial, before, after, tol in zip(group, spectra[: len(group)], spectra[len(group) :], tols.tolist())
+    }
+
+
+def _check_spectral(trial, spec, tolerances, spectra):
+    before, after, tol = spectra
+    matched, distance = multiset_match(before, after, tol)
     if matched:
         return []
     return [
@@ -168,17 +212,25 @@ def _check_spectral(trial, spec, tolerances):
     ]
 
 
-def _check_fixedpoint(trial, spec, tolerances):
-    T = _sample(trial, spec)
-    scale = tolerances["fixed_point_factor"] * operator_norm(T)
-    problems = []
-    for lam in spec["lambdas"]:
-        drift = operator_norm(aluthge_transform(T, lam) - T)
-        if drift > scale:
-            problems.append(
-                f"{trial.kind} dim {trial.dim} lambda {lam}: moved by {drift:.3e} > {scale:.3e}"
-            )
-    return problems
+def _stack_fixedpoint(group, spec, tolerances):
+    """Each trial's drifts ||D_lam(T) - T||, one per lambda, and their
+    bound, by seed, for a group of one dim: one ``_svd`` of the stack feeds
+    the transform of every lambda, and the bounds and drifts are batched
+    spectral norms."""
+    T = np.stack([_sample(trial, spec) for trial in group])
+    parts = _svd(T)
+    scales = tolerances["fixed_point_factor"] * _norms(T)
+    drifts = np.stack([_norms(_transform(parts, lam) - T) for lam in spec["lambdas"]], axis=-1)
+    return {trial.seed: moved for trial, moved in zip(group, zip(drifts.tolist(), scales.tolist()))}
+
+
+def _check_fixedpoint(trial, spec, tolerances, moved):
+    drifts, scale = moved
+    return [
+        f"{trial.kind} dim {trial.dim} lambda {lam}: moved by {drift:.3e} > {scale:.3e}"
+        for lam, drift in zip(spec["lambdas"], drifts)
+        if drift > scale
+    ]
 
 
 def _stack_iterates(group, spec, tolerances):
@@ -193,9 +245,7 @@ def _stack_iterates(group, spec, tolerances):
     return {trial.seed: replace(trace, iterates=[]) for trial, trace in zip(group, traces)}
 
 
-def _check_iterates(trial, spec, tolerances, trace=None):
-    if trace is None:
-        trace = aluthge_iterates(_sample(trial, spec), trial.lam, tolerances["iteration_budget"])
+def _check_iterates(trial, spec, tolerances, trace):
     problems = []
     steps = np.diff(trace.operator_norms)
     if steps.size and steps.max() > tolerances["monotonicity_slack"]:
@@ -239,9 +289,7 @@ def _shadows(T, splittings, x, bound, claim, norm, **through):
     return list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist()))
 
 
-def _check_shadowing(trial, spec, tolerances, shadows=None):
-    if shadows is None:
-        shadows = _stack_shadowing([trial], spec, tolerances)[trial.seed]
+def _check_shadowing(trial, spec, tolerances, shadows):
     problems = []
     for delta, (epsilon, residual, claim, verified) in zip(tolerances["deltas"], shadows):
         if not verified:
@@ -292,9 +340,7 @@ def _stack_transfer(group, spec, tolerances):
     return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_direction))}
 
 
-def _check_transfer(trial, spec, tolerances, shadows=None):
-    if shadows is None:
-        shadows = _stack_transfer([trial], spec, tolerances)[trial.seed]
+def _check_transfer(trial, spec, tolerances, shadows):
     problems = []
     for direction, (epsilon, _, claim, verified) in zip(("forward", "reverse"), shadows):
         if not verified:
@@ -321,11 +367,9 @@ def _stack_quasihyp(group, spec, tolerances):
     return {trial.seed: decided for trial, decided in zip(group, zip(stack, verdicts))}
 
 
-def _check_quasihyp(trial, spec, tolerances, decided=None):
+def _check_quasihyp(trial, spec, tolerances, decided):
     where = f"{trial.kind} dim {trial.dim}"
     problems = []
-    if decided is None:
-        decided = _stack_quasihyp([trial], spec, tolerances)[trial.seed]
     Tdef, definitional = decided
     if trial.kind == "hyperbolic":
         T = _sample(trial, spec, gap=spec["preservation_gap"])
@@ -360,7 +404,7 @@ class _Suite(NamedTuple):
     #: work done for a group of trials at once, before the trial loop:
     #: maps each trial's seed to a result that its check takes as a fourth
     #: argument
-    stack: Optional[Callable[[list, dict, dict], dict]] = None
+    stack: Callable[[list, dict, dict], dict]
     #: the trials with one key share a stack
     stack_key: Callable[[_Trial], object] = lambda trial: trial.dim
 
@@ -376,11 +420,13 @@ _SUITES = {
         },
         tolerances={"eigenvalue_match_factor": 1e-7},
         check=_check_spectral,
+        stack=_stack_spectral,
     ),
     "fixedpoint": _Suite(
         spec={"kinds": ["normal"], "dims": [2, 10], "lambdas": list(LAMBDA_GRID)},
         tolerances={"fixed_point_factor": 1e-9},
         check=_check_fixedpoint,
+        stack=_stack_fixedpoint,
     ),
     # the iterates thresholds were calibrated against a brute-force run and
     # frozen; the gate is a population rate, not a per-trial bar
@@ -445,11 +491,10 @@ _SUITES = {
 def _stacked(suite: _Suite, runs: list, spec: dict, tolerances: dict) -> dict:
     """The suite's stacked results of all trials, by seed, one stack per key.
 
-    A stack that raises is left out; its trials then run alone in the
-    trial loop, so the failing one records its own error.
+    A stack that raises is left out; its trials then run alone, each as a
+    stack of one, in the trial loop, so the failing one records its own
+    error.
     """
-    if suite.stack is None:
-        return {}
     groups = {}
     for trial in runs:
         groups.setdefault(suite.stack_key(trial), []).append(trial)
@@ -462,12 +507,18 @@ def _stacked(suite: _Suite, runs: list, spec: dict, tolerances: dict) -> dict:
     return stacked
 
 
+def _validate_run(trials: int, base_seed: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not isinstance(base_seed, int) or base_seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {base_seed!r}")
+
+
 def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _validate_run(trials, base_seed)
     started = time.perf_counter()
     suite = _SUITES[name]
     spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
@@ -477,10 +528,8 @@ def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     diagnostics = []
     for trial in runs:
         try:
-            if trial.seed in stacked:
-                problems = suite.check(trial, spec, tolerances, stacked[trial.seed])
-            else:
-                problems = suite.check(trial, spec, tolerances)
+            result = stacked[trial.seed] if trial.seed in stacked else suite.stack([trial], spec, tolerances)[trial.seed]
+            problems = suite.check(trial, spec, tolerances, result)
         except AluthgeLabError as exc:
             problems = [f"{trial.kind} dim {trial.dim}: error: {exc}", _UNCONVERGED]
         diagnostics.append((trial.seed, problems))
@@ -505,6 +554,70 @@ def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     )
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _send_suite(sender, name: str, trials: int, base_seed: int) -> None:
+    """Run one suite in a worker process and send its report, or the
+    exception it raised, to the parent."""
+    try:
+        outcome = run_suite(name, trials, base_seed)
+    except Exception as exc:
+        outcome = exc
+    sender.send(outcome)
+    sender.close()
+
+
 def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
-    """Run every suite in declaration order."""
+    """Run every suite; return the reports in declaration order.
+
+    With at least two CPUs and the ``fork`` start method, the iterates
+    suite runs in one forked worker process while this one runs the other
+    five; otherwise the six run in turn.  The reports are the same either
+    way.  An error raised in the worker is raised here with its type and
+    message.
+    """
+    _validate_run(trials, base_seed)
+    if _cpu_count() >= 2:
+        import multiprocessing  # here only, so importing the package stays as fast
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_all_forked(multiprocessing.get_context("fork"), trials, base_seed)
     return [run_suite(name, trials, base_seed) for name in SUITE_NAMES]
+
+
+def _run_all_forked(context, trials: int, base_seed: int) -> list[ExperimentReport]:
+    """:func:`run_all` with the iterates suite in a worker forked from
+    ``context``; the worker is always joined before this returns or
+    raises."""
+    # a forked child flushes the std streams it inherits when it exits, so
+    # text still buffered here would be written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_suite, args=(sender, "iterates", trials, base_seed))
+    worker.start()
+    sender.close()
+    try:
+        reports = {name: run_suite(name, trials, base_seed) for name in SUITE_NAMES if name != "iterates"}
+        try:
+            outcome = receiver.recv()
+        except EOFError:  # the worker ended without sending anything
+            outcome = None
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        receiver.close()
+        worker.join()
+    if outcome is None:
+        raise ChildProcessError(f"the iterates worker ended with exit code {worker.exitcode} and no report")
+    if isinstance(outcome, Exception):
+        raise outcome
+    reports["iterates"] = outcome
+    return [reports[name] for name in SUITE_NAMES]

@@ -214,6 +214,14 @@ def test_verify_bad_suite_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("suite", ["spectral", "all"])
+def test_verify_negative_seed_exits_2_naming_the_seed(suite, capsys):
+    assert main(["verify", "--suite", suite, "--trials", "2", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a nonnegative integer, got -5\n"
+    assert captured.out == ""
+
+
 def test_stable_output_only_on_verify(monomial_file):
     proc = run_cli("transform", "--in", monomial_file, "--stable-output")
     assert proc.returncode == 2

@@ -41,6 +41,9 @@ def test_spec_validation():
         EnsembleSpec(kind="shift", dim=4, seed=0, weights=(1.0, 2.0))  # needs dim-1
     with pytest.raises(InvalidSpecError):
         EnsembleSpec(kind="invertible", dim=4, seed=0, cond_cap=0.5)
+    # the Philox stream takes no negative seed; the spec names the seed
+    with pytest.raises(InvalidSpecError, match="seed must be a nonnegative integer, got -1"):
+        EnsembleSpec(kind="normal", dim=4, seed=-1)
 
 
 def test_spec_json_embeds_parameters():

@@ -396,6 +396,8 @@ def test_orbit_rejects_non_finite_delta(delta):
 def test_orbit_rejects_bad_length_and_mode():
     with pytest.raises(ValueError):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=-1, seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=-1)
     # ball mode is the only mode: there is no knob to select another
     with pytest.raises(TypeError):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=0, mode="ball")

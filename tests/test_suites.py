@@ -1,6 +1,10 @@
 """Verification suites and their reports."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,10 @@ from aluthgelab import (
     EnsembleSpec,
     ExperimentReport,
     NotInvertibleError,
+    aluthge_transform,
+    eigenvalues,
     generate_pseudo_orbit,
+    operator_norm,
     run_all,
     run_suite,
     sample_matrix,
@@ -87,6 +94,104 @@ def test_run_suite_rejects_bad_arguments():
         run_suite("spectral", trials=0, base_seed=0)
 
 
+def _no_worker(*args, **kwargs):
+    raise AssertionError("a worker process was started")
+
+
+@pytest.mark.parametrize("run", [lambda **kw: run_suite("spectral", **kw), run_all])
+def test_negative_seed_is_refused_before_any_trial(run, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(suites, "sample_matrix", no_trial)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        run(trials=3, base_seed=-1)
+
+
+def test_verify_all_with_no_trials_starts_no_worker(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    assert main(["verify", "--suite", "all", "--trials", "0", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
+
+
+def _bodies(reports):
+    return [dict(report.to_json(), wall_time=0.0) for report in reports]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_worker_reports_equal_serial_reports(monkeypatch):
+    contexts = []
+    real = multiprocessing.get_context
+
+    def recorded(method):
+        contexts.append(method)
+        return real(method)
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    forked = run_all(trials=7, base_seed=4)
+    assert contexts == ["fork"]
+    _assert_no_child_left()
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    serial = run_all(trials=7, base_seed=4)
+    assert [report.suite for report in forked] == list(SUITE_NAMES)
+    assert _bodies(forked) == _bodies(serial)
+
+
+def test_run_all_reraises_the_worker_error(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("broken in the worker")
+
+    # only the iterates suite, which runs in the worker, calls it
+    monkeypatch.setattr(suites, "aluthge_iterates", broken)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    with pytest.raises(ZeroDivisionError, match="^broken in the worker$"):
+        run_all(trials=3, base_seed=1)
+    _assert_no_child_left()
+
+
+def test_run_all_joins_the_worker_when_a_suite_here_raises(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("broken in the parent")
+
+    monkeypatch.setattr(suites, "hyperbolic_splitting", broken)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    with pytest.raises(ZeroDivisionError, match="^broken in the parent$"):
+        run_all(trials=3, base_seed=1)
+    _assert_no_child_left()
+
+
+def test_run_all_writes_buffered_stdout_once():
+    # stdout is a pipe, so the first line is still in the buffer when
+    # run_all forks the worker
+    code = (
+        "import sys\n"
+        "from aluthgelab import suites\n"
+        "suites._cpu_count = lambda: 2\n"
+        "print('before')\n"
+        "suites.run_all(2, 1)\n"
+        "print('after')\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\nafter\n"
+
+
 def test_shadowing_report_lists_every_delta_it_runs():
     report = run_suite("shadowing", trials=1, base_seed=0)
     assert report.tolerances["deltas"] == [0.01, 0.001, 0.005]
@@ -97,7 +202,7 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise NotInvertibleError("refused")
 
-    for entry in ("aluthge_transform", "aluthge_iterates", "hyperbolic_splitting"):
+    for entry in ("_svd", "aluthge_transform", "aluthge_iterates", "hyperbolic_splitting"):
         monkeypatch.setattr(suites, entry, refuse)
     trials, base_seed = 7, 3
     report = run_suite(name, trials=trials, base_seed=base_seed)
@@ -113,6 +218,65 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
             assert problems[1:] == ["non-converged trial (population rate 0.00 below 0.95)"]
         else:
             assert problems[1:] == []
+
+
+def _groups(name, trials, base_seed):
+    """The suite's spec, tolerances and its trials grouped by dim."""
+    suite = suites._SUITES[name]
+    spec = dict(suite.spec, seed=base_seed)
+    groups = {}
+    for index in range(trials):
+        trial = suites._trial(spec, index)
+        groups.setdefault(trial.dim, []).append(trial)
+    return spec, suite.tolerances, list(groups.values())
+
+
+def test_stacked_fixedpoint_equals_each_trial_alone():
+    spec, tolerances, groups = _groups("fixedpoint", trials=27, base_seed=5)
+    for group in groups:
+        stacked = suites._stack_fixedpoint(group, spec, tolerances)
+        for trial in group:
+            assert stacked[trial.seed] == suites._stack_fixedpoint([trial], spec, tolerances)[trial.seed]
+            # and to the public route, one transform and norm at a time
+            T = sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed))
+            drifts = [operator_norm(aluthge_transform(T, lam) - T) for lam in spec["lambdas"]]
+            assert stacked[trial.seed] == (drifts, tolerances["fixed_point_factor"] * operator_norm(T))
+
+
+def test_stacked_spectral_equals_each_trial_alone():
+    # 33 trials: every dim holds three trials with three distinct lambdas
+    spec, tolerances, groups = _groups("spectral", trials=33, base_seed=5)
+    for group in groups:
+        stacked = suites._stack_spectral(group, spec, tolerances)
+        for trial in group:
+            before, after, tol = stacked[trial.seed]
+            alone = suites._stack_spectral([trial], spec, tolerances)[trial.seed]
+            np.testing.assert_array_equal(before, alone[0])
+            np.testing.assert_array_equal(after, alone[1])
+            assert tol == alone[2]
+            # and to the public route
+            T = suites._spectral_matrix(trial, spec)
+            np.testing.assert_array_equal(before, eigenvalues(T))
+            np.testing.assert_array_equal(after, eigenvalues(aluthge_transform(T, trial.lam)))
+            assert tol == tolerances["eigenvalue_match_factor"] * (1.0 + operator_norm(T))
+
+
+@pytest.mark.parametrize("name, trials, dims", [("spectral", 22, range(2, 13)), ("fixedpoint", 18, range(2, 11))])
+def test_spectral_and_fixedpoint_factor_one_stack_per_dim(name, trials, dims, monkeypatch):
+    calls = {"_svd": [], "_eigenvalues": []}
+    for entry in calls:
+        real = getattr(suites, entry)
+
+        def recorded(T, real=real, entry=entry):
+            calls[entry].append(np.shape(T))
+            return real(T)
+
+        monkeypatch.setattr(suites, entry, recorded)
+    report = run_suite(name, trials=trials, base_seed=1)
+    assert report.all_passed, report.failures
+    assert calls["_svd"] == [(2, n, n) for n in dims]
+    # spectral: the eigenvalues of T and of D_lam(T) in one call per dim
+    assert calls["_eigenvalues"] == ([(4, n, n) for n in dims] if name == "spectral" else [])
 
 
 def test_iterates_suite_runs_one_stack_per_dim(monkeypatch):
@@ -182,18 +346,22 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
     assert calls == [(3, n, n) for n in range(2, 9)]
 
 
-# trial 7 (seed 8, dim 2) is refused, alone or inside a stack; trial 0
-# shares its stack and passes when run alone
+# at base seed 1, the trial of the spec's seed is refused, alone or inside
+# a stack; trial 0 or 1 shares its stack and passes when run alone: in
+# spectral, trial 12 (dim 3); in fixedpoint, trial 9 (dim 2); otherwise
+# trial 7 (dim 2)
 STACK_REFUSALS = {
-    "shadowing": ("hyperbolic_splitting", EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "transfer": ("hyperbolic_splitting", EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "quasihyp": ("quasi_hyperbolic_definitional", EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "spectral": ("_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
+    "fixedpoint": ("_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
+    "shadowing": ("hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "transfer": ("hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "quasihyp": ("quasi_hyperbolic_definitional", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
 
 @pytest.mark.parametrize("name", STACK_REFUSALS)
 def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
-    entry, spec = STACK_REFUSALS[name]
+    entry, trials, spec = STACK_REFUSALS[name]
     refused = sample_matrix(spec)
     real = getattr(suites, entry)
 
@@ -204,8 +372,8 @@ def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
         return real(T, *args, **kwargs)
 
     monkeypatch.setattr(suites, entry, flaky)
-    report = run_suite(name, trials=10, base_seed=1)
-    assert report.failures == [{"seed": 8, "diagnostic": f"{spec.kind} dim 2: error: refused"}]
+    report = run_suite(name, trials=trials, base_seed=1)
+    assert report.failures == [{"seed": spec.seed, "diagnostic": f"{spec.kind} dim {spec.dim}: error: refused"}]
 
 
 @pytest.mark.parametrize("name", ["shadowing", "transfer"])
