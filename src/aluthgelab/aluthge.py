@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteEntryError, NotInvertibleError, SizeMismatchError
-from .linalg_core import SvdParts, _eigenvalues, _svd, as_matrix, operator_norm, rank_tolerance, svd
+from .errors import NonFiniteEntryError, NotInvertibleError
+from .linalg_core import SvdParts, _as_stack, _eigenvalues, _svd, as_matrix, operator_norm, rank_tolerance, svd
 
 __all__ = [
     "IterateTrace",
@@ -187,20 +187,6 @@ class IterateTrace:
 
     def __len__(self) -> int:
         return len(self.iterates)
-
-
-def _as_stack(T) -> tuple[np.ndarray, bool]:
-    """``(stack, single)``: a matrix as a stack of one (``single``), or a
-    stack of k matrices, validated by :func:`as_matrix` member by member."""
-    try:
-        stack = np.asarray(T, dtype=complex)
-    except ValueError as exc:  # ragged nesting
-        raise SizeMismatchError(f"expected a square matrix or a stack of them: {exc}") from exc
-    if stack.ndim != 3:
-        return as_matrix(stack)[None], True
-    for member in stack:
-        as_matrix(member)
-    return stack, False
 
 
 def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | list[IterateTrace]:

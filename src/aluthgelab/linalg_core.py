@@ -3,7 +3,8 @@ matrix JSON wire format.
 
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
-:func:`as_matrix` is the single validation gate.  Factorizations delegate
+:func:`as_matrix` is the single validation gate, member by member for a
+stack, and integer arguments are read here too.  Factorizations delegate
 to LAPACK through numpy, wrapped so that failures surface as typed errors.
 
 The JSON wire format for matrices is::
@@ -16,6 +17,7 @@ with ``data`` row-major and one ``[re, im]`` pair per entry.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +73,37 @@ def as_matrix(a) -> np.ndarray:
     return T
 
 
+def _as_stack(T) -> tuple[np.ndarray, bool]:
+    """``(stack, single)``: a matrix as a stack of one (``single``), or a
+    stack of k matrices, validated by :func:`as_matrix` member by member."""
+    try:
+        stack = np.asarray(T, dtype=complex)
+    except ValueError as exc:  # ragged nesting
+        raise SizeMismatchError(f"expected a square matrix or a stack of them: {exc}") from exc
+    if stack.ndim != 3:
+        return as_matrix(stack)[None], True
+    for member in stack:
+        as_matrix(member)
+    return stack, False
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``; anything
+    that is not an integer raises ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def operator_norm(T) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(np.asarray(T, dtype=complex), 2))
+
+
+def _norms(T: np.ndarray) -> np.ndarray:
+    """Spectral norm ||T|| of each member of a stack, from one batched SVD."""
+    return np.linalg.norm(T, 2, axis=(-2, -1))
 
 
 def rank_tolerance(singular_values: np.ndarray, dim: int) -> float | np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aluthge import _as_stack, conjugacy
+from .aluthge import conjugacy
 from .errors import (
     InvalidDeltaError,
     LengthMismatchError,
@@ -52,7 +52,7 @@ from .errors import (
     NotInvertibleError,
     UnstableOverflowError,
 )
-from .linalg_core import _complex_from_json, _complex_to_json, _eigenvalues, as_matrix, rank_tolerance
+from .linalg_core import _as_stack, _complex_from_json, _complex_to_json, _eigenvalues, _integer, _norms, as_matrix, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -360,11 +360,6 @@ def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:
     return g[..., :dim] + 1j * g[..., dim:]
 
 
-def _norms(T: np.ndarray) -> np.ndarray:
-    """Spectral norm ||T|| of each member of a stack, from one batched SVD."""
-    return np.linalg.norm(T, 2, axis=(-2, -1))
-
-
 def _ball_orbits(unit: np.ndarray, norm: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Points and bounds rho = delta / (1 + ||T||) of the ball-mode
     pseudo-orbits with unit-ball points ``unit`` (k, N + 1, n) of a stack
@@ -395,11 +390,12 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     InvalidDeltaError
         If delta is negative, NaN or infinite.
     ValueError
-        If length or seed is negative.
+        If length or seed is not an integer, or is negative.
     """
     T = as_matrix(T)
     if not 0.0 <= delta < np.inf:
         raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
+    length, seed = _integer(length, "length"), _integer(seed, "seed")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     if seed < 0:

@@ -33,9 +33,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import _as_stack
 from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _complex_to_json, as_matrix, eigenvalues
+from .linalg_core import _as_stack, _complex_to_json, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",

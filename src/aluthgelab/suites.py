@@ -4,8 +4,9 @@ Each suite runs seeded trials of one preservation property and returns an
 :class:`ExperimentReport` that embeds every parameter needed to rerun it:
 the ensemble sweep, the base seed, the generator identifier, and the
 numeric tolerances.  A suite is declared once, as its ``spec``, its
-``tolerances`` and a per-trial check; the check reads every number it
-uses from those two dicts, so a report states exactly what was run.
+``tolerances`` and one function that runs a group of trials; the function
+reads every number it uses from those two dicts, so a report states
+exactly what was run.
 
 Trial ``i`` of a suite is derived from its spec alone:
 
@@ -18,8 +19,8 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
-Every suite runs the trials of each dim as one (k, n, n) stack, and each
-trial's check reads its own result:
+Every suite runs the trials of each dim as one (k, n, n) stack and
+returns the problems of each trial, in group order:
 
     spectral   one ``_svd`` of the stack, one ``_transform`` per distinct
                lambda on its members, and one ``_eigenvalues`` call on the
@@ -27,7 +28,8 @@ trial's check reads its own result:
                runs per trial
     fixedpoint one ``_svd`` of the stack feeds the transform of every
                lambda; the bounds and drifts are batched spectral norms
-    iterates   one ``aluthge_iterates`` call iterates the stack in lockstep
+    iterates   one ``aluthge_iterates`` call per distinct lambda iterates
+               its members in lockstep
     shadowing  one ``hyperbolic_splitting`` call splits the stack, one
                orbit draw per trial is scaled to each delta, then one
                batched shadow and check covers every trial and delta
@@ -48,8 +50,9 @@ The orbits of the shadowing and transfer stacks are those of
 stream per seed, scaled by delta / (1 + ||T||), with ||T|| of every
 member from one batched SVD that the check of the shadows reuses.
 
-If a stack raises, each of its trials is run alone, as a stack of one, so
-only the failing trial records the error.
+If a group raises, in its stacked work or in a trial's own part, each of
+its trials is rerun alone, as a group of one, so only the failing trial
+records the error.
 
 :func:`run_all` runs the iterates suite, which takes longer than the
 other five together, in one forked worker process while this process runs
@@ -78,9 +81,9 @@ transfer
     Shadowing transfers across the conjugacy in both directions within
     the Lipschitz-inflated bound.
 quasihyp
-    Spectral quasi-hyperbolicity verdicts of T and D_lam(T) agree, and
-    the exact definitional decision agrees with the spectral route away
-    from the unit circle.
+    Spectral quasi-hyperbolicity verdicts of T and D_lam(T) agree (false
+    for unitary draws), and the exact definitional decision agrees with
+    the spectral route away from the unit circle.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ import copy
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -97,12 +100,11 @@ import numpy as np
 from .aluthge import _transform, aluthge_iterates, aluthge_transform, conjugacy
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
-from .linalg_core import SvdParts, _eigenvalues, _svd
+from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _svd
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
     _ball_orbits,
-    _norms,
     _shadow,
     _unit_orbits,
     _verified,
@@ -179,11 +181,8 @@ def _spectral_matrix(trial, spec):
     return _sample(trial, spec, weights=weights)
 
 
-def _stack_spectral(group, spec, tolerances):
-    """Each trial's eigenvalues of T and of D_lam(T) and its match
-    tolerance, by seed, for a group of one dim: one ``_svd`` of the stack,
-    one ``_transform`` per distinct lambda on its members, then one
-    ``_eigenvalues`` call on T and D stacked together."""
+def _spectral(group, spec, tolerances):
+    """The spectral suite on a group of one dim: each trial's multiset match."""
     T = np.stack([_spectral_matrix(trial, spec) for trial in group])
     parts = _svd(T)
     lams = np.array([trial.lam for trial in group])
@@ -195,86 +194,82 @@ def _stack_spectral(group, spec, tolerances):
         )
     tols = tolerances["eigenvalue_match_factor"] * (1.0 + _norms(T))
     spectra = _eigenvalues(np.concatenate([T, D]))
-    return {
-        trial.seed: (before, after, tol)
-        for trial, before, after, tol in zip(group, spectra[: len(group)], spectra[len(group) :], tols.tolist())
-    }
+    problems = []
+    for trial, before, after, tol in zip(group, spectra[: len(group)], spectra[len(group) :], tols.tolist()):
+        matched, distance = multiset_match(before, after, tol)
+        problem = f"{trial.kind} dim {trial.dim} lambda {trial.lam}: spectra differ by {distance:.3e} > {tol:.3e}"
+        problems.append([] if matched else [problem])
+    return problems
 
 
-def _check_spectral(trial, spec, tolerances, spectra):
-    before, after, tol = spectra
-    matched, distance = multiset_match(before, after, tol)
-    if matched:
-        return []
-    return [
-        f"{trial.kind} dim {trial.dim} lambda {trial.lam}: "
-        f"spectra differ by {distance:.3e} > {tol:.3e}"
-    ]
-
-
-def _stack_fixedpoint(group, spec, tolerances):
-    """Each trial's drifts ||D_lam(T) - T||, one per lambda, and their
-    bound, by seed, for a group of one dim: one ``_svd`` of the stack feeds
-    the transform of every lambda, and the bounds and drifts are batched
-    spectral norms."""
+def _fixedpoint(group, spec, tolerances):
+    """The fixedpoint suite on a group of one dim: each drift ||D_lam(T) - T||."""
     T = np.stack([_sample(trial, spec) for trial in group])
     parts = _svd(T)
     scales = tolerances["fixed_point_factor"] * _norms(T)
     drifts = np.stack([_norms(_transform(parts, lam) - T) for lam in spec["lambdas"]], axis=-1)
-    return {trial.seed: moved for trial, moved in zip(group, zip(drifts.tolist(), scales.tolist()))}
-
-
-def _check_fixedpoint(trial, spec, tolerances, moved):
-    drifts, scale = moved
     return [
-        f"{trial.kind} dim {trial.dim} lambda {lam}: moved by {drift:.3e} > {scale:.3e}"
-        for lam, drift in zip(spec["lambdas"], drifts)
-        if drift > scale
+        [
+            f"{trial.kind} dim {trial.dim} lambda {lam}: moved by {drift:.3e} > {scale:.3e}"
+            for lam, drift in zip(spec["lambdas"], moved)
+            if drift > scale
+        ]
+        for trial, moved, scale in zip(group, drifts.tolist(), scales.tolist())
     ]
 
 
-def _stack_iterates(group, spec, tolerances):
-    """Each trial's iterate trace, by seed, from one stacked
-    ``aluthge_iterates`` call for a group of one dim and lambda.
-
-    The check reads the norms, defects and radius but no iterate, so the
-    traces keep none, and one stack's iterates are held at a time.
-    """
+def _iterates(group, spec, tolerances):
+    """The iterates suite on a group of one dim: each trace is checked on its own."""
     stack = np.stack([_sample(trial, spec) for trial in group])
-    traces = aluthge_iterates(stack, group[0].lam, tolerances["iteration_budget"])
-    return {trial.seed: replace(trace, iterates=[]) for trial, trace in zip(group, traces)}
-
-
-def _check_iterates(trial, spec, tolerances, trace):
+    traces = [None] * len(group)
+    for lam in dict.fromkeys(trial.lam for trial in group):
+        members = [i for i, trial in enumerate(group) if trial.lam == lam]
+        for i, trace in zip(members, aluthge_iterates(stack[members], lam, tolerances["iteration_budget"])):
+            traces[i] = trace
     problems = []
-    steps = np.diff(trace.operator_norms)
-    if steps.size and steps.max() > tolerances["monotonicity_slack"]:
-        problems.append(f"{trial.kind} dim {trial.dim}: norm increased by {steps.max():.3e}")
-    radius = trace.spectral_radius
-    norm_limit = tolerances["norm_limit_factor"] * (1.0 + radius)
-    norm_ok = abs(trace.operator_norms[-1] - radius) <= norm_limit
-    defect_limit = tolerances["defect_factor"] * trace.operator_norms[0] ** 2
-    defect_ok = trace.normality_defects[-1] <= defect_limit
-    if not (norm_ok and defect_ok):
-        problems.append(_UNCONVERGED)
+    for trial, trace in zip(group, traces):
+        found = []
+        steps = np.diff(trace.operator_norms)
+        if steps.size and steps.max() > tolerances["monotonicity_slack"]:
+            found.append(f"{trial.kind} dim {trial.dim}: norm increased by {steps.max():.3e}")
+        radius = trace.spectral_radius
+        norm_limit = tolerances["norm_limit_factor"] * (1.0 + radius)
+        norm_ok = abs(trace.operator_norms[-1] - radius) <= norm_limit
+        defect_limit = tolerances["defect_factor"] * trace.operator_norms[0] ** 2
+        defect_ok = trace.normality_defects[-1] <= defect_limit
+        if not (norm_ok and defect_ok):
+            found.append(_UNCONVERGED)
+        problems.append(found)
     return problems
 
 
-def _stack_shadowing(group, spec, tolerances):
-    """Each trial's ``(epsilon, residual, claim, verified)`` per delta,
-    by seed, for a group of one dim: one stacked ``hyperbolic_splitting``
-    call, one orbit draw per trial scaled to each delta, then one batched
-    shadow and check of every trial per delta."""
+def _shadowing(group, spec, tolerances):
+    """The shadowing suite on a group of one dim: every delta, then the linear response."""
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
     splittings = hyperbolic_splitting(T)
     constant = np.array([split.constant_bound for split in splittings])
     norm = _norms(T)
     unit = _unit_orbits([trial.seed for trial in group], tolerances["orbit_length"], T.shape[-1])
+    deltas = tolerances["deltas"]
     per_delta = []
-    for delta in tolerances["deltas"]:
+    for delta in deltas:
         claim = constant * delta + tolerances["epsilon_slack"]
         per_delta.append(_shadows(T, splittings, *_ball_orbits(unit, norm, delta), claim, norm))
-    return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_delta))}
+    problems = []
+    for trial, shadows in zip(group, zip(*per_delta)):
+        found = [
+            f"{trial.kind} dim {trial.dim} delta {delta}: epsilon {epsilon:.3e} "
+            f"or residual {residual:.3e} outside claim {claim:.3e}"
+            for delta, (epsilon, residual, claim, verified) in zip(deltas, shadows)
+            if not verified
+        ]
+        # linear response: the deltas hold the first one and its half
+        epsilons = {delta: shadow[0] for delta, shadow in zip(deltas, shadows)}
+        ratio = epsilons[deltas[0]] / epsilons[deltas[0] / 2] if epsilons[deltas[0] / 2] else np.inf
+        if abs(ratio - 2.0) > 2.0 * tolerances["linear_response_rel"]:
+            found.append(f"{trial.kind} dim {trial.dim}: halving delta scaled epsilon by {ratio:.4f}")
+        problems.append(found)
+    return problems
 
 
 def _shadows(T, splittings, x, bound, claim, norm, **through):
@@ -289,32 +284,8 @@ def _shadows(T, splittings, x, bound, claim, norm, **through):
     return list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist()))
 
 
-def _check_shadowing(trial, spec, tolerances, shadows):
-    problems = []
-    for delta, (epsilon, residual, claim, verified) in zip(tolerances["deltas"], shadows):
-        if not verified:
-            problems.append(
-                f"{trial.kind} dim {trial.dim} delta {delta}: epsilon {epsilon:.3e} "
-                f"or residual {residual:.3e} outside claim {claim:.3e}"
-            )
-    # linear response: the deltas hold the first one and its half
-    epsilons = {delta: shadow[0] for delta, shadow in zip(tolerances["deltas"], shadows)}
-    delta = tolerances["deltas"][0]
-    ratio = epsilons[delta] / epsilons[delta / 2] if epsilons[delta / 2] else np.inf
-    if abs(ratio - 2.0) > 2.0 * tolerances["linear_response_rel"]:
-        problems.append(
-            f"{trial.kind} dim {trial.dim}: halving delta scaled epsilon by {ratio:.4f}"
-        )
-    return problems
-
-
-def _stack_transfer(group, spec, tolerances):
-    """Each trial's ``(epsilon, residual, claim, verified)`` forward and in
-    reverse, by seed, for a group of one dim and any lambdas: the
-    conjugacy of each trial, one stacked ``hyperbolic_splitting`` call for
-    the operators and one for their transforms, then one batched shadow
-    and check of every trial per direction.
-    """
+def _transfer(group, spec, tolerances):
+    """The transfer suite on a group of one dim: forward and reverse shadows."""
     delta, length = tolerances["delta"], tolerances["orbit_length"]
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
     conjugacies = [conjugacy(M, trial.lam) for trial, M in zip(group, T)]
@@ -337,76 +308,54 @@ def _stack_transfer(group, spec, tolerances):
         per_direction.append(
             _shadows(base, splittings, *_ball_orbits(unit, norm, delta), claim, norm, pull=pull, push=push, target=target)
         )
-    return {trial.seed: shadows for trial, shadows in zip(group, zip(*per_direction))}
+    return [
+        [
+            f"{direction} dim {trial.dim} lambda {trial.lam}: epsilon {epsilon:.3e} "
+            f"outside claim {claim:.3e}"
+            for direction, (epsilon, _, claim, verified) in zip(("forward", "reverse"), shadows)
+            if not verified
+        ]
+        for trial, shadows in zip(group, zip(*per_direction))
+    ]
 
 
-def _check_transfer(trial, spec, tolerances, shadows):
-    problems = []
-    for direction, (epsilon, _, claim, verified) in zip(("forward", "reverse"), shadows):
-        if not verified:
-            problems.append(
-                f"{direction} dim {trial.dim} lambda {trial.lam}: epsilon {epsilon:.3e} "
-                f"outside claim {claim:.3e}"
-            )
-    return problems
-
-
-def _definitional_matrix(trial, spec):
-    """The trial's matrix for the definitional decision: a hyperbolic
-    draw at the definitional gap, or the trial's own unitary."""
-    if trial.kind == "hyperbolic":
-        return _sample(trial, spec, gap=spec["definitional_gap"])
-    return _sample(trial, spec)
-
-
-def _stack_quasihyp(group, spec, tolerances):
-    """Each trial's definitional matrix and its verdict, by seed, for a
-    group of one dim: one stacked ``quasi_hyperbolic_definitional`` call."""
-    stack = np.stack([_definitional_matrix(trial, spec) for trial in group])
+def _quasihyp(group, spec, tolerances):
+    """The quasihyp suite on a group of one dim.  The definitional matrix
+    is a hyperbolic draw at the definitional gap, or the trial's unitary."""
+    stack = np.stack([
+        _sample(trial, spec, gap=spec["definitional_gap"]) if trial.kind == "hyperbolic" else _sample(trial, spec)
+        for trial in group
+    ])
     verdicts = quasi_hyperbolic_definitional(stack, n_max=tolerances["n_max"])
-    return {trial.seed: decided for trial, decided in zip(group, zip(stack, verdicts))}
-
-
-def _check_quasihyp(trial, spec, tolerances, decided):
-    where = f"{trial.kind} dim {trial.dim}"
     problems = []
-    Tdef, definitional = decided
-    if trial.kind == "hyperbolic":
-        T = _sample(trial, spec, gap=spec["preservation_gap"])
-        before = is_quasi_hyperbolic_spectral(T).verdict
-        after = is_quasi_hyperbolic_spectral(aluthge_transform(T, trial.lam)).verdict
-        if before != after:
-            problems.append(
-                f"{where} lambda {trial.lam}: spectral verdict flipped {before} -> {after}"
-            )
-        spectral = is_quasi_hyperbolic_spectral(Tdef).verdict
-        if spectral != definitional.verdict:
-            problems.append(
-                f"{where}: definitional {definitional.verdict} disagrees with spectral {spectral}"
-            )
-    else:
-        before = is_quasi_hyperbolic_spectral(Tdef).verdict
-        after = is_quasi_hyperbolic_spectral(aluthge_transform(Tdef, trial.lam)).verdict
-        if before or after:
-            problems.append(
-                f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, "
-                "expected false/false"
-            )
-        if definitional.verdict:
-            problems.append(f"{where}: definitional verdict true")
+    for trial, Tdef, definitional in zip(group, stack, verdicts):
+        where = f"{trial.kind} dim {trial.dim}"
+        found = []
+        if trial.kind == "hyperbolic":
+            T = _sample(trial, spec, gap=spec["preservation_gap"])
+            before = is_quasi_hyperbolic_spectral(T).verdict
+            after = is_quasi_hyperbolic_spectral(aluthge_transform(T, trial.lam)).verdict
+            if before != after:
+                found.append(f"{where} lambda {trial.lam}: spectral verdict flipped {before} -> {after}")
+            spectral = is_quasi_hyperbolic_spectral(Tdef).verdict
+            if spectral != definitional.verdict:
+                found.append(f"{where}: definitional {definitional.verdict} disagrees with spectral {spectral}")
+        else:
+            before = is_quasi_hyperbolic_spectral(Tdef).verdict
+            after = is_quasi_hyperbolic_spectral(aluthge_transform(Tdef, trial.lam)).verdict
+            if before or after:
+                found.append(f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, expected false/false")
+            if definitional.verdict:
+                found.append(f"{where}: definitional verdict true")
+        problems.append(found)
     return problems
 
 
 class _Suite(NamedTuple):
     spec: dict
     tolerances: dict
-    check: Callable[..., list]
-    #: work done for a group of trials at once, before the trial loop:
-    #: maps each trial's seed to a result that its check takes as a fourth
-    #: argument
-    stack: Callable[[list, dict, dict], dict]
-    #: the trials with one key share a stack
-    stack_key: Callable[[_Trial], object] = lambda trial: trial.dim
+    #: (group of one dim, spec, tolerances) -> each trial's problems, in order
+    run: Callable[[list, dict, dict], list]
 
 
 _SUITES = {
@@ -419,14 +368,12 @@ _SUITES = {
             "shift_weights": [0.25, 2.25],
         },
         tolerances={"eigenvalue_match_factor": 1e-7},
-        check=_check_spectral,
-        stack=_stack_spectral,
+        run=_spectral,
     ),
     "fixedpoint": _Suite(
         spec={"kinds": ["normal"], "dims": [2, 10], "lambdas": list(LAMBDA_GRID)},
         tolerances={"fixed_point_factor": 1e-9},
-        check=_check_fixedpoint,
-        stack=_stack_fixedpoint,
+        run=_fixedpoint,
     ),
     # the iterates thresholds were calibrated against a brute-force run and
     # frozen; the gate is a population rate, not a per-trial bar
@@ -439,9 +386,7 @@ _SUITES = {
             "convergence_rate_min": 0.95,
             "iteration_budget": 500,
         },
-        check=_check_iterates,
-        stack=_stack_iterates,
-        stack_key=lambda trial: (trial.dim, trial.lam),
+        run=_iterates,
     ),
     "shadowing": _Suite(
         spec={"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4},
@@ -452,8 +397,7 @@ _SUITES = {
             "deltas": [1e-2, 1e-3, 5e-3],
             "orbit_length": 200,
         },
-        check=_check_shadowing,
-        stack=_stack_shadowing,
+        run=_shadowing,
     ),
     "transfer": _Suite(
         spec={
@@ -469,8 +413,7 @@ _SUITES = {
             "delta": 1e-2,
             "orbit_length": 200,
         },
-        check=_check_transfer,
-        stack=_stack_transfer,
+        run=_transfer,
     ),
     "quasihyp": _Suite(
         spec={
@@ -482,57 +425,52 @@ _SUITES = {
             "lambdas": list(LAMBDA_GRID),
         },
         tolerances={"n_max": 20},
-        check=_check_quasihyp,
-        stack=_stack_quasihyp,
+        run=_quasihyp,
     ),
 }
 
 
-def _stacked(suite: _Suite, runs: list, spec: dict, tolerances: dict) -> dict:
-    """The suite's stacked results of all trials, by seed, one stack per key.
-
-    A stack that raises is left out; its trials then run alone, each as a
-    stack of one, in the trial loop, so the failing one records its own
-    error.
-    """
-    groups = {}
-    for trial in runs:
-        groups.setdefault(suite.stack_key(trial), []).append(trial)
-    stacked = {}
-    for group in groups.values():
-        try:
-            stacked.update(suite.stack(group, spec, tolerances))
-        except AluthgeLabError:
-            continue
-    return stacked
+def _problems(run: Callable, group: list, spec: dict, tolerances: dict) -> list:
+    """Each trial's problems from ``run``, in group order; a group of
+    several trials that raises is rerun one trial at a time."""
+    try:
+        return run(group, spec, tolerances)
+    except AluthgeLabError as exc:
+        if len(group) > 1:
+            return [problems for trial in group for problems in _problems(run, [trial], spec, tolerances)]
+        (trial,) = group
+        return [[f"{trial.kind} dim {trial.dim}: error: {exc}", _UNCONVERGED]]
 
 
-def _validate_run(trials: int, base_seed: int) -> None:
+def _validate_run(trials, base_seed) -> tuple[int, int]:
+    """``(trials, base_seed)`` as Python ints, so a report's spec
+    serializes; a value that is not an integer, fewer than one trial or a
+    negative seed raises ValueError."""
+    trials, base_seed = _integer(trials, "trials"), _integer(base_seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if not isinstance(base_seed, int) or base_seed < 0:
+    if base_seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {base_seed!r}")
+    return trials, base_seed
 
 
 def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    _validate_run(trials, base_seed)
+    trials, base_seed = _validate_run(trials, base_seed)
     started = time.perf_counter()
     suite = _SUITES[name]
     spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
     tolerances = copy.deepcopy(suite.tolerances)
-    runs = [_trial(spec, index) for index in range(trials)]
-    stacked = _stacked(suite, runs, spec, tolerances)
-    diagnostics = []
-    for trial in runs:
-        try:
-            result = stacked[trial.seed] if trial.seed in stacked else suite.stack([trial], spec, tolerances)[trial.seed]
-            problems = suite.check(trial, spec, tolerances, result)
-        except AluthgeLabError as exc:
-            problems = [f"{trial.kind} dim {trial.dim}: error: {exc}", _UNCONVERGED]
-        diagnostics.append((trial.seed, problems))
+    groups = {}
+    for index in range(trials):
+        trial = _trial(spec, index)
+        groups.setdefault(trial.dim, []).append(trial)
+    diagnostics = []  # (seed, problems), put in trial order below
+    for group in groups.values():
+        diagnostics.extend(zip([trial.seed for trial in group], _problems(suite.run, group, spec, tolerances)))
+    diagnostics.sort(key=lambda diagnostic: diagnostic[0])
     rate = sum(_UNCONVERGED not in problems for _, problems in diagnostics) / trials
     rate_min = tolerances.get("convergence_rate_min")
     gate = None
@@ -582,7 +520,7 @@ def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
     way.  An error raised in the worker is raised here with its type and
     message.
     """
-    _validate_run(trials, base_seed)
+    trials, base_seed = _validate_run(trials, base_seed)
     if _cpu_count() >= 2:
         import multiprocessing  # here only, so importing the package stays as fast
 

@@ -398,6 +398,10 @@ def test_orbit_rejects_bad_length_and_mode():
         generate_pseudo_orbit(SADDLE, delta=0.01, length=-1, seed=0)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=-1)
+    with pytest.raises(ValueError, match="^length must be an integer, got 2.5$"):
+        generate_pseudo_orbit(SADDLE, delta=0.01, length=2.5, seed=0)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=1.5)
     # ball mode is the only mode: there is no knob to select another
     with pytest.raises(TypeError):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=0, mode="ball")

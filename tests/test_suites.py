@@ -92,6 +92,15 @@ def test_run_suite_rejects_bad_arguments():
         run_suite("nonsense", trials=5, base_seed=0)
     with pytest.raises(ValueError):
         run_suite("spectral", trials=0, base_seed=0)
+    for trials in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"^trials must be an integer, got {trials!r}$"):
+            run_suite("spectral", trials=trials, base_seed=1)
+    with pytest.raises(ValueError, match="^trials must be an integer, got 2.5$"):
+        run_all(trials=2.5, base_seed=1)
+    # numpy integers are integers; the report stores Python ints
+    report = run_suite("spectral", trials=np.int64(2), base_seed=np.int64(3))
+    assert type(report.trials) is int and type(report.spec["seed"]) is int
+    json.dumps(report.to_json())
 
 
 def _no_worker(*args, **kwargs):
@@ -108,6 +117,9 @@ def test_negative_seed_is_refused_before_any_trial(run, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
         run(trials=3, base_seed=-1)
+    for seed in (1.5, "3"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            run(trials=3, base_seed=seed)
 
 
 def test_verify_all_with_no_trials_starts_no_worker(monkeypatch, capsys):
@@ -231,29 +243,55 @@ def _groups(name, trials, base_seed):
     return spec, suite.tolerances, list(groups.values())
 
 
-def test_stacked_fixedpoint_equals_each_trial_alone():
+def _record(monkeypatch, entry):
+    """A list that gathers ``(args, result)`` of every ``suites.<entry>`` call."""
+    calls = []
+    real = getattr(suites, entry)
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(suites, entry, recorded)
+    return calls
+
+
+def _calls_running(calls, name, group, spec, tolerances):
+    """The calls gathered in ``calls`` while suite ``name`` runs ``group``."""
+    calls.clear()
+    suites._SUITES[name].run(group, spec, tolerances)
+    return list(calls)
+
+
+def test_stacked_fixedpoint_equals_each_trial_alone(monkeypatch):
     spec, tolerances, groups = _groups("fixedpoint", trials=27, base_seed=5)
+    calls = _record(monkeypatch, "_norms")
     for group in groups:
-        stacked = suites._stack_fixedpoint(group, spec, tolerances)
-        for trial in group:
-            assert stacked[trial.seed] == suites._stack_fixedpoint([trial], spec, tolerances)[trial.seed]
+        # ||T|| and then ||D_lam(T) - T|| for each lambda, of every member
+        stacked = [norms.tolist() for _, norms in _calls_running(calls, "fixedpoint", group, spec, tolerances)]
+        for i, trial in enumerate(group):
+            mine = [norms[i] for norms in stacked]
+            alone = _calls_running(calls, "fixedpoint", [trial], spec, tolerances)
+            assert mine == [norms.tolist()[0] for _, norms in alone]
             # and to the public route, one transform and norm at a time
             T = sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed))
             drifts = [operator_norm(aluthge_transform(T, lam) - T) for lam in spec["lambdas"]]
-            assert stacked[trial.seed] == (drifts, tolerances["fixed_point_factor"] * operator_norm(T))
+            assert mine == [operator_norm(T), *drifts]
 
 
-def test_stacked_spectral_equals_each_trial_alone():
+def test_stacked_spectral_equals_each_trial_alone(monkeypatch):
     # 33 trials: every dim holds three trials with three distinct lambdas
     spec, tolerances, groups = _groups("spectral", trials=33, base_seed=5)
+    calls = _record(monkeypatch, "multiset_match")
     for group in groups:
-        stacked = suites._stack_spectral(group, spec, tolerances)
-        for trial in group:
-            before, after, tol = stacked[trial.seed]
-            alone = suites._stack_spectral([trial], spec, tolerances)[trial.seed]
-            np.testing.assert_array_equal(before, alone[0])
-            np.testing.assert_array_equal(after, alone[1])
-            assert tol == alone[2]
+        stacked = _calls_running(calls, "spectral", group, spec, tolerances)
+        assert len(stacked) == len(group)  # one match per trial, in group order
+        for trial, ((before, after, tol), _) in zip(group, stacked):
+            [((alone_before, alone_after, alone_tol), _)] = _calls_running(calls, "spectral", [trial], spec, tolerances)
+            np.testing.assert_array_equal(before, alone_before)
+            np.testing.assert_array_equal(after, alone_after)
+            assert tol == alone_tol
             # and to the public route
             T = suites._spectral_matrix(trial, spec)
             np.testing.assert_array_equal(before, eigenvalues(T))
@@ -349,19 +387,21 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
 # at base seed 1, the trial of the spec's seed is refused, alone or inside
 # a stack; trial 0 or 1 shares its stack and passes when run alone: in
 # spectral, trial 12 (dim 3); in fixedpoint, trial 9 (dim 2); otherwise
-# trial 7 (dim 2)
+# trial 7 (dim 2).  The last entry refuses in quasihyp's per-trial part,
+# after the stacked work, so the whole group reruns one trial at a time
 STACK_REFUSALS = {
-    "spectral": ("_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
-    "fixedpoint": ("_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
-    "shadowing": ("hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "transfer": ("hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "quasihyp": ("quasi_hyperbolic_definitional", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "spectral": ("spectral", "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
+    "fixedpoint": ("fixedpoint", "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
+    "shadowing": ("shadowing", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "transfer": ("transfer", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "quasihyp": ("quasihyp", "quasi_hyperbolic_definitional", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "quasihyp-per-trial": ("quasihyp", "is_quasi_hyperbolic_spectral", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
 
-@pytest.mark.parametrize("name", STACK_REFUSALS)
-def test_shadow_suites_stack_error_retries_each_trial_alone(name, monkeypatch):
-    entry, trials, spec = STACK_REFUSALS[name]
+@pytest.mark.parametrize("case", STACK_REFUSALS)
+def test_shadow_suites_stack_error_retries_each_trial_alone(case, monkeypatch):
+    name, entry, trials, spec = STACK_REFUSALS[case]
     refused = sample_matrix(spec)
     real = getattr(suites, entry)
 
