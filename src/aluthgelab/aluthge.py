@@ -19,13 +19,17 @@ singular values at roundoff level are zero, not raised to a small power
 
 Iterating the transform drives a finite-dimensional operator toward a
 normal one while the operator norm decreases to the spectral radius; the
-iterate trace records both diagnostics per step, read off the eigenvalues
-of the Hermitian matrices S*S and S*S - SS*.  :func:`aluthge_iterates`
-also takes a stack of k matrices of one size and iterates them in
-lockstep: each step is one batched SVD, transform and diagnostic over the
-members still running, and each member stops early on its own.  The early
-stop compares the defect and the starting norm scaled by powers of two,
-so it does not depend on the scale of T.  For invertible T the
+iterate trace records both diagnostics per step.  An iterate's norm is
+the largest singular value of the SVD that the next transform takes (the
+last iterates' norms come from one values-only SVD), and its defect is
+the largest |eigenvalue| of the Hermitian S*S - SS*, so a step takes one
+SVD and one ``eigvalsh``.  :func:`aluthge_iterates` also takes a stack of
+k matrices of one size and iterates them in lockstep: each step is one
+batched SVD, transform and defect over the members still running, and
+each member stops early on its own.  The early stop compares the defect
+and the starting norm (from the eigenvalues of T*T) scaled by powers of
+two, so it does not depend on the scale of T.  The verify suite runs the
+same core without keeping the iterates.  For invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -42,7 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntryError, NotInvertibleError
-from .linalg_core import SvdParts, _as_stack, _eigenvalues, _svd, as_matrix, operator_norm, rank_tolerance, svd
+from .linalg_core import (
+    SvdParts,
+    _as_stack,
+    _eigenvalues,
+    _integer,
+    _singular_values,
+    _svd,
+    as_matrix,
+    operator_norm,
+    rank_tolerance,
+    svd,
+)
 
 __all__ = [
     "IterateTrace",
@@ -102,39 +117,53 @@ def _hermitian_norm(A: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(A)).max(axis=-1, initial=0.0)
 
 
-def _norm_and_defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """||S|| = sqrt(lambda_max(S*S)) and ||S*S - SS*|| of S, or of each
-    member of a stack, as ``(norm, defect, exponent)`` with the true
-    values ``norm * 2**exponent`` and ``defect * 4**exponent``.
+def _scaled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, exponent)`` with A = S * 2**-exponent, or each member of a
+    stack so scaled, with its largest entry in [1/2, 1).
 
-    S is first scaled by 2**-exponent, which is exact, so that its squares
-    neither overflow nor underflow; :func:`_unscaled` gives the true values.
+    The scaling is exact, and it keeps the squares of A from overflowing
+    or underflowing.
     """
     peak = np.abs(S).max(axis=(-2, -1), initial=0.0)
     # the floor keeps 2**-exponent finite when the entries are subnormal
     exponent = np.maximum(np.frexp(peak)[1], -1000)
-    A = S * np.ldexp(1.0, -exponent)[..., None, None]
+    return S * np.ldexp(1.0, -exponent)[..., None, None], exponent
+
+
+def _defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(defect, exponent)`` of S, or of each member of a stack, with
+    ||S*S - SS*|| = ``defect * 4**exponent``, from one ``eigvalsh`` of the
+    commutator of S scaled by :func:`_scaled`."""
+    A, exponent = _scaled(S)
+    Ah = A.conj().swapaxes(-1, -2)
+    return _hermitian_norm(Ah @ A - A @ Ah), exponent
+
+
+def _norm_and_defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_defect` and ||S|| = sqrt(lambda_max(S*S)) = ``norm *
+    2**exponent`` as ``(norm, defect, exponent)``; the start of an
+    iteration sets its stop threshold from this norm."""
+    A, exponent = _scaled(S)
     Ah = A.conj().swapaxes(-1, -2)
     gram = Ah @ A
     return np.sqrt(_hermitian_norm(gram)), _hermitian_norm(gram - A @ Ah), exponent
 
 
-def _unscaled(norm, defect, exponent) -> tuple[np.ndarray, np.ndarray]:
-    """The true norm and defect from :func:`_norm_and_defect`.
+def _unscaled(value: np.ndarray, exponent) -> np.ndarray:
+    """``value * 2**exponent``, the true norm or defect of a scaled one.
 
     Raises
     ------
     NonFiniteEntryError
-        If either is beyond the float range (the defect scales as ||T||^2).
+        If it is beyond the float range (the defect scales as ||T||^2).
     """
     with np.errstate(over="ignore"):
-        norm, defect = np.ldexp(norm, exponent), np.ldexp(defect, 2 * exponent)
-    if not (np.isfinite(norm).all() and np.isfinite(defect).all()):
+        value = np.ldexp(value, exponent)
+    if not np.isfinite(value).all():
         raise NonFiniteEntryError(
-            "operator norm or normality defect beyond the float range "
-            f"(largest entry near 2**{int(np.max(exponent))})"
+            f"operator norm or normality defect beyond the float range (near 2**{int(np.max(exponent))})"
         )
-    return norm, defect
+    return value
 
 
 def normality_defect(T) -> float:
@@ -148,7 +177,8 @@ def normality_defect(T) -> float:
     NonFiniteEntryError
         If the defect is beyond the float range.
     """
-    return float(_unscaled(*_norm_and_defect(as_matrix(T)))[1])
+    defect, exponent = _defect(as_matrix(T))
+    return float(_unscaled(defect, 2 * exponent))
 
 
 def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
@@ -189,6 +219,73 @@ class IterateTrace:
         return len(self.iterates)
 
 
+def _by_member(members: list[np.ndarray], values: np.ndarray, k: int) -> list[np.ndarray]:
+    """Split ``values``, recorded for the concatenated ``members``, into
+    one array per member i = 0..k-1, each in recording order."""
+    members = np.concatenate(members)
+    values = values[np.argsort(members, kind="stable")]
+    return np.split(values, np.cumsum(np.bincount(members, minlength=k))[:-1])
+
+
+def _step(S: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(||S||, D_lam(S))`` of each member of a stack, from one SVD."""
+    parts = _svd(S)
+    return parts.singular_values.max(axis=-1, initial=0.0), _transform(parts, lam)
+
+
+def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
+    """Iterate a validated stack in lockstep; ``(norms, defects, radii,
+    iterates)`` with one entry per member, in input order, and
+    ``iterates`` None unless ``keep``.
+
+    Iterate j's norm is the largest singular value of the SVD that forms
+    iterate j + 1; the last iterates' norms come from one values-only SVD
+    at the end.  Each step takes one ``eigvalsh``, for the defect.
+    """
+    k = len(stack)
+    norm, defect, start = _norm_and_defect(stack)
+    threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
+    # a norm of T beyond the float range is refused before any step; the
+    # defects are unscaled, and checked, at the end
+    _unscaled(norm, start)
+    at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
+    live = np.arange(k)  # members still iterating
+    # per step: the members live, the norms of their iterates and the
+    # scaled defects and exponents of the iterates the step forms
+    steps, norms, defects, exponents = [], [], [defect], [2 * start]
+    last = []  # (members, their last iterates)
+    iterates = [[M] for M in stack] if keep else None
+    S = stack
+    for _ in range(n_max):
+        norm, S = _step(S, lam)
+        defect, exponent = _defect(S)
+        steps.append(live)
+        norms.append(norm)
+        defects.append(defect)
+        exponents.append(2 * exponent)
+        if keep:
+            for i, M in zip(live.tolist(), S):
+                iterates[i].append(M)
+        going = ~at_floor  # a member at the floor stops: this iterate confirms it
+        at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
+        if not going.all():
+            last.append((live[~going], S[~going]))
+            live, S, at_floor = live[going], S[going], at_floor[going]
+            start, threshold = start[going], threshold[going]
+        if not live.size:
+            break
+    else:
+        last.append((live, S))
+    norms.append(_singular_values(np.concatenate([S for _, S in last])).max(axis=-1, initial=0.0))
+    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
+    return (
+        _by_member(steps + [members for members, _ in last], np.concatenate(norms), k),
+        _by_member([np.arange(k), *steps], _unscaled(np.concatenate(defects), np.concatenate(exponents)), k),
+        radii.tolist(),
+        iterates,
+    )
+
+
 def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | list[IterateTrace]:
     """Iterate the lambda-Aluthge transform up to ``n_max`` times.
 
@@ -206,49 +303,22 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
 
     Raises
     ------
+    ValueError
+        If ``n_max`` is not an integer of at least 1.
     NonFiniteEntryError
         If an entry is not finite, or a norm or defect overflows.
     SizeMismatchError
         If a member is not square, or the members differ in size.
     """
     lam = check_lambda(lam)
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     stack, single = _as_stack(T)
-    norm, defect, start = _norm_and_defect(stack)
-    threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
-    true_norms, true_defects = _unscaled(norm, defect, start)
-    iterates = [[M] for M in stack]
-    norms = [[x] for x in true_norms.tolist()]
-    defects = [[y] for y in true_defects.tolist()]
-    live = np.arange(len(stack))  # members still iterating
-    at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
-    S = stack
-    for _ in range(n_max):
-        S = _transform(_svd(S), lam)
-        norm, defect, exponent = _norm_and_defect(S)
-        true_norms, true_defects = _unscaled(norm, defect, exponent)
-        for i, M, x, y in zip(live.tolist(), S, true_norms.tolist(), true_defects.tolist()):
-            iterates[i].append(M)
-            norms[i].append(x)
-            defects[i].append(y)
-        going = ~at_floor  # a member at the floor stops: this iterate confirms it
-        if not going.any():
-            break
-        at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
-        if not going.all():
-            live, S, at_floor = live[going], S[going], at_floor[going]
-            start, threshold = start[going], threshold[going]
-    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
-    traces = [
-        IterateTrace(
-            iterates=steps,
-            operator_norms=np.array(step_norms),
-            normality_defects=np.array(step_defects),
-            spectral_radius=radius,
-        )
-        for steps, step_norms, step_defects, radius in zip(iterates, norms, defects, radii.tolist())
-    ]
+    if not len(stack):
+        return []
+    norms, defects, radii, iterates = _iterate(stack, lam, n_max, keep=True)
+    traces = [IterateTrace(*member) for member in zip(iterates, norms, defects, radii)]
     return traces[0] if single else traces
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg_core import rank_tolerance
+from .linalg_core import _integer, rank_tolerance
 
 __all__ = ["EnsembleSpec", "sample_matrix", "trial_seed", "RNG_IDENTIFIER", "ENSEMBLE_KINDS"]
 
@@ -46,10 +46,17 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise InvalidSpecError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidSpecError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        try:
+            dim, seed = _integer(self.dim, "dim"), _integer(self.seed, "seed")
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from None
+        if dim < 1:
+            raise InvalidSpecError(f"dim must be a positive integer, got {dim!r}")
+        if seed < 0:
+            raise InvalidSpecError(f"seed must be a nonnegative integer, got {seed!r}")
+        # Python ints, so that a spec serializes and compares by value
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "seed", seed)
         if self.cond_cap <= 1.0:
             raise InvalidSpecError(f"cond_cap must exceed 1, got {self.cond_cap}")
         if self.kind == "hyperbolic":

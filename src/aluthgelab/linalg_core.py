@@ -141,6 +141,15 @@ def _svd(T: np.ndarray) -> SvdParts:
     return SvdParts(left=W, singular_values=s, right=Vh.conj().swapaxes(-1, -2))
 
 
+def _singular_values(T: np.ndarray) -> np.ndarray:
+    """The singular values alone of a validated matrix, or of each member
+    of a stack, nonincreasing."""
+    try:
+        return np.linalg.svd(T, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
 def eigenvalues(T) -> np.ndarray:
     """Eigenvalues of T with multiplicity, as a complex vector.
 

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _as_stack, _complex_to_json, as_matrix, eigenvalues
+from .linalg_core import _as_stack, _complex_to_json, _integer, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",
@@ -357,6 +357,7 @@ def quasi_hyperbolic_definitional(
     one lockstep, and a hold drops only its own member's higher exponents.
     """
     stack, single = _as_stack(T)
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if stack.shape[-1]:

@@ -28,8 +28,9 @@ returns the problems of each trial, in group order:
                runs per trial
     fixedpoint one ``_svd`` of the stack feeds the transform of every
                lambda; the bounds and drifts are batched spectral norms
-    iterates   one ``aluthge_iterates`` call per distinct lambda iterates
-               its members in lockstep
+    iterates   one ``_iterate`` call per distinct lambda (the core of
+               ``aluthge_iterates``) iterates its members in lockstep and
+               keeps only their norms, defects and radii
     shadowing  one ``hyperbolic_splitting`` call splits the stack, one
                orbit draw per trial is scaled to each delta, then one
                batched shadow and check covers every trial and delta
@@ -54,13 +55,20 @@ If a group raises, in its stacked work or in a trial's own part, each of
 its trials is rerun alone, as a group of one, so only the failing trial
 records the error.
 
-:func:`run_all` runs the iterates suite, which takes longer than the
-other five together, in one forked worker process while this process runs
-the other five, when the process may use at least two CPUs and the
-``fork`` start method exists; otherwise it runs the six in turn.  The
-reports are the same either way, bit for bit.  ``taskset -c 0`` forces
-the serial path.  With the worker, each process should keep to one BLAS
-thread (``OPENBLAS_NUM_THREADS=1``), or the two oversubscribe the CPUs.
+A group is a work unit.  :func:`run_suite` and :func:`run_all` build the
+units of their suites, heaviest first (the iterates groups, largest dim
+first, then every other group, largest dim first), run them through one
+loop and assemble each report from its units' problems; a report's
+``wall_time`` is the sum of its units' run times.  When the process may
+use at least two CPUs and the ``fork`` start method exists,
+:func:`run_all` forks one worker process, and it and this process each
+take the next unit from one shared queue of unit indices until none is
+left; the worker sends back the problems of the units it ran.  Otherwise
+this process runs every unit in turn.  Which process runs a unit depends
+on timing, but the reports are the same either way, bit for bit.
+``taskset -c 0`` forces the serial path.  With the worker, each process
+should keep to one BLAS thread (``OPENBLAS_NUM_THREADS=1``), or the two
+oversubscribe the CPUs.
 
 Suites
 ------
@@ -89,6 +97,8 @@ quasihyp
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import os
 import sys
 import time
@@ -97,7 +107,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import _transform, aluthge_iterates, aluthge_transform, conjugacy
+from .aluthge import _iterate, _transform, aluthge_transform, conjugacy
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _svd
@@ -219,27 +229,23 @@ def _fixedpoint(group, spec, tolerances):
 
 
 def _iterates(group, spec, tolerances):
-    """The iterates suite on a group of one dim: each trace is checked on its own."""
+    """The iterates suite on a group of one dim: each member's norms,
+    defects and radius are checked on their own."""
     stack = np.stack([_sample(trial, spec) for trial in group])
-    traces = [None] * len(group)
+    problems = [None] * len(group)
     for lam in dict.fromkeys(trial.lam for trial in group):
         members = [i for i, trial in enumerate(group) if trial.lam == lam]
-        for i, trace in zip(members, aluthge_iterates(stack[members], lam, tolerances["iteration_budget"])):
-            traces[i] = trace
-    problems = []
-    for trial, trace in zip(group, traces):
-        found = []
-        steps = np.diff(trace.operator_norms)
-        if steps.size and steps.max() > tolerances["monotonicity_slack"]:
-            found.append(f"{trial.kind} dim {trial.dim}: norm increased by {steps.max():.3e}")
-        radius = trace.spectral_radius
-        norm_limit = tolerances["norm_limit_factor"] * (1.0 + radius)
-        norm_ok = abs(trace.operator_norms[-1] - radius) <= norm_limit
-        defect_limit = tolerances["defect_factor"] * trace.operator_norms[0] ** 2
-        defect_ok = trace.normality_defects[-1] <= defect_limit
-        if not (norm_ok and defect_ok):
-            found.append(_UNCONVERGED)
-        problems.append(found)
+        norms, defects, radii, _ = _iterate(stack[members], lam, tolerances["iteration_budget"])
+        for i, norm, defect, radius in zip(members, norms, defects, radii):
+            trial, found = group[i], []
+            steps = np.diff(norm)
+            if steps.size and steps.max() > tolerances["monotonicity_slack"]:
+                found.append(f"{trial.kind} dim {trial.dim}: norm increased by {steps.max():.3e}")
+            norm_ok = abs(norm[-1] - radius) <= tolerances["norm_limit_factor"] * (1.0 + radius)
+            defect_ok = defect[-1] <= tolerances["defect_factor"] * norm[0] ** 2
+            if not (norm_ok and defect_ok):
+                found.append(_UNCONVERGED)
+            problems[i] = found
     return problems
 
 
@@ -454,42 +460,94 @@ def _validate_run(trials, base_seed) -> tuple[int, int]:
     return trials, base_seed
 
 
+class _Unit(NamedTuple):
+    """The trials of one suite that share a dim: one piece of work."""
+
+    suite: str
+    group: list
+    spec: dict
+    tolerances: dict
+
+
+def _units(names, trials: int, base_seed: int) -> list[_Unit]:
+    """The units of the named suites, heaviest first: the iterates groups,
+    then every other group, each by dim, largest first."""
+    units = []
+    for name in names:
+        suite = _SUITES[name]
+        spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
+        tolerances = copy.deepcopy(suite.tolerances)
+        groups = {}
+        for index in range(trials):
+            trial = _trial(spec, index)
+            groups.setdefault(trial.dim, []).append(trial)
+        units += [_Unit(name, group, spec, tolerances) for group in groups.values()]
+    return sorted(units, key=lambda unit: (unit.suite != "iterates", -unit.group[0].dim))
+
+
+def _run_units(units: list[_Unit], claim: Callable[[], int]) -> dict:
+    """Run the units whose indices ``claim`` hands out until it hands out
+    one past the last; ``{index: (problems, seconds)}``."""
+    done = {}
+    index = claim()
+    while index < len(units):
+        unit = units[index]
+        started = time.perf_counter()
+        problems = _problems(_SUITES[unit.suite].run, unit.group, unit.spec, unit.tolerances)
+        done[index] = problems, time.perf_counter() - started
+        index = claim()
+    return done
+
+
+def _reports(names, trials: int, units: list[_Unit], done: dict) -> list[ExperimentReport]:
+    """The report of each named suite from the outcomes ``done`` of its
+    units, in the order of ``names``; a report's wall time is the sum of
+    its units' run times."""
+    reports = []
+    for name in names:
+        mine = [index for index, unit in enumerate(units) if unit.suite == name]
+        diagnostics = sorted(
+            ((trial.seed, problems) for index in mine for trial, problems in zip(units[index].group, done[index][0])),
+            key=lambda diagnostic: diagnostic[0],
+        )
+        spec, tolerances = units[mine[0]].spec, units[mine[0]].tolerances
+        rate = sum(_UNCONVERGED not in problems for _, problems in diagnostics) / trials
+        rate_min = tolerances.get("convergence_rate_min")
+        gate = None
+        if rate_min is not None and rate < rate_min:
+            gate = f"{_UNCONVERGED} (population rate {rate:.2f} below {rate_min})"
+        failures = []
+        for seed, problems in diagnostics:
+            problems = [gate if p == _UNCONVERGED else p for p in problems if gate or p != _UNCONVERGED]
+            if problems:
+                failures.append({"seed": seed, "diagnostic": "; ".join(problems)})
+        reports.append(
+            ExperimentReport(
+                suite=name,
+                spec=spec,
+                trials=trials,
+                passes=trials - len(failures),
+                failures=failures,
+                tolerances=tolerances,
+                wall_time=sum(done[index][1] for index in mine),
+            )
+        )
+    return reports
+
+
+def _serially(units: list[_Unit]) -> dict:
+    """Every unit, in order, in this process."""
+    return _run_units(units, itertools.count().__next__)
+
+
 def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     trials, base_seed = _validate_run(trials, base_seed)
-    started = time.perf_counter()
-    suite = _SUITES[name]
-    spec = dict(copy.deepcopy(suite.spec), seed=base_seed)
-    tolerances = copy.deepcopy(suite.tolerances)
-    groups = {}
-    for index in range(trials):
-        trial = _trial(spec, index)
-        groups.setdefault(trial.dim, []).append(trial)
-    diagnostics = []  # (seed, problems), put in trial order below
-    for group in groups.values():
-        diagnostics.extend(zip([trial.seed for trial in group], _problems(suite.run, group, spec, tolerances)))
-    diagnostics.sort(key=lambda diagnostic: diagnostic[0])
-    rate = sum(_UNCONVERGED not in problems for _, problems in diagnostics) / trials
-    rate_min = tolerances.get("convergence_rate_min")
-    gate = None
-    if rate_min is not None and rate < rate_min:
-        gate = f"{_UNCONVERGED} (population rate {rate:.2f} below {rate_min})"
-    failures = []
-    for seed, problems in diagnostics:
-        problems = [gate if p == _UNCONVERGED else p for p in problems if gate or p != _UNCONVERGED]
-        if problems:
-            failures.append({"seed": seed, "diagnostic": "; ".join(problems)})
-    return ExperimentReport(
-        suite=name,
-        spec=spec,
-        trials=trials,
-        passes=trials - len(failures),
-        failures=failures,
-        tolerances=tolerances,
-        wall_time=time.perf_counter() - started,
-    )
+    units = _units([name], trials, base_seed)
+    (report,) = _reports([name], trials, units, _serially(units))
+    return report
 
 
 def _cpu_count() -> int:
@@ -500,62 +558,88 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _send_suite(sender, name: str, trials: int, base_seed: int) -> None:
-    """Run one suite in a worker process and send its report, or the
-    exception it raised, to the parent."""
+def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
+    """Run every suite; return the reports in declaration order.
+
+    With at least two CPUs and the ``fork`` start method, this process
+    and one forked worker process take the units of every suite from one
+    shared counter, heaviest first; otherwise this process runs them in
+    turn.  The reports are the same either way.  An error raised in the
+    worker is raised here with its type and message.
+    """
+    trials, base_seed = _validate_run(trials, base_seed)
+    units = _units(SUITE_NAMES, trials, base_seed)
+    context = _fork_context()
+    done = _serially(units) if context is None else _shared(context, units)
+    return _reports(SUITE_NAMES, trials, units, done)
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context when this process may use two
+    or more CPUs and the platform has ``fork``; otherwise None."""
+    if _cpu_count() < 2:
+        return None
+    import multiprocessing  # here only, so importing the package stays as fast
+
+    return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _send_units(sender, units: list[_Unit], claim: Callable[[], int]) -> None:
+    """Run units in a worker process and send their outcomes, or the
+    exception one raised, to the parent."""
     try:
-        outcome = run_suite(name, trials, base_seed)
+        outcome = _run_units(units, claim)
     except Exception as exc:
         outcome = exc
     sender.send(outcome)
     sender.close()
 
 
-def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
-    """Run every suite; return the reports in declaration order.
-
-    With at least two CPUs and the ``fork`` start method, the iterates
-    suite runs in one forked worker process while this one runs the other
-    five; otherwise the six run in turn.  The reports are the same either
-    way.  An error raised in the worker is raised here with its type and
-    message.
-    """
-    trials, base_seed = _validate_run(trials, base_seed)
-    if _cpu_count() >= 2:
-        import multiprocessing  # here only, so importing the package stays as fast
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _run_all_forked(multiprocessing.get_context("fork"), trials, base_seed)
-    return [run_suite(name, trials, base_seed) for name in SUITE_NAMES]
+def _token_pipe(count: int):
+    """The unbuffered read end of a pipe that holds the indices
+    0..count-1, one byte each, in order (the six suites make 46 units at
+    most)."""
+    tokens, feed = os.pipe()
+    os.write(feed, bytes(range(count)))
+    os.close(feed)
+    return open(tokens, "rb", buffering=0)
 
 
-def _run_all_forked(context, trials: int, base_seed: int) -> list[ExperimentReport]:
-    """:func:`run_all` with the iterates suite in a worker forked from
-    ``context``; the worker is always joined before this returns or
+def _claim(tokens, count: int) -> int:
+    """The next index in the pipe ``tokens``, or ``count`` once it is
+    empty.  A one-byte read is whole, so each index goes to exactly one
+    reader, also when forked processes read the same pipe."""
+    return (tokens.read(1) or bytes([count]))[0]
+
+
+def _shared(context, units: list[_Unit]) -> dict:
+    """Every unit, claimed in order by this process and by a worker forked
+    from ``context``; the worker is always joined before this returns or
     raises."""
     # a forked child flushes the std streams it inherits when it exits, so
     # text still buffered here would be written twice
     sys.stdout.flush()
     sys.stderr.flush()
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_suite, args=(sender, "iterates", trials, base_seed))
-    worker.start()
-    sender.close()
-    try:
-        reports = {name: run_suite(name, trials, base_seed) for name in SUITE_NAMES if name != "iterates"}
+    with _token_pipe(len(units)) as tokens:
+        claim = functools.partial(_claim, tokens, len(units))
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=_send_units, args=(sender, units, claim))
+        worker.start()
+        sender.close()
         try:
-            outcome = receiver.recv()
-        except EOFError:  # the worker ended without sending anything
-            outcome = None
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        receiver.close()
-        worker.join()
+            done = _run_units(units, claim)
+            try:
+                outcome = receiver.recv()
+            except EOFError:  # the worker ended without sending anything
+                outcome = None
+        except BaseException:
+            worker.terminate()
+            raise
+        finally:
+            receiver.close()
+            worker.join()
     if outcome is None:
-        raise ChildProcessError(f"the iterates worker ended with exit code {worker.exitcode} and no report")
+        raise ChildProcessError(f"the verify worker ended with exit code {worker.exitcode} and no outcome")
     if isinstance(outcome, Exception):
         raise outcome
-    reports["iterates"] = outcome
-    return [reports[name] for name in SUITE_NAMES]
+    return {**done, **outcome}

@@ -46,6 +46,18 @@ def test_spec_validation():
         EnsembleSpec(kind="normal", dim=4, seed=-1)
 
 
+def test_spec_reads_integers_by_value():
+    for name in ("dim", "seed"):
+        for value in (2.5, "3"):
+            with pytest.raises(InvalidSpecError, match=f"^{name} must be an integer, got {value!r}$"):
+                EnsembleSpec(**{"kind": "normal", "dim": 2, "seed": 3, name: value})
+    # numpy integers are integers; the spec stores Python ints
+    spec = EnsembleSpec(kind="normal", dim=np.int64(2), seed=np.int64(3))
+    assert type(spec.dim) is int and type(spec.seed) is int
+    assert spec == EnsembleSpec(kind="normal", dim=2, seed=3)
+    np.testing.assert_array_equal(sample_matrix(spec), sample_matrix(EnsembleSpec(kind="normal", dim=2, seed=3)))
+
+
 def test_spec_json_embeds_parameters():
     spec = EnsembleSpec(kind="hyperbolic", dim=3, seed=42, gap=0.2, cond_cap=1e4)
     obj = spec.to_json()

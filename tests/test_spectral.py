@@ -271,6 +271,14 @@ def test_definitional_budget_exhausted_flag():
     assert verdict.margin == 0.0
 
 
+def test_definitional_reads_n_max_as_an_integer():
+    T = np.diag([2.0, 0.5])
+    for n_max in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer, got {n_max!r}$"):
+            quasi_hyperbolic_definitional(T, n_max=n_max)
+    assert quasi_hyperbolic_definitional(T, n_max=np.int64(2)) == quasi_hyperbolic_definitional(T, n_max=2)
+
+
 def test_definitional_agrees_with_spectral_on_gapped_samples():
     for seed in range(8):
         spec = EnsembleSpec(kind="hyperbolic", dim=3, seed=seed, gap=0.3, cond_cap=1e4)

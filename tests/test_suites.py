@@ -16,6 +16,7 @@ from aluthgelab import (
     EnsembleSpec,
     ExperimentReport,
     NotInvertibleError,
+    aluthge_iterates,
     aluthge_transform,
     eigenvalues,
     generate_pseudo_orbit,
@@ -138,7 +139,18 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_all_worker_reports_equal_serial_reports(monkeypatch):
+def _claimed_only_by(process, monkeypatch):
+    """Let only ``process`` ("worker" or "parent") claim units in run_all;
+    the other returns at once, having claimed none."""
+    parent, real = os.getpid(), suites._run_units
+
+    def claims(units, claim):
+        return real(units, claim) if (os.getpid() == parent) == (process == "parent") else {}
+
+    monkeypatch.setattr(suites, "_run_units", claims)
+
+
+def _assert_forked_reports_equal_serial_reports(monkeypatch):
     contexts = []
     real = multiprocessing.get_context
 
@@ -151,23 +163,87 @@ def test_run_all_worker_reports_equal_serial_reports(monkeypatch):
     forked = run_all(trials=7, base_seed=4)
     assert contexts == ["fork"]
     _assert_no_child_left()
+    monkeypatch.undo()
     monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
     monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
     serial = run_all(trials=7, base_seed=4)
     assert [report.suite for report in forked] == list(SUITE_NAMES)
     assert _bodies(forked) == _bodies(serial)
+    assert _bodies(serial) == _bodies([run_suite(name, trials=7, base_seed=4) for name in SUITE_NAMES])
+
+
+def test_run_all_worker_reports_equal_serial_reports(monkeypatch):
+    _assert_forked_reports_equal_serial_reports(monkeypatch)
+
+
+@pytest.mark.parametrize("process", ["worker", "parent"])
+def test_reports_do_not_depend_on_which_process_claims_the_units(process, monkeypatch):
+    _claimed_only_by(process, monkeypatch)
+    _assert_forked_reports_equal_serial_reports(monkeypatch)
+
+
+def test_report_wall_time_is_the_sum_of_its_unit_times(monkeypatch):
+    times = iter(range(100))
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: float(next(times)))
+    report = run_suite("fixedpoint", trials=5, base_seed=1)
+    assert report.wall_time == 5.0  # five dims, one clock tick each
+
+
+def test_units_run_heaviest_first():
+    units = suites._units(SUITE_NAMES, trials=100, base_seed=1)
+    order = [(unit.suite, unit.group[0].dim) for unit in units]
+    assert order[:5] == [("iterates", dim) for dim in (6, 5, 4, 3, 2)]
+    assert [dim for _, dim in order[5:]] == sorted((dim for _, dim in order[5:]), reverse=True)
+    # one unit per dim group of every suite
+    assert sorted(order) == sorted((name, group[0].dim) for name in SUITE_NAMES for group in _groups(name, 100, 1)[2])
+
+
+def _assert_reraised(process, monkeypatch):
+    """An error in a unit that only ``process`` claims reaches the caller
+    of run_all with its type and message, and no child is left."""
+
+    def broken(*args):
+        raise ZeroDivisionError(f"broken in the {process}")
+
+    _claimed_only_by(process, monkeypatch)
+    monkeypatch.setattr(suites, "_iterate", broken)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    with pytest.raises(ZeroDivisionError, match=f"^broken in the {process}$"):
+        run_all(trials=3, base_seed=1)
+    _assert_no_child_left()
 
 
 def test_run_all_reraises_the_worker_error(monkeypatch):
-    def broken(*args):
-        raise ZeroDivisionError("broken in the worker")
+    _assert_reraised("worker", monkeypatch)
 
-    # only the iterates suite, which runs in the worker, calls it
-    monkeypatch.setattr(suites, "aluthge_iterates", broken)
-    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
-    with pytest.raises(ZeroDivisionError, match="^broken in the worker$"):
-        run_all(trials=3, base_seed=1)
-    _assert_no_child_left()
+
+def test_run_all_reraises_an_error_raised_here(monkeypatch):
+    _assert_reraised("parent", monkeypatch)
+
+
+def _claim_all(tokens, count, sender):
+    claimed = []
+    while (index := suites._claim(tokens, count)) < count:
+        claimed.append(index)
+    sender.send(claimed)
+    sender.close()
+
+
+def test_unit_claims_hand_out_each_index_once_across_processes():
+    # more readers than CPUs race for the same pipe; a unit lost or
+    # claimed twice shows as a missing or repeated index
+    count, context = 250, multiprocessing.get_context("fork")
+    with suites._token_pipe(count) as tokens:
+        pipes = [context.Pipe(duplex=False) for _ in range(4)]
+        workers = [context.Process(target=_claim_all, args=(tokens, count, sender)) for _, sender in pipes]
+        for worker, (_, sender) in zip(workers, pipes):
+            worker.start()
+            sender.close()
+        claimed = [index for receiver, _ in pipes for index in receiver.recv()]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive() and worker.exitcode == 0
+    assert sorted(claimed) == list(range(count))
 
 
 def test_run_all_joins_the_worker_when_a_suite_here_raises(monkeypatch):
@@ -179,6 +255,36 @@ def test_run_all_joins_the_worker_when_a_suite_here_raises(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="^broken in the parent$"):
         run_all(trials=3, base_seed=1)
     _assert_no_child_left()
+
+
+def test_run_all_reports_an_ended_worker(monkeypatch):
+    def ends(sender, units, claim):
+        os._exit(3)
+
+    monkeypatch.setattr(suites, "_send_units", ends)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exit code 3"):
+        run_all(trials=2, base_seed=1)
+    _assert_no_child_left()
+
+
+def test_multiprocessing_is_imported_only_by_run_all():
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+
+    def imported(code):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    setup = "from aluthgelab import cli, suites\nsuites._cpu_count = lambda: 2\n"
+    assert "multiprocessing" not in imported(setup + "suites.run_suite('spectral', 2, 1)")
+    assert "multiprocessing" in imported(setup + "suites.run_all(2, 1)")
 
 
 def test_run_all_writes_buffered_stdout_once():
@@ -214,7 +320,7 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise NotInvertibleError("refused")
 
-    for entry in ("_svd", "aluthge_transform", "aluthge_iterates", "hyperbolic_splitting"):
+    for entry in ("_svd", "aluthge_transform", "_iterate", "hyperbolic_splitting"):
         monkeypatch.setattr(suites, entry, refuse)
     trials, base_seed = 7, 3
     report = run_suite(name, trials=trials, base_seed=base_seed)
@@ -312,45 +418,64 @@ def test_spectral_and_fixedpoint_factor_one_stack_per_dim(name, trials, dims, mo
         monkeypatch.setattr(suites, entry, recorded)
     report = run_suite(name, trials=trials, base_seed=1)
     assert report.all_passed, report.failures
-    assert calls["_svd"] == [(2, n, n) for n in dims]
+    # the units run largest dim first
+    assert calls["_svd"] == [(2, n, n) for n in reversed(dims)]
     # spectral: the eigenvalues of T and of D_lam(T) in one call per dim
-    assert calls["_eigenvalues"] == ([(4, n, n) for n in dims] if name == "spectral" else [])
+    assert calls["_eigenvalues"] == ([(4, n, n) for n in reversed(dims)] if name == "spectral" else [])
 
 
 def test_iterates_suite_runs_one_stack_per_dim(monkeypatch):
     calls = []
-    real = suites.aluthge_iterates
+    real = suites._iterate
 
     def recorded(T, *args):
         calls.append(np.shape(T))
         return real(T, *args)
 
-    monkeypatch.setattr(suites, "aluthge_iterates", recorded)
+    monkeypatch.setattr(suites, "_iterate", recorded)
     run_suite("iterates", trials=10, base_seed=1)
-    assert calls == [(2, n, n) for n in range(2, 7)]
+    assert calls == [(2, n, n) for n in range(6, 1, -1)]
+
+
+def test_iterates_suite_reads_what_aluthge_iterates_reports(monkeypatch):
+    calls = _record(monkeypatch, "_iterate")
+    report = run_suite("iterates", trials=15, base_seed=33)
+    assert report.trials == 15 and len(calls) == 5
+    for (stack, lam, n_max), (norms, defects, radii, iterates) in calls:
+        assert iterates is None  # the suite keeps no iterate
+        traces = aluthge_iterates(stack, lam, n_max)
+        assert [trace.operator_norms.tolist() for trace in traces] == [norm.tolist() for norm in norms]
+        assert [trace.normality_defects.tolist() for trace in traces] == [defect.tolist() for defect in defects]
+        assert [trace.spectral_radius for trace in traces] == radii
 
 
 def test_iterates_stack_error_retries_each_trial_alone(monkeypatch):
     # trial 5 (seed 6, dim 2) is refused, alone or inside a stack; trial 0
     # shares its stack and passes when run alone
     refused = sample_matrix(EnsembleSpec(kind="invertible", dim=2, seed=6, cond_cap=1e4))
-    real = suites.aluthge_iterates
+    real = suites._iterate
 
     def flaky(T, *args):
-        members = T if np.ndim(T) == 3 else [T]
-        if any(np.array_equal(M, refused) for M in members):
+        if any(np.array_equal(M, refused) for M in T):
             raise NotInvertibleError("refused")
         return real(T, *args)
 
-    monkeypatch.setattr(suites, "aluthge_iterates", flaky)
-    report = run_suite("iterates", trials=8, base_seed=1)
-    assert report.failures == [
+    monkeypatch.setattr(suites, "_iterate", flaky)
+    expected = [
         {
             "seed": 6,
             "diagnostic": "invertible dim 2: error: refused; "
             "non-converged trial (population rate 0.88 below 0.95)",
         }
     ]
+    assert run_suite("iterates", trials=8, base_seed=1).failures == expected
+    # and in run_all, whichever process claims the group
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    for process in ("worker", "parent"):
+        with monkeypatch.context() as patch:
+            _claimed_only_by(process, patch)
+            assert run_all(trials=8, base_seed=1)[SUITE_NAMES.index("iterates")].failures == expected
+        _assert_no_child_left()
 
 
 @pytest.mark.parametrize("name, per_dim", [("shadowing", 1), ("transfer", 2)])
@@ -366,7 +491,7 @@ def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
     report = run_suite(name, trials=21, base_seed=1)
     assert report.all_passed, report.failures
     # transfer groups by dim alone: each stack mixes the lambdas
-    assert calls == [(3, n, n) for n in range(2, 9) for _ in range(per_dim)]
+    assert calls == [(3, n, n) for n in range(8, 1, -1) for _ in range(per_dim)]
 
 
 def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
@@ -381,7 +506,7 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
     report = run_suite("quasihyp", trials=21, base_seed=1)
     assert report.all_passed, report.failures
     # each stack mixes hyperbolic and unitary trials of its dim
-    assert calls == [(3, n, n) for n in range(2, 9)]
+    assert calls == [(3, n, n) for n in range(8, 1, -1)]
 
 
 # at base seed 1, the trial of the spec's seed is refused, alone or inside
@@ -434,7 +559,7 @@ def test_suite_orbits_equal_generate_pseudo_orbit(name, monkeypatch):
         runs = [(delta, 0) for delta in tolerances["deltas"]]
     else:  # forward, orbits of D_lam(T) from the trial seed; reverse, of T from the next
         runs = [(tolerances["delta"], 0), (tolerances["delta"], 1)]
-    expected = [(dim, delta, offset) for dim in range(2, 9) for delta, offset in runs]
+    expected = [(dim, delta, offset) for dim in range(8, 1, -1) for delta, offset in runs]
     assert len(calls) == len(expected)
     for (target, x, bound), (dim, delta, offset) in zip(calls, expected):
         seeds = [base_seed + dim - 2 + offset, base_seed + dim - 2 + 7 + offset]

@@ -19,6 +19,7 @@ from aluthgelab import (
     scale_homogeneity_check,
     write_trace_csv,
 )
+from aluthgelab import aluthge, linalg_core, suites
 
 T_MONOMIAL = np.array([[0.0, 4.0], [1.0, 0.0]])
 LAMBDAS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -222,6 +223,11 @@ def test_iterates_overflowing_defect_is_a_typed_error():
         aluthge_iterates(np.stack([T_MONOMIAL, T]), 0.5, 10)
     # a normal operator at that scale has a representable defect
     assert len(aluthge_iterates(1e160 * np.diag([1.0, 2.0j]), 0.5, 10)) == 2
+    # ||T|| = 2e308 overflows, its defect 0 does not: the iterates, which
+    # report ||T||, refuse it, and normality_defect reads the defect alone
+    with pytest.raises(NonFiniteEntryError):
+        aluthge_iterates(1e308 * np.ones((2, 2)), 0.5, 10)
+    assert normality_defect(1e308 * np.ones((2, 2))) == 0.0
 
 
 def _mixed_stack(n):
@@ -297,6 +303,85 @@ def test_iterate_stack_is_validated_at_its_boundary(monkeypatch):
 def test_iterates_rejects_bad_budget():
     with pytest.raises(ValueError):
         aluthge_iterates(T_MONOMIAL, 0.5, 0)
+    for n_max in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer, got {n_max!r}$"):
+            aluthge_iterates(T_MONOMIAL, 0.5, n_max)
+    trace = aluthge_iterates(T_MONOMIAL, 0.5, np.int64(50))
+    assert len(trace) == len(aluthge_iterates(T_MONOMIAL, 0.5, 50))
+
+
+def _old_iterate_loop(stack, lam, n_max):
+    """The iterate loop as it was before the norms came off the SVDs:
+    ``(iterates, defects)`` per member, norm and defect of every iterate
+    from two ``eigvalsh`` of its scaled S*S and S*S - SS*."""
+
+    def norm_and_defect(S):
+        peak = np.abs(S).max(axis=(-2, -1), initial=0.0)
+        exponent = np.maximum(np.frexp(peak)[1], -1000)
+        A = S * np.ldexp(1.0, -exponent)[..., None, None]
+        Ah = A.conj().swapaxes(-1, -2)
+        gram = Ah @ A
+        largest = lambda H: np.abs(np.linalg.eigvalsh(H)).max(axis=-1, initial=0.0)  # noqa: E731
+        return np.sqrt(largest(gram)), largest(gram - A @ Ah), exponent
+
+    norm, defect, start = norm_and_defect(stack)
+    threshold = aluthge.EARLY_STOP_FACTOR * norm**2
+    iterates = [[M] for M in stack]
+    defects = [[np.ldexp(d, 2 * e)] for d, e in zip(defect, start)]
+    live = np.arange(len(stack))
+    at_floor = (defect < threshold) | (norm == 0)
+    S = stack
+    for _ in range(n_max):
+        S = aluthge._transform(linalg_core._svd(S), lam)
+        norm, defect, exponent = norm_and_defect(S)
+        for i, M, d, e in zip(live, S, defect, exponent):
+            iterates[i].append(M)
+            defects[i].append(np.ldexp(d, 2 * e))
+        going = ~at_floor
+        if not going.any():
+            break
+        at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
+        if not going.all():
+            live, S, at_floor = live[going], S[going], at_floor[going]
+            start, threshold = start[going], threshold[going]
+    return iterates, defects
+
+
+def _suite_stacks(seed):
+    """The iterates suite's stacks at 100 trials from ``seed``, one per dim."""
+    return [
+        np.stack([suites._sample(trial, unit.spec) for trial in unit.group])
+        for unit in suites._units(["iterates"], 100, seed)
+    ]
+
+
+ITERATE_CASES = [
+    *(pytest.param(stack, 500, id=f"seed{seed}-dim{len(stack[0])}") for seed in (1, 33) for stack in _suite_stacks(seed)),
+    pytest.param(np.stack([random_matrix(900 + i, 64) for i in range(2)]), 6, id="n64"),
+]
+
+
+@pytest.mark.parametrize("stack, n_max", ITERATE_CASES)
+def test_iterate_core_keeps_the_old_loop_and_reads_norms_off_the_svd(stack, n_max):
+    old_iterates, old_defects = _old_iterate_loop(stack, 0.5, n_max)
+    traces = aluthge_iterates(stack, 0.5, n_max)
+    for trace, iterates, defects in zip(traces, old_iterates, old_defects):
+        assert len(trace) == len(iterates) == len(trace.operator_norms) == len(trace.normality_defects)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, iterates))
+        assert trace.normality_defects.tolist() == defects
+        # each norm is the top singular value of an SVD of its iterate
+        exact = np.linalg.norm(np.stack(trace.iterates), 2, axis=(-2, -1))
+        assert np.abs(trace.operator_norms - exact).max() <= 1e-14 * exact.max()
+
+
+def test_iterate_core_without_iterates_equals_the_traces():
+    stack = _mixed_stack(5)
+    norms, defects, radii, iterates = aluthge._iterate(stack, 0.5, 40)
+    assert iterates is None
+    for trace, norm, defect, radius in zip(aluthge_iterates(stack, 0.5, 40), norms, defects, radii):
+        assert np.array_equal(trace.operator_norms, norm)
+        assert np.array_equal(trace.normality_defects, defect)
+        assert trace.spectral_radius == radius
 
 
 def test_trace_csv_format(tmp_path):
