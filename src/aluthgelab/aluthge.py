@@ -51,10 +51,10 @@ from .linalg_core import (
     _as_stack,
     _eigenvalues,
     _integer,
+    _norms,
     _singular_values,
     _svd,
     as_matrix,
-    operator_norm,
     rank_tolerance,
     svd,
 )
@@ -196,7 +196,7 @@ def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
     alpha = complex(alpha)
     scaled = aluthge_transform(alpha * T, lam)
     reference = alpha * aluthge_transform(T, lam)
-    return operator_norm(scaled - reference)
+    return float(_norms(scaled - reference))
 
 
 @dataclass(frozen=True)

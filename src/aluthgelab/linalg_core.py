@@ -7,6 +7,16 @@ Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 stack, and integer arguments are read here too.  Factorizations delegate
 to LAPACK through numpy, wrapped so that failures surface as typed errors.
 
+The full SVD and the eigenvalues of one matrix are memoized, so the
+transforms, the conjugator, the first iterate and the spectrum of one
+operator share one factorization of each kind.  The memo holds one entry
+per kind, the last matrix factored, keyed by that matrix's exact bytes
+and shape: equal bits hit, anything else (-0.0 against 0.0 too) factors
+anew and replaces the entry.  A stack of one is served from the same
+entry with a leading axis; larger stacks bypass the memo.  The stored
+arrays are read-only, so a caller cannot change a later result, and a
+factorization that raises stores nothing.
+
 The JSON wire format for matrices is::
 
     {"rows": n, "cols": n, "data": [[re, im], ...]}
@@ -97,12 +107,19 @@ def _integer(value, name: str) -> int:
 
 
 def operator_norm(T) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(T, dtype=complex), 2))
+    """Spectral norm (largest singular value).
+
+    Raises
+    ------
+    NonFiniteEntryError, SizeMismatchError
+        Propagated from input validation.
+    """
+    return float(_norms(as_matrix(T)))
 
 
 def _norms(T: np.ndarray) -> np.ndarray:
-    """Spectral norm ||T|| of each member of a stack, from one batched SVD."""
+    """Spectral norm ||T|| of a validated matrix, or of each member of a
+    stack from one batched SVD."""
     return np.linalg.norm(T, 2, axis=(-2, -1))
 
 
@@ -121,6 +138,8 @@ def svd(T) -> SvdParts:
     """Singular value decomposition of a square complex matrix.
 
     Reconstruction error is bounded by ``KAPPA_SVD * n * eps * ||T||``.
+    The arrays are read-only: they are shared with later calls on the
+    same matrix (see the module docstring).
 
     Raises
     ------
@@ -132,13 +151,42 @@ def svd(T) -> SvdParts:
     return _svd(as_matrix(T))
 
 
+#: The last result of each memoized factorization: ``factor -> (key,
+#: arrays)``, with ``key`` the shape and bytes of the one matrix factored.
+_LAST: dict = {}
+
+
+def _factored(factor, T: np.ndarray) -> tuple:
+    """``factor(T)``, a tuple of arrays, for a validated matrix or stack,
+    served from the memo described in the module docstring."""
+    if T.ndim == 3:
+        if len(T) != 1:
+            return factor(T)
+        return tuple(a[None] for a in _factored(factor, T[0]))
+    key = (T.shape, T.tobytes())
+    entry = _LAST.get(factor)
+    if entry is None or entry[0] != key:
+        arrays = factor(T)
+        for a in arrays:
+            a.flags.writeable = False
+        # one tuple, stored at once, so a reader never pairs a key with
+        # another matrix's arrays
+        entry = _LAST[factor] = (key, arrays)
+    return entry[1]
+
+
 def _svd(T: np.ndarray) -> SvdParts:
     """:func:`svd` of a validated matrix, or of a stack of them."""
+    return SvdParts(*_factored(_full_svd, T))
+
+
+def _full_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(left, singular_values, right)`` from one LAPACK SVD."""
     try:
         W, s, Vh = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdParts(left=W, singular_values=s, right=Vh.conj().swapaxes(-1, -2))
+    return W, s, Vh.conj().swapaxes(-1, -2)
 
 
 def _singular_values(T: np.ndarray) -> np.ndarray:
@@ -155,15 +203,21 @@ def eigenvalues(T) -> np.ndarray:
 
     Order follows the underlying solver and is deterministic for a fixed
     input but otherwise unspecified; use spectral.multiset_match to compare
-    spectra.
+    spectra.  The vector is read-only: it is shared with later calls on the
+    same matrix (see the module docstring).
     """
     return _eigenvalues(as_matrix(T))
 
 
 def _eigenvalues(T: np.ndarray) -> np.ndarray:
     """:func:`eigenvalues` of a validated matrix, or of a stack of them."""
+    return _factored(_eigvals, T)[0]
+
+
+def _eigvals(T: np.ndarray) -> tuple[np.ndarray]:
+    """``(eigenvalues,)`` from one LAPACK eigenvalue solve."""
     try:
-        return np.linalg.eigvals(T)
+        return (np.linalg.eigvals(T),)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 

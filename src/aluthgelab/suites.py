@@ -84,7 +84,9 @@ iterates
 shadowing
     Ball-mode pseudo-orbits of hyperbolic samples are shadowed within
     C * delta, the shadow is a true orbit, and epsilon responds linearly
-    to delta.
+    to delta.  The deltas 1e-2 and 5e-3 differ by an exact halving, which
+    the shadow construction commutes with, so the linear-response ratio
+    is exactly 2: that check guards only exact homogeneity.
 transfer
     Shadowing transfers across the conjugacy in both directions within
     the Lipschitz-inflated bound.

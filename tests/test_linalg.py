@@ -18,6 +18,7 @@ from aluthgelab import (
     save_matrix,
     svd,
 )
+from aluthgelab import linalg_core
 from aluthgelab.linalg_core import KAPPA_SVD
 
 EPS = np.finfo(float).eps
@@ -69,6 +70,20 @@ def test_rejects_nonsquare():
         svd(np.ones((2, 3)))
     with pytest.raises(SizeMismatchError):
         eigenvalues(np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ([[np.nan, 0], [0, 1]], NonFiniteEntryError),
+        ([[np.inf, 0], [0, 1]], NonFiniteEntryError),
+        (np.ones((2, 3)), SizeMismatchError),
+        (np.ones(3), SizeMismatchError),
+    ],
+)
+def test_operator_norm_rejects_invalid_input(bad, error):
+    with pytest.raises(error):
+        operator_norm(bad)
 
 
 def test_eigenvalues_oracles():
@@ -131,3 +146,129 @@ def test_matrix_from_json_rejects_malformed():
     for bad in ([["a", 0]], [[None, 0]]):
         with pytest.raises(SizeMismatchError):
             matrix_from_json({"rows": 1, "cols": 1, "data": bad})
+
+
+# -- the factorization memo --------------------------------------------
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty factorization memo for one test."""
+    monkeypatch.setattr(linalg_core, "_LAST", {})
+    return linalg_core._LAST
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of np.linalg.svd and np.linalg.eigvals, by name, from here on."""
+    counts = {"svd": 0, "eigvals": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def direct_svd(T):
+    """(left, singular values, right) straight from np.linalg.svd."""
+    W, s, Vh = np.linalg.svd(T)
+    return W, s, Vh.conj().swapaxes(-1, -2)
+
+
+def fields(parts):
+    return parts.left, parts.singular_values, parts.right
+
+
+def assert_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 64])
+@pytest.mark.parametrize("stack_first", [False, True])
+def test_memo_results_equal_direct_factorizations(n, stack_first, memo, calls):
+    T = random_matrix(n + 20, n)
+    want = {2: (direct_svd(T), np.linalg.eigvals(T)), 3: (direct_svd(T[None]), np.linalg.eigvals(T[None]))}
+    shapes = [T[None], T] if stack_first else [T, T[None]]
+    calls.update(svd=0, eigvals=0)
+    for A in shapes + shapes:  # a miss, then hits served in both shapes
+        want_svd, want_ev = want[A.ndim]
+        assert_identical(fields(linalg_core._svd(A)), want_svd)
+        assert_identical([linalg_core._eigenvalues(A)], [want_ev])
+        if A.ndim == 2:
+            assert_identical(fields(svd(A)), want_svd)
+            assert_identical([eigenvalues(A)], [want_ev])
+    assert calls == {"svd": 1, "eigvals": 1}
+
+
+def test_memo_arrays_cannot_be_changed_by_a_caller(memo):
+    T = random_matrix(30, 4)
+    want_svd, want_ev = direct_svd(T), np.linalg.eigvals(T)
+    returned = [*fields(svd(T)), eigenvalues(T), *fields(linalg_core._svd(T[None])), linalg_core._eigenvalues(T[None])]
+    for array in returned:
+        with pytest.raises(ValueError):
+            array[...] = 7.0
+    assert_identical(fields(svd(T)), want_svd)
+    assert_identical([eigenvalues(T)], [want_ev])
+
+
+def test_memo_keys_signed_zeros_apart(memo):
+    positive, negative = np.array([[0.0]], dtype=complex), np.array([[-0.0]], dtype=complex)
+    # the left singular vector of [[-0.0]] is -1, of [[0.0]] it is 1
+    assert (direct_svd(negative)[0] == -direct_svd(positive)[0]).all()
+    for first, second in ((positive, negative), (negative, positive)):
+        svd(first), eigenvalues(first)
+        assert_identical(fields(svd(second)), direct_svd(second))
+        assert eigenvalues(second).tobytes() == np.linalg.eigvals(second).tobytes()
+
+
+def test_memo_stores_nothing_when_a_factorization_raises(memo, monkeypatch):
+    T = random_matrix(31, 3)
+    want_svd, want_ev = direct_svd(T), np.linalg.eigvals(T)
+    attempts = {"svd": 0, "eigvals": 0}
+    for name in attempts:
+        real = getattr(np.linalg, name)
+
+        def fails_once(*args, _name=name, _real=real, **kwargs):
+            attempts[_name] += 1
+            if attempts[_name] == 1:
+                raise np.linalg.LinAlgError("did not converge")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, fails_once)
+    with pytest.raises(NoConvergenceError):
+        svd(T)
+    with pytest.raises(NoConvergenceError):
+        eigenvalues(T)
+    assert memo == {}
+    assert_identical(fields(svd(T)), want_svd)
+    assert_identical([eigenvalues(T)], [want_ev])
+    assert attempts == {"svd": 2, "eigvals": 2}
+
+
+def test_memo_is_bypassed_by_stacks_of_more_than_one(memo, calls):
+    T = random_matrix(32, 4)
+    stack = np.stack([T, random_matrix(33, 4)])
+    want_svd, want_ev = direct_svd(stack), np.linalg.eigvals(stack)
+    svd(T), eigenvalues(T)
+    entries = dict(memo)
+    calls.update(svd=0, eigvals=0)
+    for _ in range(2):
+        assert_identical(fields(linalg_core._svd(stack)), want_svd)
+        assert_identical([linalg_core._eigenvalues(stack)], [want_ev])
+    assert memo == entries  # the same entries, object for object
+    svd(T), eigenvalues(T)  # still served from the memo
+    assert calls == {"svd": 2, "eigvals": 2}
+
+
+def test_memo_keeps_one_entry_per_kind(memo, calls):
+    A, B = random_matrix(34, 4), random_matrix(35, 4)
+    for M in (A, A, B, A):
+        svd(M), eigenvalues(M)
+    assert len(memo) == 2
+    # A, then B replaces it, then A again: three of each, not two
+    assert calls == {"svd": 3, "eigvals": 3}

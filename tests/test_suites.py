@@ -574,3 +574,30 @@ def test_verify_all_matches_golden_report(capsys):
     argv = ["verify", "--suite", "all", "--trials", "12", "--seed", "1", "--stable-output"]
     assert main(argv) == 1  # the iterates gate trips on this short stream
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("base_seed", [1, 2, 7])
+def test_shadowing_linear_response_is_exact_halving(base_seed, monkeypatch):
+    # 0.005 is 0.01 / 2 in binary and the shadow commutes with exact
+    # halving, so the linear-response check only guards exact homogeneity:
+    # the ratio is 2.0 bit for bit in every trial
+    epsilons = []
+    real = suites._shadows
+
+    def recorded(T, splittings, x, bound, claim, norm, **through):
+        shadows = real(T, splittings, x, bound, claim, norm, **through)
+        epsilons.append([epsilon for epsilon, *_ in shadows])
+        return shadows
+
+    monkeypatch.setattr(suites, "_shadows", recorded)
+    report = run_suite("shadowing", trials=100, base_seed=base_seed)
+    deltas = report.tolerances["deltas"]
+    assert deltas[0] / 2 in deltas
+    groups = [epsilons[i : i + len(deltas)] for i in range(0, len(epsilons), len(deltas))]
+    ratios = [
+        full / half
+        for per_delta in groups
+        for full, half in zip(per_delta[0], per_delta[deltas.index(deltas[0] / 2)], strict=True)
+    ]
+    assert len(ratios) == report.trials
+    assert all(ratio == 2.0 for ratio in ratios), ratios
