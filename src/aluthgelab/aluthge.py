@@ -20,13 +20,14 @@ singular values at roundoff level are zero, not raised to a small power
 Iterating the transform drives a finite-dimensional operator toward a
 normal one while the operator norm decreases to the spectral radius; the
 iterate trace records both diagnostics per step.  An iterate's norm is
-the largest singular value of the SVD that the next transform takes (the
-last iterates' norms come from one values-only SVD), and its defect is
-the largest |eigenvalue| of the Hermitian S*S - SS*, so a step takes one
-SVD and one ``eigvalsh``.  :func:`aluthge_iterates` also takes a stack of
-k matrices of one size and iterates them in lockstep: each step is one
-batched SVD, transform and defect over the members still running, and
-each member stops early on its own.  The early stop compares the defect
+the largest singular value of the SVD that the next transform takes (a
+last iterate takes a values-only SVD in the step where it stops), and its
+defect is the largest |eigenvalue| of the Hermitian S*S - SS*, so a step
+takes one SVD and one ``eigvalsh``.  :func:`aluthge_iterates` also takes
+a stack of k matrices of one size and iterates them in lockstep: each
+step is one batched SVD, transform and defect over the members still
+running, each member stops early on its own, and each records into its
+own row of the trace arrays.  The early stop compares the defect
 and the starting norm (from the eigenvalues of T*T) scaled by powers of
 two, so it does not depend on the scale of T.  The verify suite runs the
 same core without keeping the iterates.  For invertible T the
@@ -219,28 +220,16 @@ class IterateTrace:
         return len(self.iterates)
 
 
-def _by_member(members: list[np.ndarray], values: np.ndarray, k: int) -> list[np.ndarray]:
-    """Split ``values``, recorded for the concatenated ``members``, into
-    one array per member i = 0..k-1, each in recording order."""
-    members = np.concatenate(members)
-    values = values[np.argsort(members, kind="stable")]
-    return np.split(values, np.cumsum(np.bincount(members, minlength=k))[:-1])
-
-
-def _step(S: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(||S||, D_lam(S))`` of each member of a stack, from one SVD."""
-    parts = _svd(S)
-    return parts.singular_values.max(axis=-1, initial=0.0), _transform(parts, lam)
-
-
 def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
     """Iterate a validated stack in lockstep; ``(norms, defects, radii,
     iterates)`` with one entry per member, in input order, and
     ``iterates`` None unless ``keep``.
 
-    Iterate j's norm is the largest singular value of the SVD that forms
-    iterate j + 1; the last iterates' norms come from one values-only SVD
-    at the end.  Each step takes one ``eigvalsh``, for the defect.
+    Each member records into its own row: iterate j's norm is the largest
+    singular value of the SVD that forms iterate j + 1, and a member's
+    last iterate takes a values-only SVD in the step where it stops.  Each
+    step takes one ``eigvalsh``, for the defect.  The rows double when
+    full, so memory follows the steps taken, not ``n_max``.
     """
     k = len(stack)
     norm, defect, start = _norm_and_defect(stack)
@@ -250,37 +239,40 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
     _unscaled(norm, start)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
     live = np.arange(k)  # members still iterating
-    # per step: the members live, the norms of their iterates and the
-    # scaled defects and exponents of the iterates the step forms
-    steps, norms, defects, exponents = [], [], [defect], [2 * start]
-    last = []  # (members, their last iterates)
+    # per member and iterate: its norm, and its scaled defect and exponent
+    norms, defects, exponents = np.zeros((k, 16)), np.zeros((k, 16)), np.zeros((k, 16), dtype=int)
+    defects[:, 0], exponents[:, 0] = defect, 2 * start
+    length = np.zeros(k, dtype=int)  # each member's trace length, set when it stops
     iterates = [[M] for M in stack] if keep else None
     S = stack
-    for _ in range(n_max):
-        norm, S = _step(S, lam)
+    for j in range(1, n_max + 1):
+        if j == norms.shape[1]:  # the rows are full: double them
+            norms, defects, exponents = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects, exponents))
+        parts = _svd(S)
+        norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
+        S = _transform(parts, lam)
         defect, exponent = _defect(S)
-        steps.append(live)
-        norms.append(norm)
-        defects.append(defect)
-        exponents.append(2 * exponent)
+        defects[live, j], exponents[live, j] = defect, 2 * exponent
         if keep:
             for i, M in zip(live.tolist(), S):
                 iterates[i].append(M)
-        going = ~at_floor  # a member at the floor stops: this iterate confirms it
+        # a member at the floor stops, this iterate confirming it, and at
+        # the budget every member stops
+        going = ~at_floor & (j < n_max)
         at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
         if not going.all():
-            last.append((live[~going], S[~going]))
+            stop = live[~going]
+            norms[stop, j] = _singular_values(S[~going]).max(axis=-1, initial=0.0)
+            length[stop] = j + 1
             live, S, at_floor = live[going], S[going], at_floor[going]
             start, threshold = start[going], threshold[going]
         if not live.size:
             break
-    else:
-        last.append((live, S))
-    norms.append(_singular_values(np.concatenate([S for _, S in last])).max(axis=-1, initial=0.0))
+    defects = _unscaled(defects, exponents)
     radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     return (
-        _by_member(steps + [members for members, _ in last], np.concatenate(norms), k),
-        _by_member([np.arange(k), *steps], _unscaled(np.concatenate(defects), np.concatenate(exponents)), k),
+        [row[:m] for row, m in zip(norms, length.tolist())],
+        [row[:m] for row, m in zip(defects, length.tolist())],
         radii.tolist(),
         iterates,
     )

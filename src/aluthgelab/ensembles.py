@@ -10,11 +10,12 @@ reports is :data:`RNG_IDENTIFIER`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg_core import _integer, rank_tolerance
+from .linalg_core import _integer, _singular_values, rank_tolerance
 
 __all__ = ["EnsembleSpec", "sample_matrix", "trial_seed", "RNG_IDENTIFIER", "ENSEMBLE_KINDS"]
 
@@ -57,11 +58,12 @@ class EnsembleSpec:
         # Python ints, so that a spec serializes and compares by value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "seed", seed)
-        if self.cond_cap <= 1.0:
-            raise InvalidSpecError(f"cond_cap must exceed 1, got {self.cond_cap}")
+        # inf is no cap; nan fails the comparison
+        if not isinstance(self.cond_cap, Real) or not self.cond_cap > 1.0:
+            raise InvalidSpecError(f"cond_cap must be a real number above 1, got {self.cond_cap!r}")
         if self.kind == "hyperbolic":
-            if self.gap is None or not self.gap > 0.0:
-                raise InvalidSpecError("hyperbolic ensembles require gap > 0")
+            if not isinstance(self.gap, Real) or not 0.0 < self.gap < np.inf:
+                raise InvalidSpecError(f"hyperbolic ensembles require a finite real gap > 0, got {self.gap!r}")
         elif self.gap is not None:
             raise InvalidSpecError(f"gap is only meaningful for hyperbolic, not {self.kind}")
         if self.kind == "shift":
@@ -105,7 +107,7 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _conditioned_gaussian(rng: np.random.Generator, dim: int, cond_cap: float) -> np.ndarray:
     for _ in range(_MAX_RESAMPLES):
         S = _complex_gaussian(rng, dim)
-        sing = np.linalg.svd(S, compute_uv=False)
+        sing = _singular_values(S)
         if sing[0] / sing[-1] <= cond_cap:
             return S
     raise InvalidSpecError(f"could not draw a matrix with condition <= {cond_cap:g}")
@@ -140,7 +142,7 @@ def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
     # invertible: resample until clear of singularity and well conditioned
     for _ in range(_MAX_RESAMPLES):
         T = _complex_gaussian(rng, d)
-        sing = np.linalg.svd(T, compute_uv=False)
+        sing = _singular_values(T)
         if sing[-1] > rank_tolerance(sing, d) and sing[0] / sing[-1] <= spec.cond_cap:
             return T
     raise InvalidSpecError(f"could not draw an invertible matrix under cond_cap {spec.cond_cap:g}")

@@ -119,8 +119,8 @@ def operator_norm(T) -> float:
 
 def _norms(T: np.ndarray) -> np.ndarray:
     """Spectral norm ||T|| of a validated matrix, or of each member of a
-    stack from one batched SVD."""
-    return np.linalg.norm(T, 2, axis=(-2, -1))
+    stack from one batched values-only SVD."""
+    return _singular_values(T).max(axis=-1, initial=0.0)
 
 
 def rank_tolerance(singular_values: np.ndarray, dim: int) -> float | np.ndarray:

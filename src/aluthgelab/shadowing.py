@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aluthge import conjugacy
+from .aluthge import _scaled, conjugacy
 from .errors import (
     InvalidDeltaError,
     LengthMismatchError,
@@ -52,7 +52,7 @@ from .errors import (
     NotInvertibleError,
     UnstableOverflowError,
 )
-from .linalg_core import _as_stack, _complex_from_json, _complex_to_json, _eigenvalues, _integer, _norms, as_matrix, rank_tolerance
+from .linalg_core import _as_stack, _complex_to_json, _eigenvalues, _integer, _norms, _singular_values, as_matrix, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -147,7 +147,7 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     """
     stack, single = _as_stack(T)
     n = stack.shape[-1]
-    sing = np.linalg.svd(stack, compute_uv=False)
+    sing = _singular_values(stack)
     if n and (sing[:, -1] <= rank_tolerance(sing, n)).any():
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"
@@ -215,13 +215,12 @@ def _power_bounds(T, Ps, Pu, rho_s, rho_u) -> tuple[list, list]:
     its maximum (:func:`_largest_norms`); 0 for an empty side.
 
     The propagators are formed from T 2^-e, with 2^e the binade of its
-    largest entry (floored so that 2^-e stays finite), and rates scaled
-    alike.
+    largest entry (floored so that 2^-e stays finite; see
+    :func:`aluthgelab.aluthge._scaled`), and rates scaled alike.
     """
     has_s, has_u = rho_s > 0.0, rho_u < np.inf
-    peak = np.abs(T).max(axis=(-2, -1), initial=0.0)
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1000))
-    Ts = T * scale[:, None, None]
+    Ts, exponent = _scaled(T)
+    scale = np.ldexp(1.0, -exponent)
     propagators = np.concatenate([
         Ts[has_s] @ Ps[has_s] / (rho_s * scale)[has_s, None, None],
         (rho_u * scale)[has_u, None, None] * np.linalg.solve(Ts[has_u], Pu[has_u]),
@@ -262,7 +261,7 @@ def _largest_norms(powers: np.ndarray) -> np.ndarray:
         lower = np.linalg.norm(B @ v, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
         keep = ~(frobenius < (1.0 - 1e-8) * lower[:, None]) | ~np.isfinite(lower)[:, None]
     norms = np.zeros(keep.shape)
-    norms[keep] = np.linalg.svd(powers[keep], compute_uv=False)[:, 0]
+    norms[keep] = _singular_values(powers[keep])[:, 0]
     return norms.max(axis=-1)
 
 
@@ -300,14 +299,6 @@ class PseudoOrbit:
             "bound": self.bound,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PseudoOrbit":
-        return cls(
-            points=_complex_from_json(obj["points"], ndim=2),
-            delta=float(obj["delta"]),
-            bound=float(obj["bound"]),
-        )
-
 
 @dataclass(frozen=True)
 class ShadowResult:
@@ -333,15 +324,6 @@ class ShadowResult:
             "orbit_residual": self.orbit_residual,
             "constant_bound": self.constant_bound,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ShadowResult":
-        return cls(
-            shadow_points=_complex_from_json(obj["shadow_points"], ndim=2),
-            epsilon=float(obj["epsilon"]),
-            orbit_residual=float(obj["orbit_residual"]),
-            constant_bound=float(obj["constant_bound"]),
-        )
 
 
 def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:

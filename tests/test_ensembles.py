@@ -46,6 +46,25 @@ def test_spec_validation():
         EnsembleSpec(kind="normal", dim=4, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "invertible", "cond_cap": float("nan")},
+        {"kind": "invertible", "cond_cap": "big"},
+        {"kind": "hyperbolic", "gap": "x"},
+        {"kind": "hyperbolic", "gap": float("inf")},
+    ],
+)
+def test_spec_rejects_bad_cond_cap_and_gap(fields):
+    with pytest.raises(InvalidSpecError):
+        EnsembleSpec(dim=3, seed=0, **fields)
+
+
+def test_spec_infinite_cond_cap_is_no_cap():
+    spec = EnsembleSpec(kind="invertible", dim=3, seed=0, cond_cap=float("inf"))
+    assert sample_matrix(spec).shape == (3, 3)
+
+
 def test_spec_reads_integers_by_value():
     for name in ("dim", "seed"):
         for value in (2.5, "3"):

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from aluthgelab import (
+    EnsembleSpec,
     NoConvergenceError,
     NonFiniteEntryError,
     SizeMismatchError,
     eigenvalues,
+    hyperbolic_splitting,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     multiset_match,
     operator_norm,
+    sample_matrix,
     save_matrix,
     svd,
 )
@@ -111,6 +114,20 @@ def test_eigenvalues_failure_is_typed(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(NoConvergenceError):
         eigenvalues(np.diag([2.0, 0.5]))
+
+
+def test_values_only_svd_failure_is_typed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for call in (
+        lambda: operator_norm(np.diag([2.0, 0.5])),
+        lambda: hyperbolic_splitting(np.diag([2.0, 0.5])),
+        lambda: sample_matrix(EnsembleSpec(kind="invertible", dim=3, seed=0)),
+    ):
+        with pytest.raises(NoConvergenceError):
+            call()
 
 
 def test_matrix_json_round_trip():

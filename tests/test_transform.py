@@ -1,11 +1,13 @@
 """Aluthge transform, iterates, homogeneity, and the similarity conjugator."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aluthgelab import (
+    EnsembleSpec,
     NonFiniteEntryError,
     NotInvertibleError,
     SizeMismatchError,
@@ -16,6 +18,7 @@ from aluthgelab import (
     multiset_match,
     normality_defect,
     operator_norm,
+    sample_matrix,
     scale_homogeneity_check,
     write_trace_csv,
 )
@@ -382,6 +385,39 @@ def test_iterate_core_without_iterates_equals_the_traces():
         assert np.array_equal(trace.operator_norms, norm)
         assert np.array_equal(trace.normality_defects, defect)
         assert trace.spectral_radius == radius
+
+
+DATA = Path(__file__).parent / "data"
+DEFECTIVE = np.array([[0.5, 1, 0], [0, 0.5, 1], [0, 0, 3]])
+
+
+def _golden_traces():
+    """``(file name, trace)`` of each committed golden trace: the defective
+    3x3 run to its full budget, an invertible 6x6 that stops early, and
+    each member of a (5, 4, 4) stack, whose members stop at different steps."""
+    yield "trace_defective3_n200.csv", aluthge_iterates(DEFECTIVE, 0.5, 200)
+    yield "trace_invertible6_seed5.csv", aluthge_iterates(sample_matrix(EnsembleSpec("invertible", 6, 5)), 0.5, 500)
+    stack = np.stack([sample_matrix(EnsembleSpec("invertible", 4, seed)) for seed in range(40, 45)])
+    for seed, trace in zip(range(40, 45), aluthge_iterates(stack, 0.5, 500)):
+        yield f"trace_stack_invertible4_seed{seed}.csv", trace
+
+
+def test_iterate_traces_match_the_golden_files():
+    lengths = []
+    for name, trace in _golden_traces():
+        buf = io.StringIO(newline="")
+        write_trace_csv(trace, buf)
+        assert buf.getvalue().encode() == (DATA / name).read_bytes(), name
+        lengths.append(len(trace))
+    assert lengths[0] == 201  # the defective operator runs the whole budget
+    assert lengths[1] < 501 and len(set(lengths[2:])) == 5  # early stops
+
+
+def test_iterates_memory_follows_the_steps_taken():
+    # a budget far beyond memory: the normal input stops after one step
+    trace = aluthge_iterates(np.eye(2), 0.5, 10**12)
+    assert len(trace) == 2
+    assert trace.operator_norms.tolist() == [1.0, 1.0]
 
 
 def test_trace_csv_format(tmp_path):
