@@ -19,18 +19,14 @@ singular values at roundoff level are zero, not raised to a small power
 
 Iterating the transform drives a finite-dimensional operator toward a
 normal one while the operator norm decreases to the spectral radius; the
-iterate trace records both diagnostics per step.  An iterate's norm is
-the largest singular value of the SVD that the next transform takes (a
-last iterate takes a values-only SVD in the step where it stops), and its
-defect is the largest |eigenvalue| of the Hermitian S*S - SS*, so a step
-takes one SVD and one ``eigvalsh``.  :func:`aluthge_iterates` also takes
-a stack of k matrices of one size and iterates them in lockstep: each
-step is one batched SVD, transform and defect over the members still
-running, each member stops early on its own, and each records into its
-own row of the trace arrays.  The early stop compares the defect
-and the starting norm (from the eigenvalues of T*T) scaled by powers of
-two, so it does not depend on the scale of T.  The verify suite runs the
-same core without keeping the iterates.  For invertible T the
+iterate trace records both per step.  A step takes one SVD, whose largest
+singular value is the norm of the iterate it transforms, and one
+``eigvalsh``, for the defect: the largest |eigenvalue| of the Hermitian
+S*S - SS*.  :func:`aluthge_iterates` also iterates a stack of k matrices
+of one size in lockstep, each member stopping on its own; the stop
+compares the defect with the starting norm, both scaled by powers of two,
+so it does not depend on the scale of T.  The verify suite and the CLI
+run the same core without keeping the iterates.  For invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -52,6 +48,7 @@ from .linalg_core import (
     _as_stack,
     _eigenvalues,
     _integer,
+    _lapack,
     _norms,
     _singular_values,
     _svd,
@@ -101,21 +98,15 @@ def _transform(parts: SvdParts, lam: float) -> np.ndarray:
 
 
 def _modulus_power(parts: SvdParts, t: float) -> np.ndarray:
-    """|T|^t = V S^t V*; for a negative t, T must be invertible."""
+    """|T|^t = V S^t V* from the SVD of T, or of a stack; for t < 0, T must be invertible."""
     V = parts.right
-    return (V * parts.singular_values**t) @ V.conj().T
+    return (V * parts.singular_values[..., None, :] ** t) @ V.conj().swapaxes(-1, -2)
 
 
 def aluthge_transform(T, lam: float = 0.5) -> np.ndarray:
     """Lambda-Aluthge transform |T|^lam U |T|^(1-lam), from one SVD of T."""
     lam = check_lambda(lam)
     return _transform(svd(T), lam)
-
-
-def _hermitian_norm(A: np.ndarray) -> np.ndarray:
-    """Operator norm of a Hermitian matrix (or of each in a stack): its
-    largest |eigenvalue|."""
-    return np.abs(np.linalg.eigvalsh(A)).max(axis=-1, initial=0.0)
 
 
 def _scaled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,21 +124,11 @@ def _scaled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(defect, exponent)`` of S, or of each member of a stack, with
-    ||S*S - SS*|| = ``defect * 4**exponent``, from one ``eigvalsh`` of the
-    commutator of S scaled by :func:`_scaled`."""
+    ||S*S - SS*|| = ``defect * 4**exponent``: the largest |eigenvalue| of
+    the Hermitian commutator of S scaled by :func:`_scaled`."""
     A, exponent = _scaled(S)
     Ah = A.conj().swapaxes(-1, -2)
-    return _hermitian_norm(Ah @ A - A @ Ah), exponent
-
-
-def _norm_and_defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_defect` and ||S|| = sqrt(lambda_max(S*S)) = ``norm *
-    2**exponent`` as ``(norm, defect, exponent)``; the start of an
-    iteration sets its stop threshold from this norm."""
-    A, exponent = _scaled(S)
-    Ah = A.conj().swapaxes(-1, -2)
-    gram = Ah @ A
-    return np.sqrt(_hermitian_norm(gram)), _hermitian_norm(gram - A @ Ah), exponent
+    return np.abs(_lapack("eigvalsh", Ah @ A - A @ Ah)).max(axis=-1, initial=0.0), exponent
 
 
 def _unscaled(value: np.ndarray, exponent) -> np.ndarray:
@@ -228,11 +209,14 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
     Each member records into its own row: iterate j's norm is the largest
     singular value of the SVD that forms iterate j + 1, and a member's
     last iterate takes a values-only SVD in the step where it stops.  Each
-    step takes one ``eigvalsh``, for the defect.  The rows double when
-    full, so memory follows the steps taken, not ``n_max``.
+    step takes one ``eigvalsh``, for the defect, and the start norm is read
+    off the SVD that step 1 takes.  The rows double when full, so memory
+    follows the steps taken, not ``n_max``.
     """
     k = len(stack)
-    norm, defect, start = _norm_and_defect(stack)
+    parts = _svd(stack)
+    defect, start = _defect(stack)
+    norm = np.ldexp(parts.singular_values.max(axis=-1, initial=0.0), -start)
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
     # a norm of T beyond the float range is refused before any step; the
     # defects are unscaled, and checked, at the end
@@ -244,11 +228,9 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
     defects[:, 0], exponents[:, 0] = defect, 2 * start
     length = np.zeros(k, dtype=int)  # each member's trace length, set when it stops
     iterates = [[M] for M in stack] if keep else None
-    S = stack
     for j in range(1, n_max + 1):
         if j == norms.shape[1]:  # the rows are full: double them
             norms, defects, exponents = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects, exponents))
-        parts = _svd(S)
         norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
         S = _transform(parts, lam)
         defect, exponent = _defect(S)
@@ -268,6 +250,7 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
             start, threshold = start[going], threshold[going]
         if not live.size:
             break
+        parts = _svd(S)
     defects = _unscaled(defects, exponents)
     radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     return (
@@ -276,6 +259,14 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
         radii.tolist(),
         iterates,
     )
+
+
+def _budget(lam: float, n_max: int) -> tuple[float, int]:
+    """``(lam, n_max)`` checked as :func:`aluthge_iterates` checks them."""
+    lam, n_max = check_lambda(lam), _integer(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    return lam, n_max
 
 
 def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | list[IterateTrace]:
@@ -302,10 +293,7 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     SizeMismatchError
         If a member is not square, or the members differ in size.
     """
-    lam = check_lambda(lam)
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    lam, n_max = _budget(lam, n_max)
     stack, single = _as_stack(T)
     if not len(stack):
         return []
@@ -318,14 +306,17 @@ def write_trace_csv(trace: IterateTrace, path_or_file) -> None:
     """Write an iterate trace as CSV with columns step, operator_norm,
     normality_defect (header row included).  Accepts a path or an open
     text stream."""
+    _write_trace(trace.operator_norms, trace.normality_defects, path_or_file)
+
+
+def _write_trace(norms, defects, path_or_file) -> None:
+    """:func:`write_trace_csv` of a trace with these norms and defects."""
 
     def _write(fh):
         writer = csv.writer(fh)
         writer.writerow(["step", "operator_norm", "normality_defect"])
-        for k in range(len(trace)):
-            writer.writerow(
-                [k, repr(float(trace.operator_norms[k])), repr(float(trace.normality_defects[k]))]
-            )
+        for k, (norm, defect) in enumerate(zip(norms, defects)):
+            writer.writerow([k, repr(float(norm)), repr(float(defect))])
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)
@@ -348,17 +339,20 @@ class Conjugator:
     inverse_norm: float
 
 
-def _conjugator(parts: SvdParts, lam: float) -> Conjugator:
-    s = parts.singular_values
+def _lipschitz(s: np.ndarray, lam: float) -> tuple[float, float]:
+    """``(||H||, ||H^(-1)||)`` = (sigma_max^lam, sigma_min^(-lam)) of H =
+    |T|^lam, from the singular values ``s`` of one T; a numerically
+    singular T raises NotInvertibleError."""
     if not s.size or not _truncated(s)[-1]:
         raise NotInvertibleError(
             f"operator is numerically singular (min singular value {s[-1] if s.size else 0.0:.3e})"
         )
-    return Conjugator(
-        matrix=_modulus_power(parts, lam),
-        norm=float(s[0] ** lam),
-        inverse_norm=float(s[-1] ** (-lam)),
-    )
+    return float(s[0] ** lam), float(s[-1] ** (-lam))
+
+
+def _conjugator(parts: SvdParts, lam: float) -> Conjugator:
+    norm, inverse_norm = _lipschitz(parts.singular_values, lam)
+    return Conjugator(matrix=_modulus_power(parts, lam), norm=norm, inverse_norm=inverse_norm)
 
 
 def conjugator(T, lam: float = 0.5) -> Conjugator:

@@ -20,7 +20,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .aluthge import aluthge_iterates, aluthge_transform, write_trace_csv
+from .aluthge import _budget, _iterate, _write_trace, aluthge_transform
 from .errors import AluthgeLabError
 from .linalg_core import load_matrix, matrix_to_json, save_matrix
 from .shadowing import EPSILON_SLACK, generate_pseudo_orbit, hyperbolic_splitting, shadow_orbit, transfer_shadowing, verify_shadowing
@@ -63,15 +63,15 @@ def _cmd_transform(args) -> int:
 
 def _cmd_iterate(args) -> int:
     T = load_matrix(args.infile)
-    trace = aluthge_iterates(T, args.lam, args.n)
+    # the core of aluthge_iterates, keeping no iterate: only the trace is written
+    (norms,), (defects,), (radius,), _ = _iterate(T[None], *_budget(args.lam, args.n))
     if args.trace:
-        write_trace_csv(trace, args.trace)
+        _write_trace(norms, defects, args.trace)
         print(f"wrote {args.trace}", file=sys.stderr)
     else:
-        write_trace_csv(trace, sys.stdout)
+        _write_trace(norms, defects, sys.stdout)
     print(
-        f"{len(trace)} iterates; final norm {trace.operator_norms[-1]:.6g}, "
-        f"spectral radius {trace.spectral_radius:.6g}",
+        f"{len(norms)} iterates; final norm {norms[-1]:.6g}, spectral radius {radius:.6g}",
         file=sys.stderr,
     )
     return 0

@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg_core import _integer, _singular_values, rank_tolerance
+from .linalg_core import _integer, _lapack, _singular_values, rank_tolerance
 
 __all__ = ["EnsembleSpec", "sample_matrix", "trial_seed", "RNG_IDENTIFIER", "ENSEMBLE_KINDS"]
 
@@ -33,7 +33,8 @@ class EnsembleSpec:
     """Description of one random matrix draw.
 
     ``gap`` (hyperbolic only) is the minimum distance of eigenvalue moduli
-    from 1; ``cond_cap`` caps the condition number of the similarity or of
+    from 1 (a gap so large that the draw overflows is refused when
+    sampled); ``cond_cap`` caps the condition number of the similarity or of
     the sample itself; ``weights`` (shift only) fills the subdiagonal.
     """
 
@@ -99,7 +100,7 @@ def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-style unitary: QR of a complex Gaussian with phases fixed so
     the factorization is unique."""
-    Q, R = np.linalg.qr(_complex_gaussian(rng, dim))
+    Q, R = _lapack("qr", _complex_gaussian(rng, dim))
     diag = np.diag(R)
     return Q * (diag / np.abs(diag))
 
@@ -138,7 +139,12 @@ def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
         )
         phases = np.exp(2j * np.pi * rng.random(d))
         S = _conditioned_gaussian(rng, d, spec.cond_cap)
-        return (S * (moduli * phases)) @ np.linalg.inv(S)
+        S_inv = _lapack("inv", S)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = (S * (moduli * phases)) @ S_inv
+        if not np.isfinite(T).all():  # the moduli of a gap near the float limit overflow
+            raise InvalidSpecError(f"a hyperbolic draw at gap {gap:g} overflows the float range")
+        return T
     # invertible: resample until clear of singularity and well conditioned
     for _ in range(_MAX_RESAMPLES):
         T = _complex_gaussian(rng, d)

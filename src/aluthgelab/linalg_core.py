@@ -4,8 +4,9 @@ matrix JSON wire format.
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate, member by member for a
-stack, and integer arguments are read here too.  Factorizations delegate
-to LAPACK through numpy, wrapped so that failures surface as typed errors.
+stack, and integer arguments are read here too.  Every LAPACK call in the
+package that can fail goes through :func:`_lapack`, which decides which
+typed error a failure raises.
 
 The full SVD and the eigenvalues of one matrix are memoized, so the
 transforms, the conjugator, the first iterate and the spectrum of one
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonFiniteEntryError, SizeMismatchError
+from .errors import NoConvergenceError, NonFiniteEntryError, NotInvertibleError, SizeMismatchError
 
 __all__ = [
     "SvdParts",
@@ -181,21 +182,30 @@ def _svd(T: np.ndarray) -> SvdParts:
 
 
 def _full_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(left, singular_values, right)`` from one LAPACK SVD."""
-    try:
-        W, s, Vh = np.linalg.svd(T)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
+    """``(left, singular_values, right)`` from one LAPACK SVD of a matrix,
+    or of each member of a stack."""
+    W, s, Vh = _lapack("svd", T)
     return W, s, Vh.conj().swapaxes(-1, -2)
 
 
 def _singular_values(T: np.ndarray) -> np.ndarray:
     """The singular values alone of a validated matrix, or of each member
     of a stack, nonincreasing."""
+    return _lapack("svd", T, compute_uv=False)
+
+
+def _lapack(routine: str, *args, **kwargs):
+    """``numpy.linalg.<routine>(*args, **kwargs)``, with a LAPACK failure
+    raised as a package error: NotInvertibleError from ``solve`` and
+    ``inv``, which fail only on a singular matrix, and NoConvergenceError
+    from every other routine, which fails only when its iteration does not
+    converge."""
     try:
-        return np.linalg.svd(T, compute_uv=False)
+        return getattr(np.linalg, routine)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
+        if routine in ("solve", "inv"):
+            raise NotInvertibleError(f"matrix is numerically singular ({routine}: {exc})") from exc
+        raise NoConvergenceError(f"{routine} did not converge: {exc}") from exc
 
 
 def eigenvalues(T) -> np.ndarray:
@@ -216,10 +226,7 @@ def _eigenvalues(T: np.ndarray) -> np.ndarray:
 
 def _eigvals(T: np.ndarray) -> tuple[np.ndarray]:
     """``(eigenvalues,)`` from one LAPACK eigenvalue solve."""
-    try:
-        return (np.linalg.eigvals(T),)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return (_lapack("eigvals", T),)
 
 
 def _complex_to_json(z: np.ndarray) -> list:

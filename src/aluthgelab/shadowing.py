@@ -49,10 +49,9 @@ from .errors import (
     LengthMismatchError,
     NoConvergenceError,
     NotHyperbolicError,
-    NotInvertibleError,
     UnstableOverflowError,
 )
-from .linalg_core import _as_stack, _complex_to_json, _eigenvalues, _integer, _norms, _singular_values, as_matrix, rank_tolerance
+from .linalg_core import _as_stack, _complex_to_json, _eigenvalues, _integer, _lapack, _norms, _singular_values, as_matrix, rank_tolerance
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -142,6 +141,9 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
         hyperbolicity tolerance of the unit circle.
     NoConvergenceError
         If the eigenvalue or the matrix sign iteration does not converge.
+    NotInvertibleError
+        If the Cayley solve, a Newton sign step or the solve for T^(-1) P_u
+        meets a matrix that is singular in floating point.
     SizeMismatchError
         If a member is not square, or the members differ in size.
     """
@@ -166,7 +168,7 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     both = has_s & has_u
     if both.any():  # the Cayley map sends the open unit disc to the left half-plane
         C = stack[both]
-        Ps[both] = (identity - _matrix_sign(np.linalg.solve(C - identity, C + identity))) / 2
+        Ps[both] = (identity - _matrix_sign(_lapack("solve", C - identity, C + identity))) / 2
     Pu = identity - Ps
     rho_s = np.where(stable, moduli, 0.0).max(axis=-1, initial=0.0)
     rho_u = np.where(stable, np.inf, moduli).min(axis=-1, initial=np.inf)
@@ -187,10 +189,7 @@ def _matrix_sign(X: np.ndarray) -> np.ndarray:
     sign = np.empty_like(X)
     live = np.arange(len(X))  # members still iterating
     for _ in range(_SIGN_NEWTON_STEPS):
-        try:
-            X_inv = np.linalg.inv(X)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"matrix sign iterate is singular: {exc}") from exc
+        X_inv = _lapack("inv", X)
         mu = np.exp(-np.linalg.slogdet(X)[1] / n)[:, None, None]
         previous, X = X, (mu * X + X_inv / mu) / 2
         step = _norm1(X - previous)
@@ -223,7 +222,7 @@ def _power_bounds(T, Ps, Pu, rho_s, rho_u) -> tuple[list, list]:
     scale = np.ldexp(1.0, -exponent)
     propagators = np.concatenate([
         Ts[has_s] @ Ps[has_s] / (rho_s * scale)[has_s, None, None],
-        (rho_u * scale)[has_u, None, None] * np.linalg.solve(Ts[has_u], Pu[has_u]),
+        (rho_u * scale)[has_u, None, None] * _lapack("solve", Ts[has_u], Pu[has_u]),
     ])
     powers = np.empty((len(propagators), MEASUREMENT_HORIZON + 1) + T.shape[1:], dtype=complex)
     powers[:, 0] = np.concatenate([Ps[has_s], Pu[has_u]])
@@ -430,10 +429,7 @@ def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> 
             s[:, 1:] = e @ Ps.swapaxes(-1, -2)
         if has_u.any():
             backward = np.zeros(T.shape, dtype=complex)
-            try:
-                backward[has_u] = np.linalg.solve(T[has_u], Pu[has_u])
-            except np.linalg.LinAlgError as exc:
-                raise NotInvertibleError(f"operator is singular; T^(-1) P_u cannot be formed: {exc}") from exc
+            backward[has_u] = _lapack("solve", T[has_u], Pu[has_u])
             u[:, :-1] = e @ backward.swapaxes(-1, -2)
         del e  # the scans run in place, so the defects need not stay alive
         if has_s:

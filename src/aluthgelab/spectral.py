@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _as_stack, _complex_to_json, _integer, as_matrix, eigenvalues
+from .linalg_core import _as_stack, _complex_to_json, _full_svd, _integer, _lapack, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",
@@ -284,7 +284,7 @@ def _powers(T: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _lowest(K: np.ndarray, h: np.ndarray, t: np.ndarray):
     """Minimal eigenvalue and unit eigenvector y of each K + t diag(h) in a
     stack, and the slope y* diag(h) y of that eigenvalue in t."""
-    w, V = np.linalg.eigh(K + (t[:, None] * h)[..., None] * np.eye(K.shape[-1]))
+    w, V = _lapack("eigh", K + (t[:, None] * h)[..., None] * np.eye(K.shape[-1]))
     y = V[..., 0]
     return w[..., 0], y, (h * np.abs(y) ** 2).sum(axis=-1)
 
@@ -377,14 +377,14 @@ def _decide(stack: np.ndarray, n_max: int) -> list[QuasiHyperbolicVerdict]:
     m = len(owner)
     # T^n and T^2n of each row are gathered from the powers where used, so
     # that no second copy of them stays alive
-    sigma, Vh = np.linalg.svd(powers[owner, 2 * exponent - 1])[1:]
+    sigma, V = _full_svd(powers[owner, 2 * exponent - 1])[1:]
     # cos and sin of arctan(sigma): X* GA X = diag(cos^2), X* X = diag(sin^2)
     cos, sin = sigma / np.hypot(1.0, sigma), 1.0 / np.hypot(1.0, sigma)
-    X = Vh.conj().swapaxes(-1, -2) * sin[:, None, :]
+    X = V * sin[:, None, :]
     W = 2.0 * (powers[owner, exponent - 1] @ X)
     # phi(t) is lambda_min(K + t diag(h))
     K = sin[..., None] ** 2 * np.eye(stack.shape[-1]) - W.conj().swapaxes(-1, -2) @ W
-    del Vh, W
+    del V, W
     h = cos**2 - sin**2
     # the brackets: t, the minimal eigenvector y and the slope at each end
     t = np.tile([0.0, 1.0], (m, 1))

@@ -22,10 +22,9 @@ runner.
 Every suite runs the trials of each dim as one (k, n, n) stack and
 returns the problems of each trial, in group order:
 
-    spectral   one ``_svd`` of the stack, one ``_transform`` per distinct
-               lambda on its members, and one ``_eigenvalues`` call on the
-               operators and their transforms together; the multiset match
-               runs per trial
+    spectral   one ``_svd`` of the stack gives the transforms, and one
+               ``_eigenvalues`` call the spectra of the operators and of
+               their transforms; the multiset match runs per trial
     fixedpoint one ``_svd`` of the stack feeds the transform of every
                lambda; the bounds and drifts are batched spectral norms
     iterates   one ``_iterate`` call per distinct lambda (the core of
@@ -34,17 +33,21 @@ returns the problems of each trial, in group order:
     shadowing  one ``hyperbolic_splitting`` call splits the stack, one
                orbit draw per trial is scaled to each delta, then one
                batched shadow and check covers every trial and delta
-    transfer   the conjugacy of each trial (the lambdas mix in a stack),
-               one ``hyperbolic_splitting`` call for the operators and one
-               for their transforms, then one batched shadow and check of
-               both directions of every trial
+    transfer   one ``_svd`` of the stack gives D_lam(T), H = |T|^lam and
+               H^(-1), one ``hyperbolic_splitting`` call splits the
+               operators and one their transforms, then one batched shadow
+               and check covers both directions of every trial
     quasihyp   one ``quasi_hyperbolic_definitional`` call decides the
-               definitional matrices of the stack; the spectral checks
-               run per trial
+               definitional matrices, one ``_svd`` of the preservation
+               draws gives their transforms, and one ``_eigenvalues`` call
+               on all three stacks gives every spectral verdict
 
-A stacked result equals the result of the trial alone bit for bit: each
-transform takes a scalar lambda, as ``aluthge_transform`` does, and every
-batched factorization factors each member on its own.
+What depends on lambda is formed once per distinct lambda, on the rows of
+the stack's SVD that belong to its trials (``_by_lambda``).  A stacked
+result equals the result of the trial alone bit for bit: each transform
+takes a scalar lambda, as ``aluthge_transform`` does, every batched
+factorization factors each member on its own, and ||H|| ||H^(-1)|| is
+formed member by member.
 
 The orbits of the shadowing and transfer stacks are those of
 ``generate_pseudo_orbit`` bit for bit: unit-ball points from one Philox
@@ -56,19 +59,17 @@ its trials is rerun alone, as a group of one, so only the failing trial
 records the error.
 
 A group is a work unit.  :func:`run_suite` and :func:`run_all` build the
-units of their suites, heaviest first (the iterates groups, largest dim
-first, then every other group, largest dim first), run them through one
-loop and assemble each report from its units' problems; a report's
-``wall_time`` is the sum of its units' run times.  When the process may
-use at least two CPUs and the ``fork`` start method exists,
-:func:`run_all` forks one worker process, and it and this process each
-take the next unit from one shared queue of unit indices until none is
-left; the worker sends back the problems of the units it ran.  Otherwise
-this process runs every unit in turn.  Which process runs a unit depends
-on timing, but the reports are the same either way, bit for bit.
-``taskset -c 0`` forces the serial path.  With the worker, each process
-should keep to one BLAS thread (``OPENBLAS_NUM_THREADS=1``), or the two
-oversubscribe the CPUs.
+units of their suites, heaviest first (the iterates groups, then every
+other group, each by dim, largest first), run them through one loop and
+assemble each report from its units' problems; a report's ``wall_time``
+is the sum of its units' run times.  On two or more CPUs with the
+``fork`` start method, :func:`run_all` forks one worker process, and the
+two processes take the next unit index from one shared queue until none
+is left, the worker sending back the problems of the units it ran;
+otherwise (``taskset -c 0`` forces this) this process runs every unit in
+turn.  The reports are the same either way, bit for bit.  With the
+worker, each process should keep to one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), or the two oversubscribe the CPUs.
 
 Suites
 ------
@@ -109,7 +110,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import _iterate, _transform, aluthge_transform, conjugacy
+from .aluthge import _iterate, _lipschitz, _modulus_power, _transform
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _svd
@@ -122,7 +123,7 @@ from .shadowing import (
     _verified,
     hyperbolic_splitting,
 )
-from .spectral import is_quasi_hyperbolic_spectral, multiset_match, quasi_hyperbolic_definitional
+from .spectral import _hyperbolicity, multiset_match, quasi_hyperbolic_definitional
 
 __all__ = ["ExperimentReport", "SUITE_NAMES", "LAMBDA_GRID", "run_suite", "run_all"]
 
@@ -193,17 +194,21 @@ def _spectral_matrix(trial, spec):
     return _sample(trial, spec, weights=weights)
 
 
+def _by_lambda(group, parts: SvdParts):
+    """``(members, parts, lam)`` per distinct lambda of a group, first used
+    first: a mask of its trials and their rows of the stack's SVD ``parts``."""
+    lams = np.array([trial.lam for trial in group])
+    for lam in dict.fromkeys(lams.tolist()):
+        members = lams == lam
+        yield members, SvdParts(parts.left[members], parts.singular_values[members], parts.right[members]), lam
+
+
 def _spectral(group, spec, tolerances):
     """The spectral suite on a group of one dim: each trial's multiset match."""
     T = np.stack([_spectral_matrix(trial, spec) for trial in group])
-    parts = _svd(T)
-    lams = np.array([trial.lam for trial in group])
     D = np.empty_like(T)
-    for lam in dict.fromkeys(lams.tolist()):
-        members = lams == lam
-        D[members] = _transform(
-            SvdParts(parts.left[members], parts.singular_values[members], parts.right[members]), lam
-        )
+    for members, parts, lam in _by_lambda(group, _svd(T)):
+        D[members] = _transform(parts, lam)
     tols = tolerances["eigenvalue_match_factor"] * (1.0 + _norms(T))
     spectra = _eigenvalues(np.concatenate([T, D]))
     problems = []
@@ -296,11 +301,12 @@ def _transfer(group, spec, tolerances):
     """The transfer suite on a group of one dim: forward and reverse shadows."""
     delta, length = tolerances["delta"], tolerances["orbit_length"]
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
-    conjugacies = [conjugacy(M, trial.lam) for trial, M in zip(group, T)]
-    D = np.stack([transform for transform, _, _ in conjugacies])
-    H = np.stack([conj.matrix for _, conj, _ in conjugacies])
-    H_inv = np.stack([inverse for _, _, inverse in conjugacies])
-    factor = np.array([conj.norm * conj.inverse_norm for _, conj, _ in conjugacies])
+    D, H, H_inv, factor = np.empty_like(T), np.empty_like(T), np.empty_like(T), np.empty(len(group))
+    for members, parts, lam in _by_lambda(group, _svd(T)):
+        # member by member, which refuses a singular operator first
+        factor[members] = [norm * inverse for norm, inverse in (_lipschitz(s, lam) for s in parts.singular_values)]
+        D[members] = _transform(parts, lam)
+        H[members], H_inv[members] = _modulus_power(parts, lam), _modulus_power(parts, -lam)
     directions = (
         # forward: an orbit of D_lam(T) from the trial seed, shadowed under T
         (T, D, H_inv, H, 0),
@@ -328,29 +334,34 @@ def _transfer(group, spec, tolerances):
 
 
 def _quasihyp(group, spec, tolerances):
-    """The quasihyp suite on a group of one dim.  The definitional matrix
-    is a hyperbolic draw at the definitional gap, or the trial's unitary."""
+    """The quasihyp suite on a group of one dim.  The definitional and the
+    preservation matrix are hyperbolic draws at their gaps, or both the
+    trial's unitary."""
     stack = np.stack([
         _sample(trial, spec, gap=spec["definitional_gap"]) if trial.kind == "hyperbolic" else _sample(trial, spec)
         for trial in group
     ])
     verdicts = quasi_hyperbolic_definitional(stack, n_max=tolerances["n_max"])
+    T = np.stack([
+        _sample(trial, spec, gap=spec["preservation_gap"]) if trial.kind == "hyperbolic" else M
+        for trial, M in zip(group, stack)
+    ])
+    D = np.empty_like(T)
+    for members, parts, lam in _by_lambda(group, _svd(T)):
+        D[members] = _transform(parts, lam)
+    spectra = _eigenvalues(np.concatenate([T, D, stack])).reshape(3, len(group), -1)
     problems = []
-    for trial, Tdef, definitional in zip(group, stack, verdicts):
+    for trial, definitional, *evs in zip(group, verdicts, *spectra):
+        # the spectral verdicts of T, of D_lam(T) and of the definitional matrix
+        before, after, spectral = (_hyperbolicity(ev)[2] for ev in evs)
         where = f"{trial.kind} dim {trial.dim}"
         found = []
         if trial.kind == "hyperbolic":
-            T = _sample(trial, spec, gap=spec["preservation_gap"])
-            before = is_quasi_hyperbolic_spectral(T).verdict
-            after = is_quasi_hyperbolic_spectral(aluthge_transform(T, trial.lam)).verdict
             if before != after:
                 found.append(f"{where} lambda {trial.lam}: spectral verdict flipped {before} -> {after}")
-            spectral = is_quasi_hyperbolic_spectral(Tdef).verdict
             if spectral != definitional.verdict:
                 found.append(f"{where}: definitional {definitional.verdict} disagrees with spectral {spectral}")
         else:
-            before = is_quasi_hyperbolic_spectral(Tdef).verdict
-            after = is_quasi_hyperbolic_spectral(aluthge_transform(Tdef, trial.lam)).verdict
             if before or after:
                 found.append(f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, expected false/false")
             if definitional.verdict:
@@ -537,18 +548,13 @@ def _reports(names, trials: int, units: list[_Unit], done: dict) -> list[Experim
     return reports
 
 
-def _serially(units: list[_Unit]) -> dict:
-    """Every unit, in order, in this process."""
-    return _run_units(units, itertools.count().__next__)
-
-
 def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     trials, base_seed = _validate_run(trials, base_seed)
     units = _units([name], trials, base_seed)
-    (report,) = _reports([name], trials, units, _serially(units))
+    (report,) = _reports([name], trials, units, _run_units(units, itertools.count().__next__))
     return report
 
 
@@ -572,7 +578,7 @@ def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
     trials, base_seed = _validate_run(trials, base_seed)
     units = _units(SUITE_NAMES, trials, base_seed)
     context = _fork_context()
-    done = _serially(units) if context is None else _shared(context, units)
+    done = _run_units(units, itertools.count().__next__) if context is None else _shared(context, units)
     return _reports(SUITE_NAMES, trials, units, done)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthgelab import ExperimentReport, matrix_from_json, save_matrix
+from aluthgelab import ExperimentReport, cli, matrix_from_json, save_matrix
 from aluthgelab.cli import main
 
 
@@ -89,6 +89,28 @@ def test_iterate_trace_stdout(monomial_file):
     proc = run_cli("iterate", "--in", monomial_file, "--n", "10")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "step,operator_norm,normality_defect"
+
+
+def test_iterate_prints_the_golden_trace(tmp_path, monkeypatch, capsys):
+    # the defective 3x3 that CI iterates for its full 200-step budget
+    path = tmp_path / "defective.json"
+    save_matrix(np.array([[0.5, 1, 0], [0, 0.5, 1], [0, 0, 3]]), path)
+    golden = Path(__file__).parent / "data" / "trace_defective3_n200.csv"
+    calls = []
+    real = cli._iterate
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "_iterate", recorded)
+    assert main(["iterate", "--in", str(path), "--n", "200"]) == 0
+    out, err = capsys.readouterr()
+    assert out == golden.read_bytes().decode("utf-8")  # csv rows end in \r\n
+    assert err == "201 iterates; final norm 3, spectral radius 3\n"
+    # one call of the iterate core, which kept no iterate
+    assert [iterates for *_, iterates in calls] == [None]
 
 
 def test_spectrum_stdout(saddle_file):

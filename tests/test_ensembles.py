@@ -65,6 +65,15 @@ def test_spec_infinite_cond_cap_is_no_cap():
     assert sample_matrix(spec).shape == (3, 3)
 
 
+def test_hyperbolic_gap_that_overflows_the_draw_is_refused():
+    # the outside moduli are drawn from [1 + gap, 2 + gap): at 1e308 the
+    # draw's entries pass the float range, at 1e300 they stay finite
+    with pytest.raises(InvalidSpecError, match="overflows"):
+        sample_matrix(EnsembleSpec(kind="hyperbolic", dim=3, seed=0, gap=1e308))
+    T = sample_matrix(EnsembleSpec(kind="hyperbolic", dim=3, seed=0, gap=1e300))
+    assert np.isfinite(T).all() and np.abs(T).max() > 1e300
+
+
 def test_spec_reads_integers_by_value():
     for name in ("dim", "seed"):
         for value in (2.5, "3"):

@@ -9,16 +9,22 @@ from aluthgelab import (
     EnsembleSpec,
     NoConvergenceError,
     NonFiniteEntryError,
+    NotInvertibleError,
     SizeMismatchError,
+    aluthge_iterates,
     eigenvalues,
+    generate_pseudo_orbit,
     hyperbolic_splitting,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     multiset_match,
+    normality_defect,
     operator_norm,
+    quasi_hyperbolic_definitional,
     sample_matrix,
     save_matrix,
+    shadow_orbit,
     svd,
 )
 from aluthgelab import linalg_core
@@ -128,6 +134,51 @@ def test_values_only_svd_failure_is_typed(monkeypatch):
     ):
         with pytest.raises(NoConvergenceError):
             call()
+
+
+NONNORMAL = np.array([[2.0, 1.0], [0.0, 0.5]])
+SADDLE = np.diag([2.0, 0.5])
+SADDLE_ORBIT = generate_pseudo_orbit(SADDLE, 1e-2, 20, 0)
+
+
+# every public entry point whose own factorization fails: (numpy.linalg
+# routine made to fail, the call, the typed error it must raise).  solve
+# and inv fail only on a singular matrix; every other routine only when
+# its iteration does not converge
+LAPACK_FAILURES = {
+    "normality_defect-eigvalsh": ("eigvalsh", lambda: normality_defect(NONNORMAL), NoConvergenceError),
+    "aluthge_iterates-eigvalsh": ("eigvalsh", lambda: aluthge_iterates(NONNORMAL, 0.5, 3), NoConvergenceError),
+    "definitional-svd": ("svd", lambda: quasi_hyperbolic_definitional(NONNORMAL, n_max=3), NoConvergenceError),
+    "definitional-eigh": ("eigh", lambda: quasi_hyperbolic_definitional(NONNORMAL, n_max=3), NoConvergenceError),
+    # the Cayley solve, then a Newton sign step, of a splitting with both sides
+    "splitting-cayley-solve": ("solve", lambda: hyperbolic_splitting(SADDLE), NotInvertibleError),
+    "splitting-sign-inv": ("inv", lambda: hyperbolic_splitting(SADDLE), NotInvertibleError),
+    # one side only: the solve for the power bounds of T^(-1) P_u
+    "splitting-power-solve": ("solve", lambda: hyperbolic_splitting(np.diag([2.0, 3.0])), NotInvertibleError),
+    "shadow_orbit-solve": (
+        "solve",
+        lambda split=hyperbolic_splitting(SADDLE): shadow_orbit(SADDLE, split, SADDLE_ORBIT),
+        NotInvertibleError,
+    ),
+    "unitary-qr": ("qr", lambda: sample_matrix(EnsembleSpec(kind="unitary", dim=3, seed=0)), NoConvergenceError),
+    "hyperbolic-inv": (
+        "inv",
+        lambda: sample_matrix(EnsembleSpec(kind="hyperbolic", dim=3, seed=0, gap=0.2)),
+        NotInvertibleError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LAPACK_FAILURES)
+def test_lapack_failures_are_typed(case, monkeypatch):
+    routine, call, error = LAPACK_FAILURES[case]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} failed")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(error, match=f"{routine} failed"):
+        call()
 
 
 def test_matrix_json_round_trip():

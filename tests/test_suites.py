@@ -20,12 +20,15 @@ from aluthgelab import (
     aluthge_transform,
     eigenvalues,
     generate_pseudo_orbit,
+    hyperbolic_splitting,
+    is_quasi_hyperbolic_spectral,
     operator_norm,
     run_all,
     run_suite,
     sample_matrix,
     suites,
 )
+from aluthgelab.aluthge import conjugacy
 from aluthgelab.cli import main
 
 
@@ -320,7 +323,7 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise NotInvertibleError("refused")
 
-    for entry in ("_svd", "aluthge_transform", "_iterate", "hyperbolic_splitting"):
+    for entry in ("_svd", "_eigenvalues", "_iterate", "hyperbolic_splitting"):
         monkeypatch.setattr(suites, entry, refuse)
     trials, base_seed = 7, 3
     report = run_suite(name, trials=trials, base_seed=base_seed)
@@ -350,13 +353,14 @@ def _groups(name, trials, base_seed):
 
 
 def _record(monkeypatch, entry):
-    """A list that gathers ``(args, result)`` of every ``suites.<entry>`` call."""
+    """A list that gathers ``(args, result)`` of every ``suites.<entry>``
+    call, with the values of keyword arguments appended to ``args``."""
     calls = []
     real = getattr(suites, entry)
 
-    def recorded(*args):
-        result = real(*args)
-        calls.append((args, result))
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args + tuple(kwargs.values()), result))
         return result
 
     monkeypatch.setattr(suites, entry, recorded)
@@ -403,6 +407,56 @@ def test_stacked_spectral_equals_each_trial_alone(monkeypatch):
             np.testing.assert_array_equal(before, eigenvalues(T))
             np.testing.assert_array_equal(after, eigenvalues(aluthge_transform(T, trial.lam)))
             assert tol == tolerances["eigenvalue_match_factor"] * (1.0 + operator_norm(T))
+
+
+def test_stacked_transfer_equals_each_trial_alone(monkeypatch):
+    # 35 trials: every dim holds five trials with five distinct lambdas
+    spec, tolerances, groups = _groups("transfer", trials=35, base_seed=5)
+    calls = _record(monkeypatch, "_shadows")
+    for group in groups:
+        # forward then reverse: (T, splittings, x, bound, claim, norm, pull, push, target)
+        stacked = _calls_running(calls, "transfer", group, spec, tolerances)
+        for i, trial in enumerate(group):
+            alone = _calls_running(calls, "transfer", [trial], spec, tolerances)
+            for (args, shadows), (alone_args, alone_shadows) in zip(stacked, alone, strict=True):
+                assert shadows[i] == alone_shadows[0]
+                # every array; the splittings enter through the claim
+                for got, want in zip(args[:1] + args[2:], alone_args[:1] + alone_args[2:], strict=True):
+                    np.testing.assert_array_equal(got[i], want[0])
+            # and to the public route: D_lam(T), H, H^(-1) and the claim
+            (T, _, _, _, claim, _, H_inv, H, D), _ = stacked[0]
+            transform, conj, inverse = conjugacy(T[i], trial.lam)
+            np.testing.assert_array_equal(D[i], transform)
+            np.testing.assert_array_equal(H[i], conj.matrix)
+            np.testing.assert_array_equal(H_inv[i], inverse)
+            constant = conj.norm * conj.inverse_norm * hyperbolic_splitting(T[i]).constant_bound
+            assert claim[i] == constant * tolerances["delta"] + tolerances["epsilon_slack"]
+
+
+def test_stacked_quasihyp_equals_each_trial_alone(monkeypatch):
+    # 35 trials: every dim holds hyperbolic and unitary trials, five lambdas
+    spec, tolerances, groups = _groups("quasihyp", trials=35, base_seed=5)
+    calls = _record(monkeypatch, "_eigenvalues")
+    for group in groups:
+        # the eigenvalues of T, of D_lam(T) and of the definitional matrix
+        [((stack,), spectra)] = _calls_running(calls, "quasihyp", group, spec, tolerances)
+        k = len(group)
+        for i, trial in enumerate(group):
+            [((alone_stack,), alone_spectra)] = _calls_running(calls, "quasihyp", [trial], spec, tolerances)
+            for j in range(3):
+                np.testing.assert_array_equal(stack[j * k + i], alone_stack[j])
+                np.testing.assert_array_equal(spectra[j * k + i], alone_spectra[j])
+            # and to the public route
+            if trial.kind == "hyperbolic":
+                gaps = (spec["preservation_gap"], spec["definitional_gap"])
+                T, definitional = (suites._sample(trial, spec, gap=gap) for gap in gaps)
+            else:
+                T = definitional = suites._sample(trial, spec)
+            for j, M in enumerate((T, aluthge_transform(T, trial.lam), definitional)):
+                np.testing.assert_array_equal(stack[j * k + i], M)
+                np.testing.assert_array_equal(spectra[j * k + i], eigenvalues(M))
+                hyperbolic = suites._hyperbolicity(spectra[j * k + i])[2]
+                assert hyperbolic == is_quasi_hyperbolic_spectral(M).verdict
 
 
 @pytest.mark.parametrize("name, trials, dims", [("spectral", 22, range(2, 13)), ("fixedpoint", 18, range(2, 11))])
@@ -512,15 +566,16 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
 # at base seed 1, the trial of the spec's seed is refused, alone or inside
 # a stack; trial 0 or 1 shares its stack and passes when run alone: in
 # spectral, trial 12 (dim 3); in fixedpoint, trial 9 (dim 2); otherwise
-# trial 7 (dim 2).  The last entry refuses in quasihyp's per-trial part,
-# after the stacked work, so the whole group reruns one trial at a time
+# trial 7 (dim 2).  The last entry refuses in quasihyp's spectral
+# verdicts, after the definitional decision of the stack, so the whole
+# group reruns one trial at a time
 STACK_REFUSALS = {
     "spectral": ("spectral", "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
     "fixedpoint": ("fixedpoint", "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
     "shadowing": ("shadowing", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
     "transfer": ("transfer", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
     "quasihyp": ("quasihyp", "quasi_hyperbolic_definitional", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
-    "quasihyp-per-trial": ("quasihyp", "is_quasi_hyperbolic_spectral", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "quasihyp-per-trial": ("quasihyp", "_eigenvalues", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
 
@@ -573,6 +628,23 @@ def test_verify_all_matches_golden_report(capsys):
     golden = Path(__file__).parent / "data" / "verify_all_seed1_trials12.json"
     argv = ["verify", "--suite", "all", "--trials", "12", "--seed", "1", "--stable-output"]
     assert main(argv) == 1  # the iterates gate trips on this short stream
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("base_seed, status", [(1, 0), (2, 0), (33, 1)])
+def test_verify_all_matches_north_star_golden_report(base_seed, status, capsys):
+    # the north-star pass; at seed 33 the iterates gate trips
+    golden = Path(__file__).parent / "data" / f"verify_all_seed{base_seed}_trials100.json"
+    argv = ["verify", "--suite", "all", "--trials", "100", "--seed", str(base_seed), "--stable-output"]
+    assert main(argv) == status
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_serial_verify_all_matches_north_star_golden_report(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    golden = Path(__file__).parent / "data" / "verify_all_seed33_trials100.json"
+    assert main(["verify", "--suite", "all", "--trials", "100", "--seed", "33", "--stable-output"]) == 1
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
