@@ -9,6 +9,8 @@ reports is :data:`RNG_IDENTIFIER`.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Real
 
@@ -68,12 +70,15 @@ class EnsembleSpec:
         elif self.gap is not None:
             raise InvalidSpecError(f"gap is only meaningful for hyperbolic, not {self.kind}")
         if self.kind == "shift":
-            if self.weights is None or len(self.weights) != self.dim - 1:
+            weights = self.weights
+            vector = isinstance(weights, Sequence) or (isinstance(weights, np.ndarray) and weights.ndim == 1)
+            if not vector or len(weights) != self.dim - 1:
                 raise InvalidSpecError(
-                    f"shift ensembles require dim - 1 = {self.dim - 1} weights"
+                    f"shift ensembles require a sequence of dim - 1 = {self.dim - 1} weights, got {weights!r}"
                 )
-            if not all(np.isfinite(w) for w in self.weights):
-                raise InvalidSpecError("shift weights must be finite reals")
+            # abs(w) of nan, inf or an int beyond the float range fails the comparison
+            if not all(isinstance(w, Real) and abs(w) <= sys.float_info.max for w in weights):
+                raise InvalidSpecError(f"shift weights must be finite real numbers, got {weights!r}")
         elif self.weights is not None:
             raise InvalidSpecError(f"weights are only meaningful for shift, not {self.kind}")
 

@@ -148,6 +148,13 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
         If a member is not square, or the members differ in size.
     """
     stack, single = _as_stack(T)
+    splittings = _splittings(stack)
+    return splittings[0] if single else splittings
+
+
+def _splittings(stack: np.ndarray) -> list[HyperbolicSplitting]:
+    """The splitting of each member of a complex (k, n, n) stack, which is
+    not validated again; see :func:`hyperbolic_splitting`."""
     n = stack.shape[-1]
     sing = _singular_values(stack)
     if n and (sing[:, -1] <= rank_tolerance(sing, n)).any():
@@ -173,10 +180,7 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     rho_s = np.where(stable, moduli, 0.0).max(axis=-1, initial=0.0)
     rho_u = np.where(stable, np.inf, moduli).min(axis=-1, initial=np.inf)
     Ks, Ku = _power_bounds(stack, Ps, Pu, rho_s, rho_u)
-    splittings = [
-        HyperbolicSplitting(*fields) for fields in zip(Ps, Pu, rho_s.tolist(), rho_u.tolist(), Ks, Ku)
-    ]
-    return splittings[0] if single else splittings
+    return [HyperbolicSplitting(*fields) for fields in zip(Ps, Pu, rho_s.tolist(), rho_u.tolist(), Ks, Ku)]
 
 
 def _matrix_sign(X: np.ndarray) -> np.ndarray:
@@ -546,7 +550,7 @@ def transfer_shadowing(
         base, target, pull, push = T, transform, H_inv, conj.matrix
     else:
         base, target, pull, push = transform, T, conj.matrix, H_inv
-    splitting = hyperbolic_splitting(base)
+    (splitting,) = _splittings(base[None])
     y, epsilon, residual = _shadow(
         base[None], [splitting], orbit_for_transform.points[None], pull[None], push[None], target[None]
     )

@@ -120,11 +120,15 @@ def multiset_match(a, b, tol: float) -> MatchResult:
 
     Raises
     ------
+    ValueError
+        If ``tol`` is negative or NaN.
     SizeMismatchError
         If the multisets have different cardinality.
     NonFiniteEntryError
         If an entry is NaN or infinite, or a pairwise distance overflows.
     """
+    if not tol >= 0:  # nan fails the comparison
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:

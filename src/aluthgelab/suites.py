@@ -19,7 +19,8 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
-Every suite runs the trials of each dim as one (k, n, n) stack and
+Every suite runs the trials of each dim as one (k, n, n) stack through
+private cores, which do not validate the stacks built here again, and
 returns the problems of each trial, in group order:
 
     spectral   one ``_svd`` of the stack gives the transforms, and one
@@ -30,17 +31,18 @@ returns the problems of each trial, in group order:
     iterates   one ``_iterate`` call per distinct lambda (the core of
                ``aluthge_iterates``) iterates its members in lockstep and
                keeps only their norms, defects and radii
-    shadowing  one ``hyperbolic_splitting`` call splits the stack, one
-               orbit draw per trial is scaled to each delta, then one
-               batched shadow and check covers every trial and delta
+    shadowing  one ``_splittings`` call (``hyperbolic_splitting``) splits
+               the stack, one orbit draw per trial is scaled to each
+               delta, then one batched shadow and check covers all
     transfer   one ``_svd`` of the stack gives D_lam(T), H = |T|^lam and
-               H^(-1), one ``hyperbolic_splitting`` call splits the
-               operators and one their transforms, then one batched shadow
-               and check covers both directions of every trial
-    quasihyp   one ``quasi_hyperbolic_definitional`` call decides the
-               definitional matrices, one ``_svd`` of the preservation
-               draws gives their transforms, and one ``_eigenvalues`` call
-               on all three stacks gives every spectral verdict
+               H^(-1), one ``_splittings`` call splits the operators and
+               one their transforms, then one batched shadow and check
+               covers both directions of every trial
+    quasihyp   one ``_decide`` call (``quasi_hyperbolic_definitional``)
+               decides the definitional matrices, one ``_svd`` of the
+               preservation draws gives their transforms, and one
+               ``_eigenvalues`` call of all three stacks the spectral
+               verdicts
 
 What depends on lambda is formed once per distinct lambda, on the rows of
 the stack's SVD that belong to its trials (``_by_lambda``).  A stacked
@@ -62,10 +64,10 @@ A group is a work unit.  :func:`run_suite` and :func:`run_all` build the
 units of their suites, heaviest first (the iterates groups, then every
 other group, each by dim, largest first), run them through one loop and
 assemble each report from its units' problems; a report's ``wall_time``
-is the sum of its units' run times.  On two or more CPUs with the
-``fork`` start method, :func:`run_all` forks one worker process, and the
-two processes take the next unit index from one shared queue until none
-is left, the worker sending back the problems of the units it ran;
+is the sum of its units' run times.  On two or more CPUs, where ``os``
+has ``fork``, :func:`run_all` forks one worker process, and the two
+processes take the next unit index from one shared queue until none is
+left, the worker pickling the problems of the units it ran into a pipe;
 otherwise (``taskset -c 0`` forces this) this process runs every unit in
 turn.  The reports are the same either way, bit for bit.  With the
 worker, each process should keep to one BLAS thread
@@ -103,6 +105,8 @@ import copy
 import functools
 import itertools
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -119,11 +123,11 @@ from .shadowing import (
     RESIDUAL_TOL_FACTOR,
     _ball_orbits,
     _shadow,
+    _splittings,
     _unit_orbits,
     _verified,
-    hyperbolic_splitting,
 )
-from .spectral import _hyperbolicity, multiset_match, quasi_hyperbolic_definitional
+from .spectral import _decide, _hyperbolicity, multiset_match
 
 __all__ = ["ExperimentReport", "SUITE_NAMES", "LAMBDA_GRID", "run_suite", "run_all"]
 
@@ -259,7 +263,7 @@ def _iterates(group, spec, tolerances):
 def _shadowing(group, spec, tolerances):
     """The shadowing suite on a group of one dim: every delta, then the linear response."""
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
-    splittings = hyperbolic_splitting(T)
+    splittings = _splittings(T)
     constant = np.array([split.constant_bound for split in splittings])
     norm = _norms(T)
     unit = _unit_orbits([trial.seed for trial in group], tolerances["orbit_length"], T.shape[-1])
@@ -315,7 +319,7 @@ def _transfer(group, spec, tolerances):
     )
     per_direction = []
     for base, target, pull, push, offset in directions:
-        splittings = hyperbolic_splitting(base)
+        splittings = _splittings(base)
         norm = _norms(target)
         unit = _unit_orbits([trial.seed + offset for trial in group], length, T.shape[-1])
         claim = factor * [split.constant_bound for split in splittings] * delta + tolerances["epsilon_slack"]
@@ -341,7 +345,7 @@ def _quasihyp(group, spec, tolerances):
         _sample(trial, spec, gap=spec["definitional_gap"]) if trial.kind == "hyperbolic" else _sample(trial, spec)
         for trial in group
     ])
-    verdicts = quasi_hyperbolic_definitional(stack, n_max=tolerances["n_max"])
+    verdicts = _decide(stack, tolerances["n_max"])
     T = np.stack([
         _sample(trial, spec, gap=spec["preservation_gap"]) if trial.kind == "hyperbolic" else M
         for trial, M in zip(group, stack)
@@ -569,38 +573,17 @@ def _cpu_count() -> int:
 def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
     """Run every suite; return the reports in declaration order.
 
-    With at least two CPUs and the ``fork`` start method, this process
-    and one forked worker process take the units of every suite from one
-    shared counter, heaviest first; otherwise this process runs them in
-    turn.  The reports are the same either way.  An error raised in the
-    worker is raised here with its type and message.
+    With at least two CPUs and ``os.fork``, this process and one forked
+    worker process take the units of every suite from one shared queue,
+    heaviest first; otherwise this process runs them in turn.  The reports
+    are the same either way.  An error raised in the worker is raised here
+    with its type and message.
     """
     trials, base_seed = _validate_run(trials, base_seed)
     units = _units(SUITE_NAMES, trials, base_seed)
-    context = _fork_context()
-    done = _run_units(units, itertools.count().__next__) if context is None else _shared(context, units)
+    serial = _cpu_count() < 2 or not hasattr(os, "fork")
+    done = _run_units(units, itertools.count().__next__) if serial else _shared(units)
     return _reports(SUITE_NAMES, trials, units, done)
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context when this process may use two
-    or more CPUs and the platform has ``fork``; otherwise None."""
-    if _cpu_count() < 2:
-        return None
-    import multiprocessing  # here only, so importing the package stays as fast
-
-    return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def _send_units(sender, units: list[_Unit], claim: Callable[[], int]) -> None:
-    """Run units in a worker process and send their outcomes, or the
-    exception one raised, to the parent."""
-    try:
-        outcome = _run_units(units, claim)
-    except Exception as exc:
-        outcome = exc
-    sender.send(outcome)
-    sender.close()
 
 
 def _token_pipe(count: int):
@@ -620,34 +603,42 @@ def _claim(tokens, count: int) -> int:
     return (tokens.read(1) or bytes([count]))[0]
 
 
-def _shared(context, units: list[_Unit]) -> dict:
-    """Every unit, claimed in order by this process and by a worker forked
-    from ``context``; the worker is always joined before this returns or
-    raises."""
-    # a forked child flushes the std streams it inherits when it exits, so
-    # text still buffered here would be written twice
+def _shared(units: list[_Unit]) -> dict:
+    """Every unit, claimed in order by this process and by one forked
+    worker, which pickles its outcomes, or the exception one raised, into
+    a pipe; the worker is always reaped before this returns or raises."""
+    # text still buffered here would be written twice if the worker wrote
     sys.stdout.flush()
     sys.stderr.flush()
-    with _token_pipe(len(units)) as tokens:
+    reader, writer = os.pipe()
+    with _token_pipe(len(units)) as tokens, open(reader, "rb") as outcomes, open(writer, "wb") as sink:
         claim = functools.partial(_claim, tokens, len(units))
-        receiver, sender = context.Pipe(duplex=False)
-        worker = context.Process(target=_send_units, args=(sender, units, claim))
-        worker.start()
-        sender.close()
+        worker = os.fork()
+        if not worker:  # the worker leaves only through os._exit, with 0 once its outcome is written
+            code = 1
+            try:
+                try:
+                    outcome = _run_units(units, claim)
+                except Exception as exc:
+                    outcome = exc
+                sink.write(pickle.dumps(outcome))
+                sink.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()
         try:
             done = _run_units(units, claim)
-            try:
-                outcome = receiver.recv()
-            except EOFError:  # the worker ended without sending anything
-                outcome = None
+            # read before reaping: a worker whose outcome fills the pipe waits for it
+            received = outcomes.read()
         except BaseException:
-            worker.terminate()
+            os.kill(worker, signal.SIGTERM)
             raise
         finally:
-            receiver.close()
-            worker.join()
-    if outcome is None:
-        raise ChildProcessError(f"the verify worker ended with exit code {worker.exitcode} and no outcome")
+            code = os.waitstatus_to_exitcode(os.waitpid(worker, 0)[1])
+    if not received:
+        raise ChildProcessError(f"the verify worker ended with exit code {code} and no outcome")
+    outcome = pickle.loads(received)
     if isinstance(outcome, Exception):
         raise outcome
     return {**done, **outcome}

@@ -60,6 +60,28 @@ def test_spec_rejects_bad_cond_cap_and_gap(fields):
         EnsembleSpec(dim=3, seed=0, **fields)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ("a", "b"),  # not numbers
+        (1j, 2.0),  # not real
+        1.0,  # not a sequence
+        (float("nan"), 1.0),
+        (10**400, 1.0),  # beyond the float range
+        np.ones((2, 1)),  # not one weight per entry
+    ],
+)
+def test_spec_rejects_bad_shift_weights(weights):
+    with pytest.raises(InvalidSpecError):
+        EnsembleSpec(kind="shift", dim=3, seed=0, weights=weights)
+
+
+def test_spec_takes_shift_weights_of_any_real_sequence():
+    for weights in ((1, 2.0), [np.float64(0.5), 2], np.array([0.5, 2.0])):
+        T = sample_matrix(EnsembleSpec(kind="shift", dim=3, seed=0, weights=weights))
+        np.testing.assert_array_equal(np.diag(T, -1), np.asarray(weights, dtype=float))
+
+
 def test_spec_infinite_cond_cap_is_no_cap():
     spec = EnsembleSpec(kind="invertible", dim=3, seed=0, cond_cap=float("inf"))
     assert sample_matrix(spec).shape == (3, 3)

@@ -97,6 +97,18 @@ def test_multiset_size_mismatch():
         multiset_match([1.0], [1.0, 2.0], 1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, -np.inf])
+def test_multiset_refuses_a_negative_or_nan_tolerance(tol):
+    with pytest.raises(ValueError, match="^tol must be a nonnegative number"):
+        multiset_match([1.0], [1.0], tol)
+
+
+def test_multiset_takes_zero_and_infinite_tolerance():
+    assert multiset_match([1.0], [1.0], 0.0) == (True, 0.0)
+    assert not multiset_match([1.0], [1.5], 0.0).matched
+    assert multiset_match([1.0], [1e300], np.inf).matched
+
+
 def test_multiset_prefers_optimal_pairing():
     # sorted-by-modulus pairing would cross these; the matching must not
     a = [1.0, 1.0 + 1e-12j]

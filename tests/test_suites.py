@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from aluthgelab import (
     sample_matrix,
     suites,
 )
+from aluthgelab import aluthge, linalg_core, shadowing, spectral
 from aluthgelab.aluthge import conjugacy
 from aluthgelab.cli import main
 
@@ -118,7 +121,7 @@ def test_negative_seed_is_refused_before_any_trial(run, monkeypatch):
 
     monkeypatch.setattr(suites, "sample_matrix", no_trial)
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    monkeypatch.setattr(os, "fork", _no_worker)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
         run(trials=3, base_seed=-1)
     for seed in (1.5, "3"):
@@ -128,7 +131,7 @@ def test_negative_seed_is_refused_before_any_trial(run, monkeypatch):
 
 def test_verify_all_with_no_trials_starts_no_worker(monkeypatch, capsys):
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    monkeypatch.setattr(os, "fork", _no_worker)
     assert main(["verify", "--suite", "all", "--trials", "0", "--seed", "1"]) == 2
     assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
@@ -154,21 +157,21 @@ def _claimed_only_by(process, monkeypatch):
 
 
 def _assert_forked_reports_equal_serial_reports(monkeypatch):
-    contexts = []
-    real = multiprocessing.get_context
+    forks = []
+    real = os.fork
 
-    def recorded(method):
-        contexts.append(method)
-        return real(method)
+    def recorded():
+        forks.append(os.getpid())
+        return real()
 
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    monkeypatch.setattr(os, "fork", recorded)
     forked = run_all(trials=7, base_seed=4)
-    assert contexts == ["fork"]
+    assert forks == [os.getpid()]
     _assert_no_child_left()
     monkeypatch.undo()
     monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    monkeypatch.setattr(os, "fork", _no_worker)
     serial = run_all(trials=7, base_seed=4)
     assert [report.suite for report in forked] == list(SUITE_NAMES)
     assert _bodies(forked) == _bodies(serial)
@@ -253,7 +256,7 @@ def test_run_all_joins_the_worker_when_a_suite_here_raises(monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("broken in the parent")
 
-    monkeypatch.setattr(suites, "hyperbolic_splitting", broken)
+    monkeypatch.setattr(suites, "_splittings", broken)
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
     with pytest.raises(ZeroDivisionError, match="^broken in the parent$"):
         run_all(trials=3, base_seed=1)
@@ -261,17 +264,97 @@ def test_run_all_joins_the_worker_when_a_suite_here_raises(monkeypatch):
 
 
 def test_run_all_reports_an_ended_worker(monkeypatch):
-    def ends(sender, units, claim):
-        os._exit(3)
+    parent, real = os.getpid(), suites._run_units
 
-    monkeypatch.setattr(suites, "_send_units", ends)
+    def ends(units, claim):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(units, claim)
+
+    monkeypatch.setattr(suites, "_run_units", ends)
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
     with pytest.raises(ChildProcessError, match="exit code 3"):
         run_all(trials=2, base_seed=1)
     _assert_no_child_left()
 
 
-def test_multiprocessing_is_imported_only_by_run_all():
+def test_run_all_receives_a_worker_outcome_larger_than_the_pipe_buffer(monkeypatch):
+    # 12 diagnostics of 64 KiB each pass through a pipe whose buffer
+    # holds 64 KiB, so the worker ends only once they are read
+    padding = "x" * (1 << 16)
+
+    def problems(run, group, spec, tolerances):
+        return [[f"{run.__name__} {trial.seed} {padding}"] for trial in group]
+
+    _claimed_only_by("worker", monkeypatch)
+    monkeypatch.setattr(suites, "_problems", problems)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    reports = run_all(trials=2, base_seed=1)
+    _assert_no_child_left()
+    for report in reports:
+        expected = [{"seed": seed, "diagnostic": f"_{report.suite} {seed} {padding}"} for seed in (1, 2)]
+        assert report.failures == expected
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), ZeroDivisionError(lambda: None)], ids=["interrupt", "unpicklable"])
+def test_run_all_reports_a_worker_that_sends_no_outcome(error, monkeypatch):
+    # an interrupt is no Exception, and a lambda does not pickle: either
+    # way the worker ends with exit code 1 and nothing written
+    def broken(*args):
+        raise error
+
+    _claimed_only_by("worker", monkeypatch)
+    monkeypatch.setattr(suites, "_problems", broken)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exit code 1 and no outcome"):
+        run_all(trials=2, base_seed=1)
+    _assert_no_child_left()
+
+
+def test_an_interrupt_here_stops_the_worker(monkeypatch):
+    parent, real = os.getpid(), os.waitpid
+    statuses = []
+
+    def units(units, claim):
+        if os.getpid() != parent:
+            time.sleep(60)  # stopped long before
+            os._exit(0)
+        raise KeyboardInterrupt
+
+    def waitpid(pid, options):
+        pid, status = real(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(suites, "_run_units", units)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        run_all(trials=2, base_seed=1)
+    assert [os.waitstatus_to_exitcode(status) for status in statuses] == [-signal.SIGTERM]
+    _assert_no_child_left()
+
+
+def test_serial_run_all_does_not_validate_the_stacks_it_builds(monkeypatch):
+    calls = []
+    real = linalg_core.as_matrix
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    for module in (linalg_core, aluthge, shadowing, spectral):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _no_worker)
+    run_all(trials=12, base_seed=1)
+    assert calls == []
+    # the public functions around the cores do validate
+    shadowing.hyperbolic_splitting(np.diag([2.0, 0.5]))
+    assert calls == [(2, 2)]
+
+
+def test_verify_never_imports_multiprocessing():
     path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
     def imported(code):
@@ -287,7 +370,8 @@ def test_multiprocessing_is_imported_only_by_run_all():
 
     setup = "from aluthgelab import cli, suites\nsuites._cpu_count = lambda: 2\n"
     assert "multiprocessing" not in imported(setup + "suites.run_suite('spectral', 2, 1)")
-    assert "multiprocessing" in imported(setup + "suites.run_all(2, 1)")
+    # run_all forks its worker with os.fork
+    assert "multiprocessing" not in imported(setup + "suites.run_all(2, 1)")
 
 
 def test_run_all_writes_buffered_stdout_once():
@@ -323,7 +407,7 @@ def test_trial_errors_are_recorded_as_failures(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise NotInvertibleError("refused")
 
-    for entry in ("_svd", "_eigenvalues", "_iterate", "hyperbolic_splitting"):
+    for entry in ("_svd", "_eigenvalues", "_iterate", "_splittings"):
         monkeypatch.setattr(suites, entry, refuse)
     trials, base_seed = 7, 3
     report = run_suite(name, trials=trials, base_seed=base_seed)
@@ -535,13 +619,13 @@ def test_iterates_stack_error_retries_each_trial_alone(monkeypatch):
 @pytest.mark.parametrize("name, per_dim", [("shadowing", 1), ("transfer", 2)])
 def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
     calls = []
-    real = suites.hyperbolic_splitting
+    real = suites._splittings
 
     def recorded(T):
         calls.append(np.shape(T))
         return real(T)
 
-    monkeypatch.setattr(suites, "hyperbolic_splitting", recorded)
+    monkeypatch.setattr(suites, "_splittings", recorded)
     report = run_suite(name, trials=21, base_seed=1)
     assert report.all_passed, report.failures
     # transfer groups by dim alone: each stack mixes the lambdas
@@ -550,13 +634,13 @@ def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
 
 def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
     calls = []
-    real = suites.quasi_hyperbolic_definitional
+    real = suites._decide
 
-    def recorded(T, **kwargs):
+    def recorded(T, *args):
         calls.append(np.shape(T))
-        return real(T, **kwargs)
+        return real(T, *args)
 
-    monkeypatch.setattr(suites, "quasi_hyperbolic_definitional", recorded)
+    monkeypatch.setattr(suites, "_decide", recorded)
     report = run_suite("quasihyp", trials=21, base_seed=1)
     assert report.all_passed, report.failures
     # each stack mixes hyperbolic and unitary trials of its dim
@@ -572,9 +656,9 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
 STACK_REFUSALS = {
     "spectral": ("spectral", "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
     "fixedpoint": ("fixedpoint", "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
-    "shadowing": ("shadowing", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "transfer": ("transfer", "hyperbolic_splitting", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "quasihyp": ("quasihyp", "quasi_hyperbolic_definitional", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "shadowing": ("shadowing", "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "transfer": ("transfer", "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "quasihyp": ("quasihyp", "_decide", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
     "quasihyp-per-trial": ("quasihyp", "_eigenvalues", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
@@ -642,7 +726,7 @@ def test_verify_all_matches_north_star_golden_report(base_seed, status, capsys):
 
 def test_serial_verify_all_matches_north_star_golden_report(monkeypatch, capsys):
     monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_worker)
+    monkeypatch.setattr(os, "fork", _no_worker)
     golden = Path(__file__).parent / "data" / "verify_all_seed33_trials100.json"
     assert main(["verify", "--suite", "all", "--trials", "100", "--seed", "33", "--stable-output"]) == 1
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
