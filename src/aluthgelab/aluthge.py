@@ -26,7 +26,9 @@ S*S - SS*.  :func:`aluthge_iterates` also iterates a stack of k matrices
 of one size in lockstep, each member stopping on its own; the stop
 compares the defect with the starting norm, both scaled by powers of two,
 so it does not depend on the scale of T.  The verify suite and the CLI
-run the same core without keeping the iterates.  For invertible T the
+run the same core without keeping the iterates; the suite also stops each
+member at the first iterate that meets its convergence criteria, so its
+traces are prefixes of these.  For invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -201,7 +203,9 @@ class IterateTrace:
         return len(self.iterates)
 
 
-def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
+def _iterate(
+    stack: np.ndarray, lam: float, n_max: int, norm_limit_factor=None, defect_factor=None, keep: bool = False
+):
     """Iterate a validated stack in lockstep; ``(norms, defects, radii,
     iterates)`` with one entry per member, in input order, and
     ``iterates`` None unless ``keep``.
@@ -212,16 +216,31 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
     step takes one ``eigvalsh``, for the defect, and the start norm is read
     off the SVD that step 1 takes.  The rows double when full, so memory
     follows the steps taken, not ``n_max``.
+
+    A member stops one iterate past the roundoff floor, or at the budget.
+    Given ``norm_limit_factor`` and ``defect_factor`` (the iterates
+    suite's convergence criteria), a member also stops at the first
+    iterate whose norm is within ``norm_limit_factor * (1 + r)`` of the
+    spectral radius r and whose defect is at most ``defect_factor *
+    ||T||^2``, its norm read off the SVD that would form the next iterate;
+    each row is then a prefix, bit for bit, of the row without criteria.
     """
     k = len(stack)
     parts = _svd(stack)
     defect, start = _defect(stack)
-    norm = np.ldexp(parts.singular_values.max(axis=-1, initial=0.0), -start)
+    top = parts.singular_values.max(axis=-1, initial=0.0)  # ||T|| of each member
+    norm = np.ldexp(top, -start)
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
     # a norm of T beyond the float range is refused before any step; the
     # defects are unscaled, and checked, at the end
     _unscaled(norm, start)
+    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
+    if defect_factor is not None:
+        near = norm_limit_factor * (1.0 + radii)
+        # float by float, as the suite squares ||T||: a float's ** 2 (libm
+        # pow) can differ in the last bit from an array's x * x
+        small = np.array([defect_factor * x**2 for x in top.tolist()])
     live = np.arange(k)  # members still iterating
     # per member and iterate: its norm, and its scaled defect and exponent
     norms, defects, exponents = np.zeros((k, 16)), np.zeros((k, 16)), np.zeros((k, 16), dtype=int)
@@ -232,6 +251,16 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
         if j == norms.shape[1]:  # the rows are full: double them
             norms, defects, exponents = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects, exponents))
         norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
+        if defect_factor is not None:  # a member meeting the criteria at iterate j - 1 stops there
+            with np.errstate(over="ignore"):  # an overflow reads inf, fails, and is refused at the end
+                last = np.ldexp(defects[live, j - 1], exponents[live, j - 1])
+            met = (np.abs(norms[live, j - 1] - radii[live]) <= near[live]) & (last <= small[live])
+            if met.any():
+                length[live[met]] = j
+                kept = ~met
+                live, parts = live[kept], SvdParts(parts.left[kept], parts.singular_values[kept], parts.right[kept])
+                if not live.size:
+                    break
         S = _transform(parts, lam)
         defect, exponent = _defect(S)
         defects[live, j], exponents[live, j] = defect, 2 * exponent
@@ -240,19 +269,17 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, keep: bool = False):
                 iterates[i].append(M)
         # a member at the floor stops, this iterate confirming it, and at
         # the budget every member stops
-        going = ~at_floor & (j < n_max)
-        at_floor = np.ldexp(defect, 2 * (exponent - start)) < threshold
+        going = ~at_floor[live] & (j < n_max)
+        at_floor[live] = np.ldexp(defect, 2 * (exponent - start[live])) < threshold[live]
         if not going.all():
             stop = live[~going]
             norms[stop, j] = _singular_values(S[~going]).max(axis=-1, initial=0.0)
             length[stop] = j + 1
-            live, S, at_floor = live[going], S[going], at_floor[going]
-            start, threshold = start[going], threshold[going]
+            live, S = live[going], S[going]
         if not live.size:
             break
         parts = _svd(S)
     defects = _unscaled(defects, exponents)
-    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     return (
         [row[:m] for row, m in zip(norms, length.tolist())],
         [row[:m] for row, m in zip(defects, length.tolist())],

@@ -152,11 +152,13 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     return splittings[0] if single else splittings
 
 
-def _splittings(stack: np.ndarray) -> list[HyperbolicSplitting]:
+def _splittings(stack: np.ndarray, sing: np.ndarray | None = None) -> list[HyperbolicSplitting]:
     """The splitting of each member of a complex (k, n, n) stack, which is
-    not validated again; see :func:`hyperbolic_splitting`."""
+    not validated again; see :func:`hyperbolic_splitting`.  ``sing`` holds
+    the stack's singular values, if the caller has taken them already."""
     n = stack.shape[-1]
-    sing = _singular_values(stack)
+    if sing is None:
+        sing = _singular_values(stack)
     if n and (sing[:, -1] <= rank_tolerance(sing, n)).any():
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"

@@ -29,15 +29,19 @@ returns the problems of each trial, in group order:
     fixedpoint one ``_svd`` of the stack feeds the transform of every
                lambda; the bounds and drifts are batched spectral norms
     iterates   one ``_iterate`` call per distinct lambda (the core of
-               ``aluthge_iterates``) iterates its members in lockstep and
-               keeps only their norms, defects and radii
-    shadowing  one ``_splittings`` call (``hyperbolic_splitting``) splits
-               the stack, one orbit draw per trial is scaled to each
-               delta, then one batched shadow and check covers all
+               ``aluthge_iterates``) iterates its members in lockstep,
+               each up to the first iterate that meets the suite's
+               convergence criteria, and keeps only their norms, defects
+               and radii
+    shadowing  one values-only SVD of the stack gives the norms and feeds
+               one ``_splittings`` call (``hyperbolic_splitting``), one
+               orbit draw per trial is scaled to each delta, then one
+               batched shadow and check covers all
     transfer   one ``_svd`` of the stack gives D_lam(T), H = |T|^lam and
-               H^(-1), one ``_splittings`` call splits the operators and
-               one their transforms, then one batched shadow and check
-               covers both directions of every trial
+               H^(-1), a values-only SVD of the operators and one of their
+               transforms give the norms and feed one ``_splittings`` call
+               each, then one batched shadow and check covers both
+               directions of every trial
     quasihyp   one ``_decide`` call (``quasi_hyperbolic_definitional``)
                decides the definitional matrices, one ``_svd`` of the
                preservation draws gives their transforms, and one
@@ -82,8 +86,11 @@ fixedpoint
     Normal operators are fixed points of every transform.
 iterates
     Iterate norms decrease monotonically; norms approach the spectral
-    radius and defects the roundoff floor for a calibrated fraction of
-    trials.
+    radius and defects fall below ``defect_factor * ||T||^2`` for a
+    calibrated fraction of trials.  Each member stops at the first iterate
+    that meets both criteria (else one iterate past the roundoff floor, or
+    at the budget), so its trace is a prefix of the ``aluthge_iterates``
+    trace, and monotonicity is checked on the steps up to that stop.
 shadowing
     Ball-mode pseudo-orbits of hyperbolic samples are shadowed within
     C * delta, the shadow is a true orbit, and epsilon responds linearly
@@ -117,7 +124,7 @@ import numpy as np
 from .aluthge import _iterate, _lipschitz, _modulus_power, _transform
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
-from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _svd
+from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _singular_values, _svd
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
@@ -246,7 +253,9 @@ def _iterates(group, spec, tolerances):
     problems = [None] * len(group)
     for lam in dict.fromkeys(trial.lam for trial in group):
         members = [i for i, trial in enumerate(group) if trial.lam == lam]
-        norms, defects, radii, _ = _iterate(stack[members], lam, tolerances["iteration_budget"])
+        # each member stops at the first iterate that meets the criteria checked below
+        criteria = tolerances["norm_limit_factor"], tolerances["defect_factor"]
+        norms, defects, radii, _ = _iterate(stack[members], lam, tolerances["iteration_budget"], *criteria)
         for i, norm, defect, radius in zip(members, norms, defects, radii):
             trial, found = group[i], []
             steps = np.diff(norm)
@@ -263,9 +272,10 @@ def _iterates(group, spec, tolerances):
 def _shadowing(group, spec, tolerances):
     """The shadowing suite on a group of one dim: every delta, then the linear response."""
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
-    splittings = _splittings(T)
+    sing = _singular_values(T)
+    splittings = _splittings(T, sing)
     constant = np.array([split.constant_bound for split in splittings])
-    norm = _norms(T)
+    norm = sing.max(axis=-1, initial=0.0)
     unit = _unit_orbits([trial.seed for trial in group], tolerances["orbit_length"], T.shape[-1])
     deltas = tolerances["deltas"]
     per_delta = []
@@ -311,16 +321,18 @@ def _transfer(group, spec, tolerances):
         factor[members] = [norm * inverse for norm, inverse in (_lipschitz(s, lam) for s in parts.singular_values)]
         D[members] = _transform(parts, lam)
         H[members], H_inv[members] = _modulus_power(parts, lam), _modulus_power(parts, -lam)
+    # one values-only SVD of each stack for its splitting and its norms
+    sing_T, sing_D = _singular_values(T), _singular_values(D)
     directions = (
         # forward: an orbit of D_lam(T) from the trial seed, shadowed under T
-        (T, D, H_inv, H, 0),
+        (T, sing_T, D, sing_D, H_inv, H, 0),
         # reverse: an orbit of T from the next seed, shadowed under D_lam(T)
-        (D, T, H, H_inv, 1),
+        (D, sing_D, T, sing_T, H, H_inv, 1),
     )
     per_direction = []
-    for base, target, pull, push, offset in directions:
-        splittings = _splittings(base)
-        norm = _norms(target)
+    for base, base_sing, target, target_sing, pull, push, offset in directions:
+        splittings = _splittings(base, base_sing)
+        norm = target_sing.max(axis=-1, initial=0.0)
         unit = _unit_orbits([trial.seed + offset for trial in group], length, T.shape[-1])
         claim = factor * [split.constant_bound for split in splittings] * delta + tolerances["epsilon_slack"]
         per_direction.append(

@@ -387,6 +387,21 @@ def test_iterate_core_without_iterates_equals_the_traces():
         assert trace.spectral_radius == radius
 
 
+def test_iterate_core_stops_a_member_once_both_criteria_hold():
+    stack = _mixed_stack(4)[:3]  # the normal matrix, the slow draw and x y*
+    norms, defects, radii, _ = aluthge._iterate(stack, 0.5, 40)
+    # (norm_limit_factor, defect_factor) where one criterion never holds:
+    # every member runs as without criteria
+    for criteria in ((-1.0, 1e300), (1e300, -1.0)):
+        rows = aluthge._iterate(stack, 0.5, 40, *criteria)
+        assert all(map(np.array_equal, rows[0], norms)) and all(map(np.array_equal, rows[1], defects))
+        assert rows[2] == radii
+    # where both always hold, every member stops at iterate 0
+    rows = aluthge._iterate(stack, 0.5, 40, 1e300, 1e300)
+    assert [row.tolist() for row in rows[0]] == [[norm[0]] for norm in norms]
+    assert [row.tolist() for row in rows[1]] == [[defect[0]] for defect in defects]
+
+
 DATA = Path(__file__).parent / "data"
 DEFECTIVE = np.array([[0.5, 1, 0], [0, 0.5, 1], [0, 0, 3]])
 
