@@ -34,7 +34,10 @@ transform is a similarity: with H = |T|^lam = V S^lam V*,
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
 
 and H together with its inverse provides the bi-Lipschitz conjugacy used
-by the shadowing transfer in :mod:`aluthgelab.shadowing`.
+by the shadowing transfer in :mod:`aluthgelab.shadowing`.  One private
+core, ``_conjugacy``, forms D_lam(T), H, H^(-1) and the cost
+||H|| ||H^(-1)|| of a stack from its SVD, and is the only place H^(-1)
+is formed; :func:`conjugator` forms H alone.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ __all__ = [
     "aluthge_iterates",
     "write_trace_csv",
     "conjugator",
-    "conjugacy",
 ]
 
 #: Iterate early-stop: a normality defect below this multiple of the input's
@@ -78,8 +80,12 @@ EARLY_STOP_FACTOR = 1e-12
 
 
 def check_lambda(lam: float) -> float:
-    """Validate a transform exponent; must lie strictly in (0, 1)."""
-    lam = float(lam)
+    """Validate a transform exponent; must be a real number strictly in
+    (0, 1), else ValueError."""
+    try:
+        lam = float(lam)
+    except TypeError:  # None, a complex number or a sequence
+        raise ValueError(f"lambda must be a real number, got {lam!r}") from None
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie strictly in (0, 1), got {lam}")
     return lam
@@ -377,11 +383,6 @@ def _lipschitz(s: np.ndarray, lam: float) -> tuple[float, float]:
     return float(s[0] ** lam), float(s[-1] ** (-lam))
 
 
-def _conjugator(parts: SvdParts, lam: float) -> Conjugator:
-    norm, inverse_norm = _lipschitz(parts.singular_values, lam)
-    return Conjugator(matrix=_modulus_power(parts, lam), norm=norm, inverse_norm=inverse_norm)
-
-
 def conjugator(T, lam: float = 0.5) -> Conjugator:
     """Conjugating similarity H = |T|^lam for invertible T.
 
@@ -391,18 +392,21 @@ def conjugator(T, lam: float = 0.5) -> Conjugator:
         If the smallest singular value of T is within the rank tolerance.
     """
     lam = check_lambda(lam)
-    return _conjugator(svd(T), lam)
+    parts = svd(T)
+    norm, inverse_norm = _lipschitz(parts.singular_values, lam)
+    return Conjugator(matrix=_modulus_power(parts, lam), norm=norm, inverse_norm=inverse_norm)
 
 
-def conjugacy(T, lam: float) -> tuple[np.ndarray, Conjugator, np.ndarray]:
-    """D_lam(T), the conjugator H = |T|^lam and H^(-1), from one SVD of T.
+def _conjugacy(parts: SvdParts, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, H, H_inv, factor)`` of a stack from its SVD: the transforms
+    D_lam(T), the conjugators H = |T|^lam and their inverses, and
+    ||H|| ||H^(-1)|| of each member.
 
     Raises
     ------
     NotInvertibleError
-        If the smallest singular value of T is within the rank tolerance.
+        If a member is numerically singular; the factors are formed member
+        by member, before anything else.
     """
-    lam = check_lambda(lam)
-    parts = svd(T)
-    conj = _conjugator(parts, lam)
-    return _transform(parts, lam), conj, _modulus_power(parts, -lam)
+    factor = np.array([norm * inverse for norm, inverse in (_lipschitz(s, lam) for s in parts.singular_values)])
+    return _transform(parts, lam), _modulus_power(parts, lam), _modulus_power(parts, -lam), factor

@@ -29,7 +29,8 @@ class NotHyperbolicError(AluthgeLabError):
 
 
 class InvalidDeltaError(AluthgeLabError):
-    """A pseudo-orbit defect bound is negative, NaN or infinite."""
+    """A pseudo-orbit defect bound is not a real number, or is negative,
+    NaN or infinite."""
 
 
 class SizeMismatchError(AluthgeLabError):

@@ -24,9 +24,15 @@ projector is 0 is not recursed at all.
 The splitting, the shadow and its check also run over a stack of
 operators of one size, with every factorization and product batched over
 the stack: :func:`hyperbolic_splitting` takes a (k, n, n) stack and
-returns one splitting per member, and :func:`shadow_orbit`,
-:func:`transfer_shadowing` and :func:`verify_shadowing` are the
-stack-of-one callers of the same private array-level core.
+returns one splitting per member, and :func:`shadow_orbit` and
+:func:`verify_shadowing` are the stack-of-one callers of the same private
+array-level core.  :func:`transfer_shadowing` is the stack-of-one caller
+of the transfer core, which the transfer suite calls once per direction:
+it is the one place that picks, for a direction, the operator shadowed
+under, the pull and push operators and the constant
+||H|| ||H^(-1)|| C.  The public functions refuse points of the wrong
+shape, or not finite, and a splitting of the wrong size, with typed
+errors; the suites' own orbits are not checked again.
 
 The achieved distance obeys max_k ||c_k|| <= C * delta with
 
@@ -43,15 +49,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aluthge import _scaled, conjugacy
+from .aluthge import _conjugacy, _scaled, check_lambda
 from .errors import (
     InvalidDeltaError,
     LengthMismatchError,
     NoConvergenceError,
+    NonFiniteEntryError,
     NotHyperbolicError,
+    SizeMismatchError,
     UnstableOverflowError,
 )
-from .linalg_core import _as_stack, _complex_to_json, _eigenvalues, _integer, _lapack, _norms, _singular_values, as_matrix, rank_tolerance
+from .linalg_core import (
+    _as_stack,
+    _complex_to_json,
+    _eigenvalues,
+    _integer,
+    _lapack,
+    _norms,
+    _singular_values,
+    _svd,
+    as_matrix,
+    rank_tolerance,
+)
 from .spectral import _hyperbolicity
 
 __all__ = [
@@ -375,25 +394,55 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     Raises
     ------
     InvalidDeltaError
-        If delta is negative, NaN or infinite.
+        If delta is not a real number, or is negative, NaN or infinite.
     ValueError
         If length or seed is not an integer, or is negative.
     """
     T = as_matrix(T)
-    if not 0.0 <= delta < np.inf:
-        raise InvalidDeltaError(f"delta must be finite and nonnegative, got {delta}")
+    try:
+        valid, value = 0.0 <= delta < np.inf, float(delta)
+    except (TypeError, ValueError):  # None, a string, a complex number or a sequence
+        valid = False
+    if not valid:
+        raise InvalidDeltaError(f"delta must be a finite nonnegative number, got {delta!r}")
     length, seed = _integer(length, "length"), _integer(seed, "seed")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), delta)
-    return PseudoOrbit(points=points[0], delta=float(delta), bound=float(rho[0]))
+    points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), value)
+    return PseudoOrbit(points=points[0], delta=value, bound=float(rho[0]))
+
+
+def _points(points, n: int, name: str) -> np.ndarray:
+    """``points`` as an array, refused unless it holds a sequence of finite
+    points of dim n.
+
+    Raises
+    ------
+    SizeMismatchError
+        If ``points`` is not of shape (N + 1, n).
+    NonFiniteEntryError
+        If a point has a NaN or infinite entry.
+    """
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise SizeMismatchError(f"expected {name} of shape (N + 1, {n}), got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise NonFiniteEntryError(f"{name} contain NaN or infinite entries")
+    return points
 
 
 def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
-    """Defect norms ||x_{k+1} - T x_k|| for k = 0..N-1."""
-    return np.linalg.norm(_steps(as_matrix(T), orbit.points), axis=1)
+    """Defect norms ||x_{k+1} - T x_k|| for k = 0..N-1.
+
+    Raises
+    ------
+    SizeMismatchError, NonFiniteEntryError
+        If T or the orbit's points are refused (see :func:`shadow_orbit`).
+    """
+    T = as_matrix(T)
+    return np.linalg.norm(_steps(T, _points(orbit.points, len(T), "orbit points")), axis=1)
 
 
 def _scan(z: np.ndarray, A: np.ndarray) -> None:
@@ -411,9 +460,9 @@ def _scan(z: np.ndarray, A: np.ndarray) -> None:
             A = A @ A
 
 
-def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _corrected(T: np.ndarray, splittings, x: np.ndarray) -> np.ndarray:
     """Shadow points y = x - s + u of a stack of pseudo-orbits x (k, N + 1, n)
-    under operators T with projectors Ps and Pu (k, n, n).
+    under operators T (k, n, n) with their splittings.
 
     A side whose projector is 0 is not recursed: its correction is 0
     exactly, and T^(-1) is never formed for it.
@@ -426,6 +475,8 @@ def _corrected(T: np.ndarray, Ps: np.ndarray, Pu: np.ndarray, x: np.ndarray) -> 
         As described in :func:`shadow_orbit`; the step is taken over all
         members.
     """
+    Ps = np.stack([split.stable_projector for split in splittings])
+    Pu = np.stack([split.unstable_projector for split in splittings])
     s = np.zeros(x.shape, dtype=complex)
     u = np.zeros(x.shape, dtype=complex)
     has_s, has_u = Ps.any(), Pu.any(axis=(-2, -1))
@@ -470,21 +521,35 @@ def _verified(norm, bound, y, epsilon, residual, claim) -> np.ndarray:
     return (residual <= tolerance) & (epsilon <= claim)
 
 
-def _shadow(T, splittings, x, pull=None, push=None, target=None):
+def _shadow(T, splittings, x):
     """Shadow points y, epsilon and residual of a stack of pseudo-orbits x
-    (k, N + 1, n) under operators T (k, n, n) with their splittings.
+    (k, N + 1, n) under operators T (k, n, n) with their splittings."""
+    y = _corrected(T, splittings, x)
+    return (y, *_closeness(T, x, y))
 
-    With a conjugacy, each x belongs to ``target``: it is pulled back by
-    ``pull``, shadowed under T, pushed forward by ``push``, and epsilon
-    and the residual are measured against ``target``.
+
+def _transferred(T, conjugacy, x, reverse: bool, sing=(None, None)):
+    """Shadow points y, epsilon, residual and constant ||H|| ||H^(-1)|| C of
+    a stack of pseudo-orbits x (k, N + 1, n) shadowed across the
+    conjugacies ``(D, H, H_inv, factor)`` of operators T (k, n, n), as
+    :func:`aluthgelab.aluthge._conjugacy` returns them.
+
+    Forward, each x is an orbit of D_lam(T): it is pulled back by H^(-1),
+    shadowed under T and pushed forward by H.  In reverse, each x is an
+    orbit of T, pulled back by H, shadowed under D_lam(T) and pushed
+    forward by H^(-1).  The operator shadowed under is split here, from
+    its singular values in ``sing``, the pair (of T, of D_lam(T)), where
+    the caller has them; C is the constant of that splitting, and epsilon
+    and the residual are measured against the operator x belongs to.
     """
-    Ps = np.stack([split.stable_projector for split in splittings])
-    Pu = np.stack([split.unstable_projector for split in splittings])
-    if pull is None:
-        y, target = _corrected(T, Ps, Pu, x), T
+    D, H, H_inv, factor = conjugacy
+    if reverse:
+        base, target, pull, push = D, T, H, H_inv
     else:
-        y = _corrected(T, Ps, Pu, x @ pull.swapaxes(-1, -2)) @ push.swapaxes(-1, -2)
-    return (y, *_closeness(target, x, y))
+        base, target, pull, push = T, D, H_inv, H
+    splittings = _splittings(base, sing[reverse])
+    y = _corrected(base, splittings, x @ pull.swapaxes(-1, -2)) @ push.swapaxes(-1, -2)
+    return (y, *_closeness(target, x, y), factor * [split.constant_bound for split in splittings])
 
 
 def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> ShadowResult:
@@ -501,6 +566,11 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
 
     Raises
     ------
+    SizeMismatchError
+        If T is not square, the orbit's points are not of shape (N + 1, n)
+        for T of size n, or the splitting is not of size n.
+    NonFiniteEntryError
+        If an entry of T or of a point is NaN or infinite.
     NotInvertibleError
         If the splitting has an unstable side and the solve that forms
         T^(-1) P_u finds T singular; the splitting then does not belong to
@@ -513,7 +583,13 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
         such step for the forward stable recursion, the last one for the
         backward unstable recursion.
     """
-    y, epsilon, residual = _shadow(as_matrix(T)[None], [splitting], orbit.points[None])
+    T = as_matrix(T)
+    n = len(T)
+    if splitting.stable_projector.shape != (n, n) or splitting.unstable_projector.shape != (n, n):
+        raise SizeMismatchError(
+            f"splitting of size {splitting.stable_projector.shape} does not fit an operator of size {n}"
+        )
+    y, epsilon, residual = _shadow(T[None], [splitting], _points(orbit.points, n, "orbit points")[None])
     return ShadowResult(
         shadow_points=y[0],
         epsilon=float(epsilon[0]),
@@ -541,26 +617,24 @@ def transfer_shadowing(
 
     Raises
     ------
+    ValueError
+        If lambda is not a real number in (0, 1).
+    SizeMismatchError, NonFiniteEntryError
+        If T or the orbit's points are refused (see :func:`shadow_orbit`).
     NotInvertibleError
         If T is numerically singular (no conjugacy exists).
     NotHyperbolicError
         Propagated from the splitting of the shadowing operator.
     """
     T = as_matrix(T)
-    transform, conj, H_inv = conjugacy(T, lam)
-    if not reverse:
-        base, target, pull, push = T, transform, H_inv, conj.matrix
-    else:
-        base, target, pull, push = transform, T, conj.matrix, H_inv
-    (splitting,) = _splittings(base[None])
-    y, epsilon, residual = _shadow(
-        base[None], [splitting], orbit_for_transform.points[None], pull[None], push[None], target[None]
-    )
+    lam = check_lambda(lam)
+    x = _points(orbit_for_transform.points, len(T), "orbit points")
+    y, epsilon, residual, constant = _transferred(T[None], _conjugacy(_svd(T[None]), lam), x[None], reverse)
     return ShadowResult(
         shadow_points=y[0],
         epsilon=float(epsilon[0]),
         orbit_residual=float(residual[0]),
-        constant_bound=conj.norm * conj.inverse_norm * splitting.constant_bound,
+        constant_bound=float(constant[0]),
     )
 
 
@@ -576,11 +650,14 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
 
     Raises
     ------
+    SizeMismatchError, NonFiniteEntryError
+        If T or either point sequence is refused (see :func:`shadow_orbit`).
     LengthMismatchError
         If the two point sequences have different length.
     """
     T = as_matrix(T)[None]
-    x, y = orbit.points[None], shadow.shadow_points[None]
+    n = T.shape[-1]
+    x, y = _points(orbit.points, n, "orbit points")[None], _points(shadow.shadow_points, n, "shadow points")[None]
     if x.shape[1] != y.shape[1]:
         raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
     return bool(_verified(_norms(T), orbit.bound, y, *_closeness(T, x, y), eps_claim)[0])

@@ -121,13 +121,17 @@ def multiset_match(a, b, tol: float) -> MatchResult:
     Raises
     ------
     ValueError
-        If ``tol`` is negative or NaN.
+        If ``tol`` is not a number, or is negative or NaN.
     SizeMismatchError
         If the multisets have different cardinality.
     NonFiniteEntryError
         If an entry is NaN or infinite, or a pairwise distance overflows.
     """
-    if not tol >= 0:  # nan fails the comparison
+    try:
+        valid = tol >= 0  # nan fails the comparison
+    except TypeError:  # None or a string does not compare
+        valid = False
+    if not valid:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()

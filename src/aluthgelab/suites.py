@@ -37,11 +37,13 @@ returns the problems of each trial, in group order:
                one ``_splittings`` call (``hyperbolic_splitting``), one
                orbit draw per trial is scaled to each delta, then one
                batched shadow and check covers all
-    transfer   one ``_svd`` of the stack gives D_lam(T), H = |T|^lam and
-               H^(-1), a values-only SVD of the operators and one of their
-               transforms give the norms and feed one ``_splittings`` call
-               each, then one batched shadow and check covers both
-               directions of every trial
+    transfer   one ``_svd`` of the stack feeds ``_conjugacy``, which
+               gives D_lam(T), H = |T|^lam, H^(-1) and ||H|| ||H^(-1)||;
+               a values-only SVD of the operators and one of their
+               transforms give the norms, then one ``_transferred`` call
+               per direction (the core of ``transfer_shadowing``) splits
+               the operator it shadows under and shadows every trial, and
+               one batched check follows
     quasihyp   one ``_decide`` call (``quasi_hyperbolic_definitional``)
                decides the definitional matrices, one ``_svd`` of the
                preservation draws gives their transforms, and one
@@ -121,7 +123,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .aluthge import _iterate, _lipschitz, _modulus_power, _transform
+from .aluthge import _conjugacy, _iterate, _transform
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _singular_values, _svd
@@ -131,6 +133,7 @@ from .shadowing import (
     _ball_orbits,
     _shadow,
     _splittings,
+    _transferred,
     _unit_orbits,
     _verified,
 )
@@ -280,8 +283,11 @@ def _shadowing(group, spec, tolerances):
     deltas = tolerances["deltas"]
     per_delta = []
     for delta in deltas:
+        x, bound = _ball_orbits(unit, norm, delta)
+        y, epsilon, residual = _shadow(T, splittings, x)
         claim = constant * delta + tolerances["epsilon_slack"]
-        per_delta.append(_shadows(T, splittings, *_ball_orbits(unit, norm, delta), claim, norm))
+        verified = _verified(norm, bound, y, epsilon, residual, claim)
+        per_delta.append(list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist())))
     problems = []
     for trial, shadows in zip(group, zip(*per_delta)):
         found = [
@@ -299,50 +305,30 @@ def _shadowing(group, spec, tolerances):
     return problems
 
 
-def _shadows(T, splittings, x, bound, claim, norm, **through):
-    """``(epsilon, residual, claim, verified)`` of a stack of pseudo-orbits
-    shadowed under T, one tuple per member, where ``verified`` is what
-    ``verify_shadowing`` answers for the shadow and the claim, with
-    ``norm`` the spectral norms of the operators the orbits belong to.  A
-    conjugacy (``pull``, ``push``, ``target``) is applied as in
-    ``transfer_shadowing``."""
-    y, epsilon, residual = _shadow(T, splittings, x, **through)
-    verified = _verified(norm, bound, y, epsilon, residual, claim)
-    return list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist()))
-
-
 def _transfer(group, spec, tolerances):
     """The transfer suite on a group of one dim: forward and reverse shadows."""
     delta, length = tolerances["delta"], tolerances["orbit_length"]
     T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
     D, H, H_inv, factor = np.empty_like(T), np.empty_like(T), np.empty_like(T), np.empty(len(group))
     for members, parts, lam in _by_lambda(group, _svd(T)):
-        # member by member, which refuses a singular operator first
-        factor[members] = [norm * inverse for norm, inverse in (_lipschitz(s, lam) for s in parts.singular_values)]
-        D[members] = _transform(parts, lam)
-        H[members], H_inv[members] = _modulus_power(parts, lam), _modulus_power(parts, -lam)
-    # one values-only SVD of each stack for its splitting and its norms
-    sing_T, sing_D = _singular_values(T), _singular_values(D)
-    directions = (
-        # forward: an orbit of D_lam(T) from the trial seed, shadowed under T
-        (T, sing_T, D, sing_D, H_inv, H, 0),
-        # reverse: an orbit of T from the next seed, shadowed under D_lam(T)
-        (D, sing_D, T, sing_T, H, H_inv, 1),
-    )
+        D[members], H[members], H_inv[members], factor[members] = _conjugacy(parts, lam)
+    # one values-only SVD of T and one of D_lam(T), for the splittings and the norms
+    sing = _singular_values(T), _singular_values(D)
     per_direction = []
-    for base, base_sing, target, target_sing, pull, push, offset in directions:
-        splittings = _splittings(base, base_sing)
-        norm = target_sing.max(axis=-1, initial=0.0)
-        unit = _unit_orbits([trial.seed + offset for trial in group], length, T.shape[-1])
-        claim = factor * [split.constant_bound for split in splittings] * delta + tolerances["epsilon_slack"]
-        per_direction.append(
-            _shadows(base, splittings, *_ball_orbits(unit, norm, delta), claim, norm, pull=pull, push=push, target=target)
-        )
+    for reverse in (False, True):
+        # forward, an orbit of D_lam(T) from the trial seed; reverse, one of T from the next seed
+        norm = sing[not reverse].max(axis=-1, initial=0.0)
+        unit = _unit_orbits([trial.seed + int(reverse) for trial in group], length, T.shape[-1])
+        x, bound = _ball_orbits(unit, norm, delta)
+        y, epsilon, residual, constant = _transferred(T, (D, H, H_inv, factor), x, reverse, sing)
+        claim = constant * delta + tolerances["epsilon_slack"]
+        verified = _verified(norm, bound, y, epsilon, residual, claim)
+        per_direction.append(list(zip(epsilon.tolist(), claim.tolist(), verified.tolist())))
     return [
         [
             f"{direction} dim {trial.dim} lambda {trial.lam}: epsilon {epsilon:.3e} "
             f"outside claim {claim:.3e}"
-            for direction, (epsilon, _, claim, verified) in zip(("forward", "reverse"), shadows)
+            for direction, (epsilon, claim, verified) in zip(("forward", "reverse"), shadows)
             if not verified
         ]
         for trial, shadows in zip(group, zip(*per_direction))

@@ -10,10 +10,12 @@ from aluthgelab import (
     InvalidDeltaError,
     LengthMismatchError,
     NoConvergenceError,
+    NonFiniteEntryError,
     NotHyperbolicError,
     NotInvertibleError,
     PseudoOrbit,
     ShadowResult,
+    SizeMismatchError,
     UnstableOverflowError,
     aluthge_transform,
     generate_pseudo_orbit,
@@ -396,6 +398,20 @@ def test_orbit_rejects_non_finite_delta(delta):
         generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
 
 
+@pytest.mark.parametrize("delta", [None, "0.1", 0.1j, [0.1], np.array([0.1])], ids=["none", "string", "complex", "list", "array"])
+def test_orbit_rejects_a_delta_that_is_not_a_number(delta):
+    with pytest.raises(InvalidDeltaError, match="^delta must be a finite nonnegative number"):
+        generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
+
+
+@pytest.mark.parametrize("delta", [np.float32(0.25), np.array(0.25), 1, 0])
+def test_orbit_takes_every_real_nonnegative_delta(delta):
+    orbit = generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
+    reference = generate_pseudo_orbit(SADDLE, delta=float(delta), length=10, seed=0)
+    np.testing.assert_array_equal(orbit.points, reference.points)
+    assert (orbit.delta, orbit.bound) == (reference.delta, reference.bound)
+
+
 def test_orbit_rejects_bad_length_and_mode():
     with pytest.raises(ValueError):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=-1, seed=0)
@@ -729,3 +745,54 @@ def test_transfer_rejects_singular_and_nonhyperbolic():
         transfer_shadowing(np.diag([0.0, 3.0]), 0.5, constant_orbit(0.01, 0.01, 5, dim=2))
     with pytest.raises(NotHyperbolicError):
         transfer_shadowing(ROTATION, 0.5, constant_orbit(0.01, 0.01, 5, dim=2))
+
+
+def _on_points(function, points):
+    """``function`` called on SADDLE with an orbit of ``points``; a check
+    compares them with a well-formed shadow, and with them as the shadow."""
+    orbit = PseudoOrbit(points=points, delta=0.01, bound=0.01)
+    good = constant_orbit(0.0, 0.01, len(points) - 1, dim=2)
+    shadow = ShadowResult(shadow_points=points, epsilon=0.0, orbit_residual=0.0, constant_bound=1.0)
+    calls = {
+        "shadow_orbit": lambda: shadow_orbit(SADDLE, hyperbolic_splitting(SADDLE), orbit),
+        "transfer_shadowing": lambda: transfer_shadowing(SADDLE, 0.5, orbit),
+        "transfer_shadowing_reverse": lambda: transfer_shadowing(SADDLE, 0.5, orbit, reverse=True),
+        "verify_orbit": lambda: verify_shadowing(SADDLE, orbit, ShadowResult(good.points, 0.0, 0.0, 1.0), 1.0),
+        "verify_shadow": lambda: verify_shadowing(SADDLE, good, shadow, 1.0),
+        "orbit_defects": lambda: orbit_defects(SADDLE, orbit),
+    }
+    return calls[function]()
+
+
+POINT_TAKERS = ["shadow_orbit", "transfer_shadowing", "transfer_shadowing_reverse", "verify_orbit", "verify_shadow", "orbit_defects"]
+
+
+@pytest.mark.parametrize("function", POINT_TAKERS)
+def test_points_of_another_dim_are_refused(function):
+    with pytest.raises(SizeMismatchError, match=r"^expected (orbit|shadow) points of shape \(N \+ 1, 2\), got shape \(6, 3\)$"):
+        _on_points(function, np.zeros((6, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("function", POINT_TAKERS)
+def test_points_of_one_axis_are_refused(function):
+    with pytest.raises(SizeMismatchError, match=r"got shape \(6,\)$"):
+        _on_points(function, np.zeros(6, dtype=complex))
+
+
+@pytest.mark.parametrize("function", POINT_TAKERS)
+def test_points_that_are_not_finite_are_refused(function):
+    points = np.zeros((6, 2), dtype=complex)
+    points[2, 1] = np.nan
+    with pytest.raises(NonFiniteEntryError, match="^(orbit|shadow) points contain NaN or infinite entries$"):
+        _on_points(function, points)
+
+
+def test_points_well_formed_pass_every_boundary():
+    for function in POINT_TAKERS:
+        _on_points(function, np.zeros((6, 2), dtype=complex))
+
+
+def test_shadow_refuses_a_splitting_of_another_size():
+    split = hyperbolic_splitting(np.diag([2.0, 0.5, 3.0]))
+    with pytest.raises(SizeMismatchError, match=r"^splitting of size \(3, 3\) does not fit an operator of size 2$"):
+        shadow_orbit(SADDLE, split, constant_orbit(0.0, 0.01, 5, dim=2))

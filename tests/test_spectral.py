@@ -103,6 +103,12 @@ def test_multiset_refuses_a_negative_or_nan_tolerance(tol):
         multiset_match([1.0], [1.0], tol)
 
 
+@pytest.mark.parametrize("tol", [None, "0.1", 1j], ids=["none", "string", "complex"])
+def test_multiset_refuses_a_tolerance_that_is_not_a_number(tol):
+    with pytest.raises(ValueError, match="^tol must be a nonnegative number"):
+        multiset_match([1.0], [1.0], tol)
+
+
 def test_multiset_takes_zero_and_infinite_tolerance():
     assert multiset_match([1.0], [1.0], 0.0) == (True, 0.0)
     assert not multiset_match([1.0], [1.5], 0.0).matched

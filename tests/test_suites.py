@@ -21,6 +21,7 @@ from aluthgelab import (
     NotInvertibleError,
     aluthge_iterates,
     aluthge_transform,
+    conjugator,
     eigenvalues,
     generate_pseudo_orbit,
     hyperbolic_splitting,
@@ -32,7 +33,6 @@ from aluthgelab import (
     suites,
 )
 from aluthgelab import aluthge, linalg_core, shadowing, spectral
-from aluthgelab.aluthge import conjugacy
 from aluthgelab.cli import main
 
 
@@ -497,25 +497,31 @@ def test_stacked_spectral_equals_each_trial_alone(monkeypatch):
 def test_stacked_transfer_equals_each_trial_alone(monkeypatch):
     # 35 trials: every dim holds five trials with five distinct lambdas
     spec, tolerances, groups = _groups("transfer", trials=35, base_seed=5)
-    calls = _record(monkeypatch, "_shadows")
+    calls = _record(monkeypatch, "_transferred")
     for group in groups:
-        # forward then reverse: (T, splittings, x, bound, claim, norm, pull, push, target)
+        # forward then reverse: (T, (D, H, H_inv, factor), x, reverse, sing)
+        # -> (y, epsilon, residual, constant)
         stacked = _calls_running(calls, "transfer", group, spec, tolerances)
         for i, trial in enumerate(group):
             alone = _calls_running(calls, "transfer", [trial], spec, tolerances)
             for (args, shadows), (alone_args, alone_shadows) in zip(stacked, alone, strict=True):
-                assert shadows[i] == alone_shadows[0]
-                # every array; the splittings enter through the claim
-                for got, want in zip(args[:1] + args[2:], alone_args[:1] + alone_args[2:], strict=True):
+                for got, want in zip(shadows, alone_shadows, strict=True):
+                    np.testing.assert_array_equal(got[i], want[0])
+                # every array; the direction is the same flag in both
+                T, conjugacy, x, reverse, sing = args
+                alone_T, alone_conjugacy, alone_x, alone_reverse, alone_sing = alone_args
+                assert reverse == alone_reverse
+                for got, want in zip((T, *conjugacy, x, *sing), (alone_T, *alone_conjugacy, alone_x, *alone_sing), strict=True):
                     np.testing.assert_array_equal(got[i], want[0])
             # and to the public route: D_lam(T), H, H^(-1) and the claim
-            (T, _, _, _, claim, _, H_inv, H, D), _ = stacked[0]
-            transform, conj, inverse = conjugacy(T[i], trial.lam)
-            np.testing.assert_array_equal(D[i], transform)
+            (T, (D, H, H_inv, _), _, _, _), (_, _, _, constant) = stacked[0]
+            conj = conjugator(T[i], trial.lam)
+            np.testing.assert_array_equal(D[i], aluthge_transform(T[i], trial.lam))
             np.testing.assert_array_equal(H[i], conj.matrix)
-            np.testing.assert_array_equal(H_inv[i], inverse)
-            constant = conj.norm * conj.inverse_norm * hyperbolic_splitting(T[i]).constant_bound
-            assert claim[i] == constant * tolerances["delta"] + tolerances["epsilon_slack"]
+            np.testing.assert_array_equal(H_inv[i], aluthge._modulus_power(linalg_core.svd(T[i]), -trial.lam))
+            public = conj.norm * conj.inverse_norm * hyperbolic_splitting(T[i]).constant_bound
+            claim = constant[i] * tolerances["delta"] + tolerances["epsilon_slack"]
+            assert claim == public * tolerances["delta"] + tolerances["epsilon_slack"]
 
 
 def test_stacked_quasihyp_equals_each_trial_alone(monkeypatch):
@@ -717,13 +723,15 @@ def test_iterates_stack_error_retries_each_trial_alone(monkeypatch):
 @pytest.mark.parametrize("name, per_dim", [("shadowing", 1), ("transfer", 2)])
 def test_shadow_suites_split_one_stack_per_dim(name, per_dim, monkeypatch):
     calls = []
-    real = suites._splittings
+    real = shadowing._splittings
 
     def recorded(T, *args):
         calls.append(np.shape(T))
         return real(T, *args)
 
+    # the shadowing suite splits its stacks itself, the transfer core its own
     monkeypatch.setattr(suites, "_splittings", recorded)
+    monkeypatch.setattr(shadowing, "_splittings", recorded)
     report = run_suite(name, trials=21, base_seed=1)
     assert report.all_passed, report.failures
     # transfer groups by dim alone: each stack mixes the lambdas
@@ -750,22 +758,24 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
 # spectral, trial 12 (dim 3); in fixedpoint, trial 9 (dim 2); otherwise
 # trial 7 (dim 2).  The last entry refuses in quasihyp's spectral
 # verdicts, after the definitional decision of the stack, so the whole
-# group reruns one trial at a time
+# group reruns one trial at a time.  Each entry names the module whose
+# name is refused: the transfer suite splits through the core in
+# ``shadowing``
 STACK_REFUSALS = {
-    "spectral": ("spectral", "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
-    "fixedpoint": ("fixedpoint", "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
-    "shadowing": ("shadowing", "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "transfer": ("transfer", "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "quasihyp": ("quasihyp", "_decide", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
-    "quasihyp-per-trial": ("quasihyp", "_eigenvalues", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "spectral": ("spectral", suites, "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
+    "fixedpoint": ("fixedpoint", suites, "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
+    "shadowing": ("shadowing", suites, "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "transfer": ("transfer", shadowing, "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
+    "quasihyp": ("quasihyp", suites, "_decide", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "quasihyp-per-trial": ("quasihyp", suites, "_eigenvalues", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
 
 @pytest.mark.parametrize("case", STACK_REFUSALS)
 def test_shadow_suites_stack_error_retries_each_trial_alone(case, monkeypatch):
-    name, entry, trials, spec = STACK_REFUSALS[case]
+    name, module, entry, trials, spec = STACK_REFUSALS[case]
     refused = sample_matrix(spec)
-    real = getattr(suites, entry)
+    real = getattr(module, entry)
 
     def flaky(T, *args, **kwargs):
         members = T if np.ndim(T) == 3 else [T]
@@ -773,24 +783,23 @@ def test_shadow_suites_stack_error_retries_each_trial_alone(case, monkeypatch):
             raise NotInvertibleError("refused")
         return real(T, *args, **kwargs)
 
-    monkeypatch.setattr(suites, entry, flaky)
+    monkeypatch.setattr(module, entry, flaky)
     report = run_suite(name, trials=trials, base_seed=1)
     assert report.failures == [{"seed": spec.seed, "diagnostic": f"{spec.kind} dim {spec.dim}: error: refused"}]
 
 
 @pytest.mark.parametrize("name", ["shadowing", "transfer"])
 def test_suite_orbits_equal_generate_pseudo_orbit(name, monkeypatch):
-    calls = []
-    real = suites._shadows
-
-    def recorded(T, splittings, x, bound, claim, norm, **through):
-        calls.append((through.get("target", T), x, bound))
-        return real(T, splittings, x, bound, claim, norm, **through)
-
-    monkeypatch.setattr(suites, "_shadows", recorded)
+    shadows = _record(monkeypatch, "_transferred" if name == "transfer" else "_shadow")
+    draws = _record(monkeypatch, "_ball_orbits")
     base_seed = 3
     report = run_suite(name, trials=14, base_seed=base_seed)
     assert report.all_passed, report.failures
+    calls = []
+    for ((T, *args), _), (_, (x, bound)) in zip(shadows, draws, strict=True):
+        # the operator each orbit belongs to: T, or D_lam(T) in a forward transfer
+        target = T if name == "shadowing" or args[2] else args[0][0]
+        calls.append((target, x, bound))
     tolerances = report.tolerances
     if name == "shadowing":  # every delta, orbits of T from the trial seed
         runs = [(delta, 0) for delta in tolerances["deltas"]]
@@ -835,16 +844,9 @@ def test_shadowing_linear_response_is_exact_halving(base_seed, monkeypatch):
     # 0.005 is 0.01 / 2 in binary and the shadow commutes with exact
     # halving, so the linear-response check only guards exact homogeneity:
     # the ratio is 2.0 bit for bit in every trial
-    epsilons = []
-    real = suites._shadows
-
-    def recorded(T, splittings, x, bound, claim, norm, **through):
-        shadows = real(T, splittings, x, bound, claim, norm, **through)
-        epsilons.append([epsilon for epsilon, *_ in shadows])
-        return shadows
-
-    monkeypatch.setattr(suites, "_shadows", recorded)
+    shadows = _record(monkeypatch, "_shadow")
     report = run_suite("shadowing", trials=100, base_seed=base_seed)
+    epsilons = [epsilon.tolist() for _, (_, epsilon, _) in shadows]
     deltas = report.tolerances["deltas"]
     assert deltas[0] / 2 in deltas
     groups = [epsilons[i : i + len(deltas)] for i in range(0, len(epsilons), len(deltas))]

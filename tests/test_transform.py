@@ -58,6 +58,22 @@ def test_transform_rejects_bad_lambda():
             aluthge_transform(T_MONOMIAL, lam)
 
 
+@pytest.mark.parametrize("lam", [None, 0.5j, [0.5], np.array([0.5])], ids=["none", "complex", "list", "array"])
+def test_lambda_that_is_not_a_real_number_is_refused(lam):
+    with pytest.raises(ValueError, match="^lambda must be a real number"):
+        aluthge.check_lambda(lam)
+    with pytest.raises(ValueError, match="^lambda must be a real number"):
+        aluthge_transform(T_MONOMIAL, lam)
+    with pytest.raises(ValueError, match="^lambda must be a real number"):
+        conjugator(T_MONOMIAL, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, "0.5", np.float32(0.5), np.array(0.5), 1 / 2], ids=["float", "string", "float32", "0-d", "division"])
+def test_lambda_accepts_every_real_scalar(lam):
+    assert aluthge.check_lambda(lam) == 0.5
+    np.testing.assert_array_equal(aluthge_transform(T_MONOMIAL, lam), aluthge_transform(T_MONOMIAL, 0.5))
+
+
 @pytest.mark.parametrize("seed,n,lam", [(s, 2 + s % 11, LAMBDAS[s % 5]) for s in range(12)])
 def test_transform_preserves_spectrum(seed, n, lam):
     T = random_matrix(seed, n)
