@@ -180,10 +180,14 @@ def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
     of the polar decomposition.  (For alpha >= 0 this is the familiar
     |alpha| form; stating it with |alpha| for general complex alpha drops
     the phase and is off by exactly that phase.)  The returned value is
-    roundoff only: at most 1e-10 * (1 + |alpha| ||T||).
+    roundoff only: at most 1e-10 * (1 + |alpha| ||T||).  An ``alpha`` that
+    ``complex()`` cannot read raises ValueError.
     """
     T = as_matrix(T)
-    alpha = complex(alpha)
+    try:
+        alpha = complex(alpha)
+    except TypeError:  # complex() raises ValueError itself on a malformed string
+        raise ValueError(f"alpha must be a complex number, got {alpha!r}") from None
     scaled = aluthge_transform(alpha * T, lam)
     reference = alpha * aluthge_transform(T, lam)
     return float(_norms(scaled - reference))
@@ -296,10 +300,7 @@ def _iterate(
 
 def _budget(lam: float, n_max: int) -> tuple[float, int]:
     """``(lam, n_max)`` checked as :func:`aluthge_iterates` checks them."""
-    lam, n_max = check_lambda(lam), _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return lam, n_max
+    return check_lambda(lam), _integer(n_max, "n_max", 1)
 
 
 def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | list[IterateTrace]:

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 from .aluthge import _budget, _iterate, _write_trace, aluthge_transform
 from .errors import AluthgeLabError
-from .linalg_core import load_matrix, matrix_to_json, save_matrix
+from .linalg_core import load_matrix, matrix_to_json
 from .shadowing import EPSILON_SLACK, generate_pseudo_orbit, hyperbolic_splitting, shadow_orbit, transfer_shadowing, verify_shadowing
 from .spectral import is_quasi_hyperbolic_spectral, quasi_hyperbolic_definitional, spectrum_report
 from .suites import SUITE_NAMES, run_all, run_suite
@@ -52,12 +52,7 @@ def _shadow_payload(T, orbit, result) -> dict:
 
 def _cmd_transform(args) -> int:
     T = load_matrix(args.infile)
-    result = aluthge_transform(T, args.lam)
-    if args.out:
-        save_matrix(result, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        _emit_json(matrix_to_json(result), None)
+    _emit_json(matrix_to_json(aluthge_transform(T, args.lam)), args.out)
     return 0
 
 

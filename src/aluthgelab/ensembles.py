@@ -17,7 +17,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg_core import _integer, _lapack, _singular_values, rank_tolerance
+from .linalg_core import _integer, _lapack, _record_to_json, _singular_values, rank_tolerance
 
 __all__ = ["EnsembleSpec", "sample_matrix", "trial_seed", "RNG_IDENTIFIER", "ENSEMBLE_KINDS"]
 
@@ -37,7 +37,8 @@ class EnsembleSpec:
     ``gap`` (hyperbolic only) is the minimum distance of eigenvalue moduli
     from 1 (a gap so large that the draw overflows is refused when
     sampled); ``cond_cap`` caps the condition number of the similarity or of
-    the sample itself; ``weights`` (shift only) fills the subdiagonal.
+    the sample itself; ``weights`` (shift only) fills the subdiagonal and
+    is stored as a tuple, so a spec compares and hashes by value.
     """
 
     kind: str
@@ -51,16 +52,11 @@ class EnsembleSpec:
         if self.kind not in ENSEMBLE_KINDS:
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
         try:
-            dim, seed = _integer(self.dim, "dim"), _integer(self.seed, "seed")
+            # Python ints, so that a spec serializes and compares by value
+            object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
-        if dim < 1:
-            raise InvalidSpecError(f"dim must be a positive integer, got {dim!r}")
-        if seed < 0:
-            raise InvalidSpecError(f"seed must be a nonnegative integer, got {seed!r}")
-        # Python ints, so that a spec serializes and compares by value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "seed", seed)
         # inf is no cap; nan fails the comparison
         if not isinstance(self.cond_cap, Real) or not self.cond_cap > 1.0:
             raise InvalidSpecError(f"cond_cap must be a real number above 1, got {self.cond_cap!r}")
@@ -79,18 +75,12 @@ class EnsembleSpec:
             # abs(w) of nan, inf or an int beyond the float range fails the comparison
             if not all(isinstance(w, Real) and abs(w) <= sys.float_info.max for w in weights):
                 raise InvalidSpecError(f"shift weights must be finite real numbers, got {weights!r}")
+            object.__setattr__(self, "weights", tuple(weights))
         elif self.weights is not None:
             raise InvalidSpecError(f"weights are only meaningful for shift, not {self.kind}")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "seed": self.seed,
-            "gap": self.gap,
-            "cond_cap": self.cond_cap,
-            "weights": list(self.weights) if self.weights is not None else None,
-        }
+        return _record_to_json(self)
 
 
 def trial_seed(base_seed: int, index: int) -> int:

@@ -1,12 +1,13 @@
-"""Dense complex-matrix kernel: validated SVD and eigenvalues, and the
-matrix JSON wire format.
+"""Dense complex-matrix kernel: validated SVD and eigenvalues, the
+package's input gates, and the JSON wire formats.
 
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate, member by member for a
-stack, and integer arguments are read here too.  Every LAPACK call in the
-package that can fail goes through :func:`_lapack`, which decides which
-typed error a failure raises.
+stack, and :func:`_integer` is the single gate for integer arguments: it
+reads a value as a Python int and refuses one below its bound.  Every
+LAPACK call in the package that can fail goes through :func:`_lapack`,
+which decides which typed error a failure raises.
 
 The full SVD and the eigenvalues of one matrix are memoized, so the
 transforms, the conjugator, the first iterate and the spectrum of one
@@ -22,14 +23,18 @@ The JSON wire format for matrices is::
 
     {"rows": n, "cols": n, "data": [[re, im], ...]}
 
-with ``data`` row-major and one ``[re, im]`` pair per entry.
+with ``data`` row-major and one ``[re, im]`` pair per entry.  Result
+records are encoded here too, by one rule (:func:`_record_to_json`): one
+key per field, complex arrays as nested ``[re, im]`` pairs, tuples as
+lists, ``None`` as ``null``, and nested values copied as
+``dataclasses.asdict`` copies them.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,13 +103,16 @@ def _as_stack(T) -> tuple[np.ndarray, bool]:
     return stack, False
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int, read with ``operator.index``; anything
-    that is not an integer raises ValueError naming ``name``."""
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as a Python int, read with ``operator.index``, of at least
+    ``least`` (0 or 1); anything else raises ValueError naming ``name``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
+    return value
 
 
 def operator_norm(T) -> float:
@@ -232,6 +240,20 @@ def _eigvals(T: np.ndarray) -> tuple[np.ndarray]:
 def _complex_to_json(z: np.ndarray) -> list:
     """Complex array as nested lists with one ``[re, im]`` pair per entry."""
     return np.stack((z.real, z.imag), -1).tolist()
+
+
+def _record_to_json(record) -> dict:
+    """A dataclass record as a JSON-ready dict, by the payload rule in the
+    module docstring."""
+    return asdict(record, dict_factory=lambda fields: {name: _json_value(value) for name, value in fields})
+
+
+def _json_value(value):
+    """One record field as a payload holds it: an array as ``[re, im]``
+    pairs, a tuple as a list, anything else as ``asdict`` copied it."""
+    if isinstance(value, np.ndarray):
+        return _complex_to_json(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _complex_from_json(pairs, ndim: int) -> np.ndarray:

@@ -61,11 +61,11 @@ from .errors import (
 )
 from .linalg_core import (
     _as_stack,
-    _complex_to_json,
     _eigenvalues,
     _integer,
     _lapack,
     _norms,
+    _record_to_json,
     _singular_values,
     _svd,
     as_matrix,
@@ -317,11 +317,7 @@ class PseudoOrbit:
         return len(self.points)
 
     def to_json(self) -> dict:
-        return {
-            "points": _complex_to_json(self.points),
-            "delta": self.delta,
-            "bound": self.bound,
-        }
+        return _record_to_json(self)
 
 
 @dataclass(frozen=True)
@@ -342,12 +338,7 @@ class ShadowResult:
         return len(self.shadow_points)
 
     def to_json(self) -> dict:
-        return {
-            "shadow_points": _complex_to_json(self.shadow_points),
-            "epsilon": self.epsilon,
-            "orbit_residual": self.orbit_residual,
-            "constant_bound": self.constant_bound,
-        }
+        return _record_to_json(self)
 
 
 def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:
@@ -400,18 +391,26 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     """
     T = as_matrix(T)
     try:
-        valid, value = 0.0 <= delta < np.inf, float(delta)
-    except (TypeError, ValueError):  # None, a string, a complex number or a sequence
-        valid = False
-    if not valid:
+        value = _real(delta, "delta")
+    except ValueError:
+        value = np.nan  # refused with the negative and infinite deltas
+    if not 0.0 <= value < np.inf:
         raise InvalidDeltaError(f"delta must be a finite nonnegative number, got {delta!r}")
-    length, seed = _integer(length, "length"), _integer(seed, "seed")
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    length, seed = _integer(length, "length", 0), _integer(seed, "seed", 0)
     points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), value)
     return PseudoOrbit(points=points[0], delta=value, bound=float(rho[0]))
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; anything but a real number (infinities
+    included), or NaN, raises ValueError naming ``name``."""
+    try:
+        # numpy orders complex numbers, so they are refused by type; NaN fails the comparison
+        if not np.iscomplexobj(value) and value <= np.inf:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, a sequence, an int past the float range
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _points(points, n: int, name: str) -> np.ndarray:
@@ -654,10 +653,14 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
         If T or either point sequence is refused (see :func:`shadow_orbit`).
     LengthMismatchError
         If the two point sequences have different length.
+    ValueError
+        If ``eps_claim`` or ``orbit.bound`` is not a real number, or is NaN.
     """
     T = as_matrix(T)[None]
     n = T.shape[-1]
     x, y = _points(orbit.points, n, "orbit points")[None], _points(shadow.shadow_points, n, "shadow points")[None]
     if x.shape[1] != y.shape[1]:
         raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
-    return bool(_verified(_norms(T), orbit.bound, y, *_closeness(T, x, y), eps_claim)[0])
+    claim, bound = _real(eps_claim, "eps_claim"), _real(orbit.bound, "orbit bound")
+    return bool(_verified(_norms(T), bound, y, *_closeness(T, x, y), claim)[0])
+

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _as_stack, _complex_to_json, _full_svd, _integer, _lapack, as_matrix, eigenvalues
+from .linalg_core import _as_stack, _full_svd, _integer, _lapack, _record_to_json, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",
@@ -78,12 +78,7 @@ class SpectrumReport:
     hyperbolic: bool
 
     def to_json(self) -> dict:
-        return {
-            "eigenvalues": _complex_to_json(self.eigenvalues),
-            "spectral_radius": self.spectral_radius,
-            "circle_distance": self.circle_distance,
-            "hyperbolic": self.hyperbolic,
-        }
+        return _record_to_json(self)
 
 
 def spectrum_report(T) -> SpectrumReport:
@@ -242,14 +237,7 @@ class QuasiHyperbolicVerdict:
     budget_exhausted: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "exponent": self.exponent,
-            "witness": None if self.witness is None else _complex_to_json(self.witness),
-            "margin": self.margin,
-            "budget_exhausted": self.budget_exhausted,
-        }
+        return _record_to_json(self)
 
 
 def is_quasi_hyperbolic_spectral(T) -> QuasiHyperbolicVerdict:
@@ -365,9 +353,7 @@ def quasi_hyperbolic_definitional(
     one lockstep, and a hold drops only its own member's higher exponents.
     """
     stack, single = _as_stack(T)
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    n_max = _integer(n_max, "n_max", 1)
     if stack.shape[-1]:
         verdicts = _decide(stack, n_max)
     else:

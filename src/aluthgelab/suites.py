@@ -118,7 +118,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -126,7 +126,7 @@ import numpy as np
 from .aluthge import _conjugacy, _iterate, _transform
 from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
 from .errors import AluthgeLabError
-from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _singular_values, _svd
+from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _record_to_json, _singular_values, _svd
 from .shadowing import (
     EPSILON_SLACK,
     RESIDUAL_TOL_FACTOR,
@@ -169,7 +169,7 @@ class ExperimentReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return _record_to_json(self)
 
 
 class _Trial(NamedTuple):
@@ -463,18 +463,6 @@ def _problems(run: Callable, group: list, spec: dict, tolerances: dict) -> list:
         return [[f"{trial.kind} dim {trial.dim}: error: {exc}", _UNCONVERGED]]
 
 
-def _validate_run(trials, base_seed) -> tuple[int, int]:
-    """``(trials, base_seed)`` as Python ints, so a report's spec
-    serializes; a value that is not an integer, fewer than one trial or a
-    negative seed raises ValueError."""
-    trials, base_seed = _integer(trials, "trials"), _integer(base_seed, "seed")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if base_seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {base_seed!r}")
-    return trials, base_seed
-
-
 class _Unit(NamedTuple):
     """The trials of one suite that share a dim: one piece of work."""
 
@@ -554,7 +542,8 @@ def run_suite(name: str, trials: int, base_seed: int) -> ExperimentReport:
     """Run one named suite and assemble its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    trials, base_seed = _validate_run(trials, base_seed)
+    # Python ints, so that a report's spec serializes
+    trials, base_seed = _integer(trials, "trials", 1), _integer(base_seed, "seed", 0)
     units = _units([name], trials, base_seed)
     (report,) = _reports([name], trials, units, _run_units(units, itertools.count().__next__))
     return report
@@ -577,7 +566,7 @@ def run_all(trials: int, base_seed: int) -> list[ExperimentReport]:
     are the same either way.  An error raised in the worker is raised here
     with its type and message.
     """
-    trials, base_seed = _validate_run(trials, base_seed)
+    trials, base_seed = _integer(trials, "trials", 1), _integer(base_seed, "seed", 0)
     units = _units(SUITE_NAMES, trials, base_seed)
     serial = _cpu_count() < 2 or not hasattr(os, "fork")
     done = _run_units(units, itertools.count().__next__) if serial else _shared(units)

@@ -42,6 +42,8 @@ def test_transform_to_file(monomial_file, tmp_path):
     D = matrix_from_json(json.loads(out.read_text()))
     np.testing.assert_allclose(D, [[0, 2], [2, 0]], atol=1e-12)
     assert "wrote" in proc.stderr
+    # the file holds the payload that stdout would
+    assert out.read_text() == run_cli("transform", "--in", monomial_file, "--lambda", "0.5").stdout
 
 
 def test_transform_to_stdout(monomial_file):

@@ -108,6 +108,22 @@ def test_spec_reads_integers_by_value():
     np.testing.assert_array_equal(sample_matrix(spec), sample_matrix(EnsembleSpec(kind="normal", dim=2, seed=3)))
 
 
+def test_spec_with_array_weights_compares_by_value():
+    a = EnsembleSpec(kind="shift", dim=3, seed=0, weights=np.array([0.5, 2.0]))
+    b = EnsembleSpec(kind="shift", dim=3, seed=0, weights=np.array([0.5, 2.0]))
+    assert a == b
+    assert a == EnsembleSpec(kind="shift", dim=3, seed=0, weights=(0.5, 2.0))
+    assert a != EnsembleSpec(kind="shift", dim=3, seed=0, weights=(0.5, 2.5))
+
+
+@pytest.mark.parametrize("weights", [[0.5, 2.0], np.array([0.5, 2.0])], ids=["list", "ndarray"])
+def test_spec_hashes_by_value(weights):
+    spec = EnsembleSpec(kind="shift", dim=3, seed=0, weights=weights)
+    assert isinstance(spec.weights, tuple)
+    assert hash(spec) == hash(EnsembleSpec(kind="shift", dim=3, seed=0, weights=(0.5, 2.0)))
+    assert len({spec, EnsembleSpec(kind="shift", dim=3, seed=0, weights=(0.5, 2.0))}) == 1
+
+
 def test_spec_json_embeds_parameters():
     spec = EnsembleSpec(kind="hyperbolic", dim=3, seed=42, gap=0.2, cond_cap=1e4)
     obj = spec.to_json()

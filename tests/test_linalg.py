@@ -1,5 +1,7 @@
-"""Core linear algebra: SVD, eigenvalues, JSON wire format."""
+"""Core linear algebra: SVD, eigenvalues, JSON wire format, and the
+boundary gates."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from aluthgelab import (
     EnsembleSpec,
+    InvalidSpecError,
     NoConvergenceError,
     NonFiniteEntryError,
     NotInvertibleError,
@@ -22,9 +25,12 @@ from aluthgelab import (
     normality_defect,
     operator_norm,
     quasi_hyperbolic_definitional,
+    run_all,
+    run_suite,
     sample_matrix,
     save_matrix,
     shadow_orbit,
+    spectrum_report,
     svd,
 )
 from aluthgelab import linalg_core
@@ -340,3 +346,124 @@ def test_memo_keeps_one_entry_per_kind(memo, calls):
     assert len(memo) == 2
     # A, then B replaces it, then A again: three of each, not two
     assert calls == {"svd": 3, "eigvals": 3}
+
+
+# the boundary: one integer gate and one record encoder
+
+
+def test_integer_gate_reads_and_bounds_integers():
+    assert linalg_core._integer(np.int64(3), "n", 1) == 3 and type(linalg_core._integer(np.int64(3), "n", 1)) is int
+    assert linalg_core._integer(0, "n", 0) == 0
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+        linalg_core._integer(0, "n", 1)
+    with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
+        linalg_core._integer(np.int64(-1), "n", 0)
+    with pytest.raises(ValueError, match="^n must be an integer, got 1.0$"):
+        linalg_core._integer(1.0, "n", 0)
+
+
+_SADDLE = np.diag([2.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: aluthge_iterates(_SADDLE, 0.5, 0), "n_max must be a positive integer, got 0"),
+        (lambda: quasi_hyperbolic_definitional(_SADDLE, n_max=0), "n_max must be a positive integer, got 0"),
+        (lambda: generate_pseudo_orbit(_SADDLE, 0.01, -1, 0), "length must be a nonnegative integer, got -1"),
+        (lambda: generate_pseudo_orbit(_SADDLE, 0.01, 5, -1), "seed must be a nonnegative integer, got -1"),
+        (lambda: run_suite("spectral", 0, 1), "trials must be a positive integer, got 0"),
+        (lambda: run_all(3, -1), "seed must be a nonnegative integer, got -1"),
+        (lambda: EnsembleSpec(kind="normal", dim=0, seed=0), "dim must be a positive integer, got 0"),
+        (lambda: EnsembleSpec(kind="normal", dim=2, seed=-1), "seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["iterates n_max", "definitional n_max", "orbit length", "orbit seed", "trials", "run seed", "dim", "spec seed"],
+)
+def test_every_integer_argument_is_bounded_with_one_wording(call, message):
+    # EnsembleSpec re-raises the gate's ValueError as InvalidSpecError
+    with pytest.raises((ValueError, InvalidSpecError), match=f"^{message}$"):
+        call()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    points: np.ndarray
+    pair: tuple
+    missing: object
+    nested: dict
+    count: int
+
+
+def test_record_encoder_rule():
+    record = _Record(np.array([1 + 2j, 3.0]), (1, 2.5), None, {"range": (0.25, 2.25)}, 7)
+    obj = linalg_core._record_to_json(record)
+    assert obj == {"points": [[1.0, 2.0], [3.0, 0.0]], "pair": [1, 2.5], "missing": None, "nested": {"range": (0.25, 2.25)}, "count": 7}
+    # one key per field, in field order; nested values are copies, as asdict makes them
+    assert list(obj) == [field.name for field in dataclasses.fields(_Record)]
+    assert obj["nested"] is not record.nested
+    assert json.loads(json.dumps(obj))["nested"] == {"range": [0.25, 2.25]}
+
+
+def _pairs(z):
+    """A complex vector or matrix as nested ``[re, im]`` pairs."""
+    if np.ndim(z) == 1:
+        return [[float(v.real), float(v.imag)] for v in z]
+    return [_pairs(row) for row in z]
+
+
+def _payloads():
+    """Each record with its payload written field by field."""
+    orbit = generate_pseudo_orbit(_SADDLE, 0.01, 5, 3)
+    shadow = shadow_orbit(_SADDLE, hyperbolic_splitting(_SADDLE), orbit)
+    report = spectrum_report([[0.5, 1.0], [0.0, 2.0]])
+    held = quasi_hyperbolic_definitional(_SADDLE)
+    failed = quasi_hyperbolic_definitional(np.eye(2))
+    suite = run_suite("spectral", 6, 1)
+    yield orbit, {"points": _pairs(orbit.points), "delta": orbit.delta, "bound": orbit.bound}
+    yield shadow, {
+        "shadow_points": _pairs(shadow.shadow_points),
+        "epsilon": shadow.epsilon,
+        "orbit_residual": shadow.orbit_residual,
+        "constant_bound": shadow.constant_bound,
+    }
+    yield report, {
+        "eigenvalues": _pairs(report.eigenvalues),
+        "spectral_radius": report.spectral_radius,
+        "circle_distance": report.circle_distance,
+        "hyperbolic": report.hyperbolic,
+    }
+    for verdict, witness in ((held, None), (failed, _pairs(failed.witness))):
+        yield verdict, {
+            "verdict": verdict.verdict,
+            "method": verdict.method,
+            "exponent": verdict.exponent,
+            "witness": witness,
+            "margin": verdict.margin,
+            "budget_exhausted": verdict.budget_exhausted,
+        }
+    for weights in ((1, 2.0), [np.float64(0.5), 2], np.array([0.5, 2.0])):
+        spec = EnsembleSpec(kind="shift", dim=3, seed=1, weights=weights)
+        yield spec, {"kind": "shift", "dim": 3, "seed": 1, "gap": None, "cond_cap": 1e4, "weights": list(weights)}
+    yield suite, {
+        "suite": "spectral",
+        "spec": suite.spec,
+        "trials": 6,
+        "passes": suite.passes,
+        "failures": suite.failures,
+        "tolerances": suite.tolerances,
+        "wall_time": suite.wall_time,
+        "rng": suite.rng,
+    }
+
+
+def test_every_record_payload_is_its_field_list():
+    payloads = list(_payloads())
+    assert len(payloads) == 9
+    assert payloads[3][1]["witness"] is None and payloads[4][1]["verdict"] is False
+    for record, expected in payloads:
+        obj = record.to_json()
+        assert obj == expected, type(record).__name__
+        assert list(obj) == list(expected)
+        json.dumps(obj)  # serializable as it is
+    # ndarray weights are written as floats, not as [re, im] pairs
+    assert payloads[7][0].to_json()["weights"] == [0.5, 2.0]

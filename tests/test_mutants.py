@@ -1,18 +1,26 @@
-"""Known faults planted in the conjugacy path, and which of them the
-transfer suite catches at the north-star size (100 trials, seed 1).
+"""Known faults planted in private cores, and exactly which verify suites
+catch each of them at the north-star size (100 trials, seed 1).
 
-Each mutant replaces one private core as the suites see it: the
-conjugacy core ``_conjugacy``, which forms D_lam(T), H, H^(-1) and
-||H|| ||H^(-1)||, or the transfer core ``_transferred``, which picks the
-roles of a direction.  A mutant is caught when the report records a
-failure.  A survivor is listed with the open work meant to catch it, so
-the list cannot grow without a test changing.
+Each mutant replaces one private core as the suites see it:
+- the conjugacy core ``_conjugacy``, which forms D_lam(T), H, H^(-1) and
+  ||H|| ||H^(-1)||, or the transfer core ``_transferred``, which picks the
+  roles of a direction; only the transfer suite reads these two;
+- the splitting core ``_splittings``, read by the shadowing suite and,
+  through ``_transferred``, by the transfer suite;
+- the transform core ``_transform``, read by the spectral, fixedpoint and
+  quasihyp suites, by ``_conjugacy`` and by every iterate step.
+A suite catches a mutant when its report records a failure.  A survivor,
+caught by no suite, is listed with the open work meant to catch it, so the
+list cannot grow without a test changing.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from aluthgelab import aluthge, run_suite, shadowing, suites
+from aluthgelab import SUITE_NAMES, aluthge, run_suite, shadowing, suites
+from aluthgelab.linalg_core import SvdParts
 
 TRIALS, SEED = 100, 1
 
@@ -27,34 +35,68 @@ def _directions_swapped(T, conjugacy, x, reverse, sing):
     return shadowing._transferred(T, conjugacy, x, not reverse, sing)
 
 
-# name -> (the name replaced in suites, the replacement)
+def _projectors_swapped(stack, sing=None, real=shadowing._splittings):
+    """Each splitting with P_s and P_u exchanged."""
+    return [
+        dataclasses.replace(split, stable_projector=split.unstable_projector, unstable_projector=split.stable_projector)
+        for split in real(stack, sing)
+    ]
+
+
+def _factors_swapped(parts, lam, real=aluthge._transform):
+    """The transform with the SVD factors W and V exchanged: its polar
+    factor is U* = V W* in place of U = W V*."""
+    return real(SvdParts(parts.right, parts.singular_values, parts.left), lam)
+
+
+# name -> (the (module, name) pairs replaced, the replacement, the suites
+# that catch it).  Passes out of 100 when measured: 20 in transfer for
+# both transform faults (the lambda = 0.5 trials are unaffected), 0 for
+# both inverse faults; 0 in shadowing and transfer for the swapped
+# projectors; 33 in spectral (the draws whose spectrum is closed under
+# conjugation) and 0 in fixedpoint and transfer for U*
 MUTANTS = {
     "transform at 1 - lambda": (
-        "_conjugacy",
+        [(suites, "_conjugacy")],
         _conjugacy_with(lambda c, parts, lam: (aluthge._transform(parts, 1.0 - lam), *c[1:])),
+        {"transfer"},
     ),
     "transform ignores lambda": (
-        "_conjugacy",
+        [(suites, "_conjugacy")],
         _conjugacy_with(lambda c, parts, lam: (aluthge._transform(parts, 0.5), *c[1:])),
+        {"transfer"},
     ),
     "inverse formed with exponent +lambda": (
-        "_conjugacy",
+        [(suites, "_conjugacy")],
         _conjugacy_with(lambda c, parts, lam: (c[0], c[1], aluthge._modulus_power(parts, lam), c[3])),
+        {"transfer"},
     ),
-    "conjugator and inverse swapped": ("_conjugacy", _conjugacy_with(lambda c, *_: (c[0], c[2], c[1], c[3]))),
-    "inverse negated": ("_conjugacy", _conjugacy_with(lambda c, *_: (c[0], c[1], -c[2], c[3]))),
-    "factor dropped": ("_conjugacy", _conjugacy_with(lambda c, *_: (*c[:3], np.ones_like(c[3])))),
-    "factor halved": ("_conjugacy", _conjugacy_with(lambda c, *_: (*c[:3], c[3] / 2))),
-    "directions swapped": ("_transferred", _directions_swapped),
-}
-
-# passes out of 100 when measured: 20 for both transform faults (the
-# lambda = 0.5 trials are unaffected), 0 for both inverse faults
-CAUGHT = {
-    "transform at 1 - lambda",
-    "transform ignores lambda",
-    "inverse formed with exponent +lambda",
-    "conjugator and inverse swapped",
+    "conjugator and inverse swapped": (
+        [(suites, "_conjugacy")],
+        _conjugacy_with(lambda c, *_: (c[0], c[2], c[1], c[3])),
+        {"transfer"},
+    ),
+    "inverse negated": ([(suites, "_conjugacy")], _conjugacy_with(lambda c, *_: (c[0], c[1], -c[2], c[3])), set()),
+    "factor dropped": (
+        [(suites, "_conjugacy")],
+        _conjugacy_with(lambda c, *_: (*c[:3], np.ones_like(c[3]))),
+        set(),
+    ),
+    "factor halved": ([(suites, "_conjugacy")], _conjugacy_with(lambda c, *_: (*c[:3], c[3] / 2)), set()),
+    "directions swapped": ([(suites, "_transferred")], _directions_swapped, set()),
+    "P_s and P_u swapped": (
+        [(suites, "_splittings"), (shadowing, "_splittings")],
+        _projectors_swapped,
+        {"shadowing", "transfer"},
+    ),
+    # the iterates and quasihyp suites miss it: D_lam(T*) has the moduli
+    # of T's eigenvalues, so neither the norm limit nor a hyperbolicity
+    # verdict moves
+    "U replaced by U*": (
+        [(aluthge, "_transform"), (suites, "_transform")],
+        _factors_swapped,
+        {"spectral", "fixedpoint", "transfer"},
+    ),
 }
 
 # the suite's ball orbits lie within delta / (1 + ||T||) of the origin,
@@ -71,19 +113,32 @@ SURVIVORS = {
 }
 
 
+def _plant(name, monkeypatch):
+    where, replacement, _ = MUTANTS[name]
+    for module, attr in where:
+        monkeypatch.setattr(module, attr, replacement)
+
+
 def test_the_unmutated_transfer_suite_passes():
     assert run_suite("transfer", TRIALS, SEED).all_passed
 
 
 def test_every_mutant_is_caught_or_a_listed_survivor():
-    assert not CAUGHT & set(SURVIVORS)
-    assert set(MUTANTS) == CAUGHT | set(SURVIVORS)
+    assert {name for name, (*_, catchers) in MUTANTS.items() if not catchers} == set(SURVIVORS)
     assert sorted(SURVIVORS) == ["directions swapped", "factor dropped", "factor halved", "inverse negated"]
+    assert all(catchers <= set(SUITE_NAMES) for *_, catchers in MUTANTS.values())
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_transfer_suite_catches_exactly_the_caught_mutants(name, monkeypatch):
-    entry, replacement = MUTANTS[name]
-    monkeypatch.setattr(suites, entry, replacement)
+    _plant(name, monkeypatch)
     report = run_suite("transfer", TRIALS, SEED)
-    assert report.all_passed == (name in SURVIVORS), report.passes
+    assert report.all_passed == ("transfer" not in MUTANTS[name][2]), report.passes
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_the_other_suites_catch_exactly_their_listed_mutants(name, monkeypatch):
+    _plant(name, monkeypatch)
+    others = [run_suite(suite, TRIALS, SEED) for suite in SUITE_NAMES if suite != "transfer"]
+    caught = {report.suite for report in others if not report.all_passed}
+    assert caught == MUTANTS[name][2] - {"transfer"}, {report.suite: report.passes for report in others}

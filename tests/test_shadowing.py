@@ -1,5 +1,6 @@
 """Hyperbolic splittings, pseudo-orbits, constructive shadowing, transfer."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -398,7 +399,11 @@ def test_orbit_rejects_non_finite_delta(delta):
         generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
 
 
-@pytest.mark.parametrize("delta", [None, "0.1", 0.1j, [0.1], np.array([0.1])], ids=["none", "string", "complex", "list", "array"])
+@pytest.mark.parametrize(
+    "delta",
+    [None, "0.1", 0.1j, [0.1], np.array([0.1]), np.complex128(0.1), 10**400],
+    ids=["none", "string", "complex", "list", "array", "numpy complex", "huge"],
+)
 def test_orbit_rejects_a_delta_that_is_not_a_number(delta):
     with pytest.raises(InvalidDeltaError, match="^delta must be a finite nonnegative number"):
         generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
@@ -413,9 +418,9 @@ def test_orbit_takes_every_real_nonnegative_delta(delta):
 
 
 def test_orbit_rejects_bad_length_and_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^length must be a nonnegative integer, got -1$"):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=-1, seed=0)
-    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=10, seed=-1)
     with pytest.raises(ValueError, match="^length must be an integer, got 2.5$"):
         generate_pseudo_orbit(SADDLE, delta=0.01, length=2.5, seed=0)
@@ -796,3 +801,35 @@ def test_shadow_refuses_a_splitting_of_another_size():
     split = hyperbolic_splitting(np.diag([2.0, 0.5, 3.0]))
     with pytest.raises(SizeMismatchError, match=r"^splitting of size \(3, 3\) does not fit an operator of size 2$"):
         shadow_orbit(SADDLE, split, constant_orbit(0.0, 0.01, 5, dim=2))
+
+
+def _saddle_shadow():
+    orbit = generate_pseudo_orbit(SADDLE, delta=0.01, length=5, seed=0)
+    return orbit, shadow_orbit(SADDLE, hyperbolic_splitting(SADDLE), orbit)
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [None, "1", np.nan, 1 + 0j, np.complex128(1), 10**400],
+    ids=["None", "str", "nan", "complex", "numpy complex", "huge"],
+)
+def test_verify_refuses_a_claim_that_is_not_a_real_number(claim):
+    orbit, result = _saddle_shadow()
+    with pytest.raises(ValueError, match="^eps_claim must be a real number, got "):
+        verify_shadowing(SADDLE, orbit, result, claim)
+
+
+def test_verify_refuses_an_orbit_whose_bound_is_nan():
+    orbit, result = _saddle_shadow()
+    with pytest.raises(ValueError, match="^orbit bound must be a real number, got nan$"):
+        verify_shadowing(SADDLE, dataclasses.replace(orbit, bound=np.nan), result, 1.0)
+
+
+def test_verify_takes_every_real_claim():
+    orbit, result = _saddle_shadow()
+    for claim in (1, 1.0, np.float32(1.0), np.array(1.0), True, np.inf):
+        assert verify_shadowing(SADDLE, orbit, result, claim)
+    # a negative claim answers False; an infinite orbit bound is taken
+    assert not verify_shadowing(SADDLE, orbit, result, -1.0)
+    assert not verify_shadowing(SADDLE, orbit, result, -np.inf)
+    assert verify_shadowing(SADDLE, dataclasses.replace(orbit, bound=np.inf), result, 1.0)

@@ -134,7 +134,7 @@ def test_verify_all_with_no_trials_starts_no_worker(monkeypatch, capsys):
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", _no_worker)
     assert main(["verify", "--suite", "all", "--trials", "0", "--seed", "1"]) == 2
-    assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
+    assert capsys.readouterr().err == "error: trials must be a positive integer, got 0\n"
 
 
 def _bodies(reports):

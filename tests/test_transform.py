@@ -128,6 +128,13 @@ def test_homogeneity_zero():
     assert operator_norm(aluthge_transform(0.0 * T_MONOMIAL, 0.5)) == 0.0
 
 
+def test_homogeneity_refuses_an_alpha_that_is_not_a_number():
+    with pytest.raises(ValueError, match="^alpha must be a complex number, got None$"):
+        scale_homogeneity_check(T_MONOMIAL, None, 0.5)
+    # what complex() reads is still taken
+    assert scale_homogeneity_check(T_MONOMIAL, "1", 0.5) <= 1e-12
+
+
 def test_homogeneity_negative_two():
     assert scale_homogeneity_check(T_MONOMIAL, -2.0, 0.5) <= 1e-10
     # the phase of alpha rides with the isometry factor: -2 T maps to -2 D(T)
