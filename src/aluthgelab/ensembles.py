@@ -26,7 +26,7 @@ RNG_IDENTIFIER = "philox4x64"
 
 ENSEMBLE_KINDS = ("invertible", "hyperbolic", "normal", "unitary", "shift")
 
-# resampling cap for the condition-number rejection loops
+# resampling cap for the condition-number rejection loop
 _MAX_RESAMPLES = 1000
 
 
@@ -101,12 +101,15 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _conditioned_gaussian(rng: np.random.Generator, dim: int, cond_cap: float) -> np.ndarray:
+    """A complex Gaussian from ``rng``, drawn again, at most _MAX_RESAMPLES
+    times, until it is clear of singularity (smallest singular value above
+    the rank tolerance) with condition number at most ``cond_cap``."""
     for _ in range(_MAX_RESAMPLES):
         S = _complex_gaussian(rng, dim)
         sing = _singular_values(S)
-        if sing[0] / sing[-1] <= cond_cap:
+        if sing[-1] > rank_tolerance(sing, dim) and sing[0] / sing[-1] <= cond_cap:
             return S
-    raise InvalidSpecError(f"could not draw a matrix with condition <= {cond_cap:g}")
+    raise InvalidSpecError(f"could not draw an invertible matrix under cond_cap {cond_cap:g}")
 
 
 def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
@@ -140,10 +143,4 @@ def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
         if not np.isfinite(T).all():  # the moduli of a gap near the float limit overflow
             raise InvalidSpecError(f"a hyperbolic draw at gap {gap:g} overflows the float range")
         return T
-    # invertible: resample until clear of singularity and well conditioned
-    for _ in range(_MAX_RESAMPLES):
-        T = _complex_gaussian(rng, d)
-        sing = _singular_values(T)
-        if sing[-1] > rank_tolerance(sing, d) and sing[0] / sing[-1] <= spec.cond_cap:
-            return T
-    raise InvalidSpecError(f"could not draw an invertible matrix under cond_cap {spec.cond_cap:g}")
+    return _conditioned_gaussian(rng, d, spec.cond_cap)  # invertible

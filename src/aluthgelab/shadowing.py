@@ -14,12 +14,13 @@ the defects exactly; only roundoff remains).  Both sums are linear
 recursions driven by the projected propagators T P_s and T^(-1) P_u, which
 keeps every intermediate inside its invariant subspace: iterating the raw
 operator instead would amplify roundoff along the complementary directions
-exponentially.  A linear recursion is a prefix scan, so each is evaluated
-by doubling: round r adds A^(2^r) z_(k - 2^r) to every z_k at once and
-then squares A, which takes ceil(log2 (N + 1)) batched products for
-N + 1 points.  The squared powers of a propagator that does not belong to
-T can overflow; each side is checked once, after its scan.  A side whose
-projector is 0 is not recursed at all.
+exponentially.  A linear recursion is a prefix scan, and both run as one
+scan over the two sides stacked, the unstable one reversed, by doubling:
+round r adds A^(2^r) z_(k - 2^r) to every z_k at once and then squares A,
+which takes ceil(log2 (N + 1)) batched products for N + 1 points.  The
+squared powers of a propagator that does not belong to T can overflow;
+both sides are checked once, after the scan.  An empty side (projector 0)
+has no terms, so its correction stays 0.
 
 The splitting, the shadow and its check also run over a stack of
 operators of one size, with every factorization and product batched over
@@ -463,8 +464,10 @@ def _corrected(T: np.ndarray, splittings, x: np.ndarray) -> np.ndarray:
     """Shadow points y = x - s + u of a stack of pseudo-orbits x (k, N + 1, n)
     under operators T (k, n, n) with their splittings.
 
-    A side whose projector is 0 is not recursed: its correction is 0
-    exactly, and T^(-1) is never formed for it.
+    Both corrections run in one prefix scan over a (2k, N + 1, n) stack:
+    rows :k hold s under T P_s, forward, and rows k: hold u under
+    T^(-1) P_u, over the reversed sequence.  An empty side stays 0: only
+    the members with an unstable side form T^(-1) P_u and project onto it.
 
     Raises
     ------
@@ -474,34 +477,30 @@ def _corrected(T: np.ndarray, splittings, x: np.ndarray) -> np.ndarray:
         As described in :func:`shadow_orbit`; the step is taken over all
         members.
     """
+    k = len(T)
     Ps = np.stack([split.stable_projector for split in splittings])
     Pu = np.stack([split.unstable_projector for split in splittings])
-    s = np.zeros(x.shape, dtype=complex)
-    u = np.zeros(x.shape, dtype=complex)
-    has_s, has_u = Ps.any(), Pu.any(axis=(-2, -1))
+    has_u = Pu.any(axis=(-2, -1))
+    z = np.zeros((2 * k,) + x.shape[1:], dtype=complex)
+    A = np.zeros((2 * k,) + T.shape[1:], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         e = _steps(T, x)
-        if has_s:
-            s[:, 1:] = e @ Ps.swapaxes(-1, -2)
-        if has_u.any():
-            backward = np.zeros(T.shape, dtype=complex)
-            backward[has_u] = _lapack("solve", T[has_u], Pu[has_u])
-            u[:, :-1] = e @ backward.swapaxes(-1, -2)
-        del e  # the scans run in place, so the defects need not stay alive
-        if has_s:
-            _scan(s, T @ Ps)
-        if has_u.any():
-            _scan(u[:, ::-1], backward)
-        stable = np.flatnonzero((~(np.linalg.norm(s, axis=-1) <= BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
-        unstable = np.flatnonzero((~(np.linalg.norm(u, axis=-1) <= BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
+        A[:k] = T @ Ps
+        A[k:][has_u] = backward = _lapack("solve", T[has_u], Pu[has_u])
+        z[:k, 1:] = e @ Ps.swapaxes(-1, -2)
+        z[k:][has_u, 1:] = (e[has_u] @ backward.swapaxes(-1, -2))[:, ::-1]
+        del e  # the scan runs in place, so the defects need not stay alive
+        _scan(z, A)
+        overflow = ~(np.linalg.norm(z, axis=-1) <= BACKSUB_OVERFLOW_LIMIT)
+    stable, unstable = np.flatnonzero(overflow[:k].any(axis=0)), np.flatnonzero(overflow[k:, ::-1].any(axis=0))
     if unstable.size:
         raise UnstableOverflowError(
             f"unstable back-substitution overflow at step {unstable[-1]}"
         )
     if stable.size:
         raise UnstableOverflowError(f"stable correction overflow at step {stable[0]}")
-    y = np.subtract(x, s, out=s)
-    y += u
+    y = np.subtract(x, z[:k], out=z[:k])
+    y += z[k:, ::-1]
     return y
 
 
@@ -558,10 +557,10 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
     unstable one u_k = (T^(-1) P_u)(e_k + u_{k+1}), truncating the series
     at the available defects; returns y_k = x_k + (u_k - s_k) together
     with the achieved epsilon, the recomputed residual, and the constant C.
-    Both linear recursions are prefix scans, evaluated by doubling: the
-    unstable one runs forward over the reversed sequence, and each takes
-    ceil(log2 (N + 1)) batched products with squared propagators instead
-    of N matrix-vector steps.  The recursion of an empty side is skipped.
+    Both linear recursions run as one prefix scan over the two sides
+    stacked, by doubling: the unstable one runs forward over the reversed
+    sequence, and the scan takes ceil(log2 (N + 1)) batched products with
+    squared propagators instead of N matrix-vector steps.
 
     Raises
     ------
@@ -576,7 +575,7 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
         this operator.
     UnstableOverflowError
         If either correction overflows; the splitting then does not belong
-        to this operator.  Both are checked once, after the scans, and the
+        to this operator.  Both are checked once, after the scan, and the
         message names the side and the step where its recursion first
         crosses BACKSUB_OVERFLOW_LIMIT (or turns non-finite): the first
         such step for the forward stable recursion, the last one for the

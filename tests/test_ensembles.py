@@ -87,6 +87,15 @@ def test_spec_infinite_cond_cap_is_no_cap():
     assert sample_matrix(spec).shape == (3, 3)
 
 
+@pytest.mark.parametrize("kind, extra", [("invertible", {}), ("hyperbolic", {"gap": 0.2})])
+def test_an_unreachable_cond_cap_is_refused_by_the_one_acceptance_loop(kind, extra):
+    # no 6 x 6 complex Gaussian is that well conditioned: the invertible
+    # draw and the hyperbolic similarity give up alike
+    spec = EnsembleSpec(kind=kind, dim=6, seed=0, cond_cap=1.01, **extra)
+    with pytest.raises(InvalidSpecError, match=r"^could not draw an invertible matrix under cond_cap 1\.01$"):
+        sample_matrix(spec)
+
+
 def test_hyperbolic_gap_that_overflows_the_draw_is_refused():
     # the outside moduli are drawn from [1 + gap, 2 + gap): at 1e308 the
     # draw's entries pass the float range, at 1e300 they stay finite

@@ -8,7 +8,12 @@ Each mutant replaces one private core as the suites see it:
 - the splitting core ``_splittings``, read by the shadowing suite and,
   through ``_transferred``, by the transfer suite;
 - the transform core ``_transform``, read by the spectral, fixedpoint and
-  quasihyp suites, by ``_conjugacy`` and by every iterate step.
+  quasihyp suites, by ``_conjugacy`` and by every iterate step;
+- the shadowing constant ``HyperbolicSplitting.constant_bound``, read by
+  the shadowing and transfer suites;
+- the definitional core ``_decide`` of the quasihyp suite, the multiset
+  match of the spectral suite and the iterate core ``_iterate`` of the
+  iterates suite.
 A suite catches a mutant when its report records a failure.  A survivor,
 caught by no suite, is listed with the open work meant to catch it, so the
 list cannot grow without a test changing.
@@ -19,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aluthgelab import SUITE_NAMES, aluthge, run_suite, shadowing, suites
+from aluthgelab import SUITE_NAMES, aluthge, run_suite, shadowing, spectral, suites
 from aluthgelab.linalg_core import SvdParts
 
 TRIALS, SEED = 100, 1
@@ -49,12 +54,43 @@ def _factors_swapped(parts, lam, real=aluthge._transform):
     return real(SvdParts(parts.right, parts.singular_values, parts.left), lam)
 
 
+def _constant_scaled(factor, real=shadowing.HyperbolicSplitting.constant_bound):
+    """The shadowing constant C of every splitting, times ``factor``."""
+    return property(lambda split: factor * real.fget(split))
+
+
+def _holds_one_exponent_early(stack, n_max, real=spectral._decide):
+    """Each definitional hold reported at the exponent below its own."""
+    return [
+        dataclasses.replace(verdict, exponent=verdict.exponent - 1)
+        if verdict.verdict and not verdict.budget_exhausted
+        else verdict
+        for verdict in real(stack, n_max)
+    ]
+
+
+def _tolerance_ignored(a, b, tol, real=spectral.multiset_match):
+    """The multiset match with its tolerance ignored: only spectra equal
+    bit for bit, up to order, match."""
+    return real(a, b, 0.0)
+
+
+def _norms_one_step_late(*args, real=aluthge._iterate, **kwargs):
+    """Each member's iterate norms read one step late: iterate j reports
+    the norm of iterate j - 1, the start norm its own."""
+    norms, *rest = real(*args, **kwargs)
+    return ([np.concatenate([norm[:1], norm[:-1]]) for norm in norms], *rest)
+
+
 # name -> (the (module, name) pairs replaced, the replacement, the suites
 # that catch it).  Passes out of 100 when measured: 20 in transfer for
 # both transform faults (the lambda = 0.5 trials are unaffected), 0 for
 # both inverse faults; 0 in shadowing and transfer for the swapped
 # projectors; 33 in spectral (the draws whose spectrum is closed under
-# conjugation) and 0 in fixedpoint and transfer for U*
+# conjugation) and 0 in fixedpoint and transfer for U*; 92 in shadowing
+# and transfer for C x 0.1, 100 everywhere for C x 0.5; 33 in spectral
+# (the draws whose spectra agree bit for bit) for the ignored tolerance;
+# 100 everywhere for the early hold and the late norm
 MUTANTS = {
     "transform at 1 - lambda": (
         [(suites, "_conjugacy")],
@@ -97,6 +133,15 @@ MUTANTS = {
         _factors_swapped,
         {"spectral", "fixedpoint", "transfer"},
     ),
+    "C x 0.5": ([(shadowing.HyperbolicSplitting, "constant_bound")], _constant_scaled(0.5), set()),
+    "C x 0.1": (
+        [(shadowing.HyperbolicSplitting, "constant_bound")],
+        _constant_scaled(0.1),
+        {"shadowing", "transfer"},
+    ),
+    "definitional hold one exponent early": ([(suites, "_decide")], _holds_one_exponent_early, set()),
+    "multiset_match ignores its tolerance": ([(suites, "multiset_match")], _tolerance_ignored, {"spectral"}),
+    "iterate norm read one step late": ([(suites, "_iterate")], _norms_one_step_late, set()),
 }
 
 # the suite's ball orbits lie within delta / (1 + ||T||) of the origin,
@@ -110,6 +155,15 @@ SURVIVORS = {
     "factor halved": _ADVERSARIAL,
     "directions swapped": _ADVERSARIAL,
     "inverse negated": _ADVERSARIAL,
+    # the worst epsilon / (C delta) over the shadowing trials lies in
+    # (0.28, 0.29]: C x 0.28 fails one trial, C x 0.29 none
+    "C x 0.5": _ADVERSARIAL,
+    # the suite compares only the verdict with the spectral one
+    "definitional hold one exponent early": "ROADMAP item 3: exact checks of the reported exponent",
+    # the core stops each trial at the first iterate that meets both
+    # criteria; in every trial that converges, the iterate before it
+    # already meets the norm one
+    "iterate norm read one step late": "ROADMAP item 5: per-trial iterate records the report checks",
 }
 
 
@@ -125,7 +179,15 @@ def test_the_unmutated_transfer_suite_passes():
 
 def test_every_mutant_is_caught_or_a_listed_survivor():
     assert {name for name, (*_, catchers) in MUTANTS.items() if not catchers} == set(SURVIVORS)
-    assert sorted(SURVIVORS) == ["directions swapped", "factor dropped", "factor halved", "inverse negated"]
+    assert sorted(SURVIVORS) == [
+        "C x 0.5",
+        "definitional hold one exponent early",
+        "directions swapped",
+        "factor dropped",
+        "factor halved",
+        "inverse negated",
+        "iterate norm read one step late",
+    ]
     assert all(catchers <= set(SUITE_NAMES) for *_, catchers in MUTANTS.values())
 
 

@@ -261,6 +261,119 @@ def test_shadow_stack_equals_shadow_orbit(dim):
         assert (epsilon[i], residual[i]) == (alone.epsilon, alone.orbit_residual)
 
 
+def two_scan_corrected(T, splittings, x):
+    """Shadow points from one prefix scan per side, each behind a guard
+    that skips a side no member has, the unstable one on the reversed
+    view: the reference the one stacked scan of shadowing._corrected must
+    reproduce bit for bit, overflow messages included."""
+    Ps = np.stack([split.stable_projector for split in splittings])
+    Pu = np.stack([split.unstable_projector for split in splittings])
+    s = np.zeros(x.shape, dtype=complex)
+    u = np.zeros(x.shape, dtype=complex)
+    has_s, has_u = Ps.any(), Pu.any(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = shadowing._steps(T, x)
+        if has_s:
+            s[:, 1:] = e @ Ps.swapaxes(-1, -2)
+        if has_u.any():
+            backward = np.zeros(T.shape, dtype=complex)
+            backward[has_u] = np.linalg.solve(T[has_u], Pu[has_u])
+            u[:, :-1] = e @ backward.swapaxes(-1, -2)
+        if has_s:
+            shadowing._scan(s, T @ Ps)
+        if has_u.any():
+            shadowing._scan(u[:, ::-1], backward)
+        stable = np.flatnonzero((~(np.linalg.norm(s, axis=-1) <= shadowing.BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
+        unstable = np.flatnonzero((~(np.linalg.norm(u, axis=-1) <= shadowing.BACKSUB_OVERFLOW_LIMIT)).any(axis=0))
+    if unstable.size:
+        raise UnstableOverflowError(f"unstable back-substitution overflow at step {unstable[-1]}")
+    if stable.size:
+        raise UnstableOverflowError(f"stable correction overflow at step {stable[0]}")
+    return x - s + u
+
+
+def scan_inputs(stack, length):
+    splittings = hyperbolic_splitting(stack)
+    x = np.stack([generate_pseudo_orbit(T, delta=1e-2, length=length, seed=i).points for i, T in enumerate(stack)])
+    return stack.astype(complex), splittings, x
+
+
+# every member kind of mixed_stack, then stacks where no member has an
+# unstable side, or no member a stable one
+SCAN_STACKS = {"mixed": slice(None), "stable only": slice(0, None, 4), "unstable only": slice(1, None, 4)}
+
+
+@pytest.mark.parametrize("length", [0, 1, 200, 5000])
+@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("members", SCAN_STACKS)
+def test_one_stacked_scan_equals_one_scan_per_side(members, dim, length, monkeypatch):
+    T, splittings, x = scan_inputs(mixed_stack(dim, 8, seed=dim)[SCAN_STACKS[members]], length)
+    has_u = np.array([split.unstable_projector.any() for split in splittings])
+    calls = {"_scan": 0, "solve": []}
+
+    def scan(z, A, real=shadowing._scan):
+        calls["_scan"] += 1
+        real(z, A)
+
+    def lapack(routine, *args, real=shadowing._lapack):
+        if routine == "solve":
+            calls["solve"].append(args[0].copy())
+        return real(routine, *args)
+
+    monkeypatch.setattr(shadowing, "_scan", scan)
+    monkeypatch.setattr(shadowing, "_lapack", lapack)
+    y = shadowing._corrected(T, splittings, x)
+    monkeypatch.undo()
+    expected = two_scan_corrected(T, splittings, x)
+    assert (y.shape, y.dtype) == (expected.shape, expected.dtype)
+    assert y.tobytes() == expected.tobytes()
+    assert calls["_scan"] == 1
+    # T^(-1) P_u is solved for exactly the members with an unstable side
+    solved = np.concatenate(calls["solve"]) if calls["solve"] else T[:0]
+    assert solved.tobytes() == T[has_u].tobytes()
+
+
+def overflow_message(function, *args):
+    with pytest.raises(UnstableOverflowError) as info:
+        function(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "side, operators, splitting_of",
+    [
+        # tenfold and twentyfold growth along the axis the foreign
+        # splitting sums backward: the two back-substitutions cross the
+        # limit at different steps, and the stack names the last of them
+        ("unstable", [np.diag([0.1, 0.5]), np.diag([0.05, 0.5]), SADDLE], SADDLE),
+        # and forward: the stack names the first stable step
+        ("stable", [np.diag([10.0, 0.5]), np.diag([20.0, 0.5]), SADDLE[::-1, ::-1]], np.diag([0.5, 2.0])),
+    ],
+)
+def test_one_stacked_scan_names_the_overflow_steps_of_one_scan_per_side(side, operators, splitting_of):
+    split = hyperbolic_splitting(splitting_of)
+    T, _, x = scan_inputs(np.stack(operators), 200)
+    message = overflow_message(shadowing._corrected, T, [split] * len(T), x)
+    assert message == overflow_message(two_scan_corrected, T, [split] * len(T), x)
+    # each overflowing member alone, and the one whose step the stack names
+    alone = {overflow_message(shadowing._corrected, T[i : i + 1], [split], x[i : i + 1]) for i in range(2)}
+    assert len(alone) == 2 and all(text.startswith(side) for text in alone)
+    step = lambda text: int(text.rsplit(" ", 1)[1])
+    assert message == (max if side == "unstable" else min)(alone, key=step)
+
+
+def test_one_stacked_scan_keeps_an_empty_unstable_side_out_of_overflowing_defects():
+    # T x_k overflows for these points, so every defect is infinite; the
+    # operator has no unstable side, so only its stable correction may
+    # overflow, at the first step it is nonzero
+    T = np.array([[[0.9, 50.0], [0.0, 0.8]]], dtype=complex)
+    splittings = hyperbolic_splitting(T)
+    x = np.full((1, 6, 2), 1e307, dtype=complex)
+    message = overflow_message(shadowing._corrected, T, splittings, x)
+    assert message == overflow_message(two_scan_corrected, T, splittings, x)
+    assert message == "stable correction overflow at step 1"
+
+
 def per_power_bounds(T, split):
     """K_s and K_u from one operator_norm per power of the normalized
     propagators T P_s / rho_s and rho_u T^(-1) P_u: the reference loop the

@@ -395,7 +395,9 @@ def test_definitional_tiny_scale_holds_at_one():
 
 def non_normal_triangular():
     """A strongly non-normal triangular draw with unit-modulus and nearby
-    eigenvalues whose exponent 17 stays undecided (budget_exhausted)."""
+    eigenvalues, one of whose exponents stays undecided (budget_exhausted).
+    Which one is a roundoff outcome of the BLAS kernel: 17 under OpenBLAS's
+    SkylakeX kernel, 15 under its Haswell kernel."""
     rng = np.random.default_rng(360)
     n = int(rng.integers(2, 6))
     scale = 10.0 ** rng.uniform(0, 5)
@@ -442,7 +444,9 @@ def test_definitional_stack_equals_one_call_per_member():
     # bracket and undecided past an overflow cut
     assert [v.verdict for v in verdicts[:2]] == [False, False]
     assert verdicts[2].verdict and not verdicts[2].budget_exhausted
-    assert (verdicts[4].budget_exhausted, verdicts[4].exponent) == (True, 17)
+    # the stuck exponent depends on the BLAS kernel; the loop above pins it
+    # to the member's own call
+    assert verdicts[4].budget_exhausted
     assert (verdicts[5].budget_exhausted, verdicts[5].exponent) == (True, 2)
 
 
