@@ -55,6 +55,7 @@ from .linalg_core import (
     _integer,
     _lapack,
     _norms,
+    _real,
     _singular_values,
     _svd,
     as_matrix,
@@ -80,12 +81,9 @@ EARLY_STOP_FACTOR = 1e-12
 
 
 def check_lambda(lam: float) -> float:
-    """Validate a transform exponent; must be a real number strictly in
-    (0, 1), else ValueError."""
-    try:
-        lam = float(lam)
-    except TypeError:  # None, a complex number or a sequence
-        raise ValueError(f"lambda must be a real number, got {lam!r}") from None
+    """Validate a transform exponent; must be a real number (not a string)
+    strictly in (0, 1), else ValueError."""
+    lam = _real(lam, "lambda")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie strictly in (0, 1), got {lam}")
     return lam
@@ -181,15 +179,17 @@ def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
     |alpha| form; stating it with |alpha| for general complex alpha drops
     the phase and is off by exactly that phase.)  The returned value is
     roundoff only: at most 1e-10 * (1 + |alpha| ||T||).  An ``alpha`` that
-    ``complex()`` cannot read raises ValueError.
+    is not a finite complex number (a string included) raises ValueError.
     """
     T = as_matrix(T)
-    try:
-        alpha = complex(alpha)
-    except TypeError:  # complex() raises ValueError itself on a malformed string
-        raise ValueError(f"alpha must be a complex number, got {alpha!r}") from None
-    scaled = aluthge_transform(alpha * T, lam)
-    reference = alpha * aluthge_transform(T, lam)
+    try:  # the real-number gate, part by part
+        value = complex(_real(np.real(alpha), "alpha"), _real(np.imag(alpha), "alpha"))
+    except ValueError:
+        value = complex(np.nan)  # refused with the infinite alphas
+    if not abs(value) < np.inf:
+        raise ValueError(f"alpha must be a complex number, got {alpha!r}")
+    scaled = aluthge_transform(value * T, lam)
+    reference = value * aluthge_transform(T, lam)
     return float(_norms(scaled - reference))
 
 

@@ -9,15 +9,13 @@ reports is :data:`RNG_IDENTIFIER`.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg_core import _integer, _lapack, _record_to_json, _singular_values, rank_tolerance
+from .linalg_core import _integer, _lapack, _real, _record_to_json, _singular_values, rank_tolerance
 
 __all__ = ["EnsembleSpec", "sample_matrix", "trial_seed", "RNG_IDENTIFIER", "ENSEMBLE_KINDS"]
 
@@ -37,8 +35,9 @@ class EnsembleSpec:
     ``gap`` (hyperbolic only) is the minimum distance of eigenvalue moduli
     from 1 (a gap so large that the draw overflows is refused when
     sampled); ``cond_cap`` caps the condition number of the similarity or of
-    the sample itself; ``weights`` (shift only) fills the subdiagonal and
-    is stored as a tuple, so a spec compares and hashes by value.
+    the sample itself; ``weights`` (shift only) fills the subdiagonal.
+    Numbers are stored as Python ints and floats, a string refused, and
+    ``weights`` as a tuple, so a spec serializes, compares and hashes by value.
     """
 
     kind: str
@@ -51,33 +50,29 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
+        if self.gap is not None and self.kind != "hyperbolic":
+            raise InvalidSpecError(f"gap is only meaningful for hyperbolic, not {self.kind}")
+        if self.weights is not None and self.kind != "shift":
+            raise InvalidSpecError(f"weights are only meaningful for shift, not {self.kind}")
+        weights = self.weights
         try:
-            # Python ints, so that a spec serializes and compares by value
             object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
             object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+            object.__setattr__(self, "cond_cap", _real(self.cond_cap, "cond_cap"))
+            if self.kind == "hyperbolic":
+                object.__setattr__(self, "gap", _real(self.gap, "gap"))
+            if self.kind == "shift":
+                if not (isinstance(weights, Sequence) or np.ndim(weights) == 1) or len(weights) != self.dim - 1:
+                    raise ValueError(f"shift ensembles require a sequence of dim - 1 weights, got {weights!r}")
+                object.__setattr__(self, "weights", tuple(_real(w, "each shift weight") for w in weights))
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
-        # inf is no cap; nan fails the comparison
-        if not isinstance(self.cond_cap, Real) or not self.cond_cap > 1.0:
-            raise InvalidSpecError(f"cond_cap must be a real number above 1, got {self.cond_cap!r}")
-        if self.kind == "hyperbolic":
-            if not isinstance(self.gap, Real) or not 0.0 < self.gap < np.inf:
-                raise InvalidSpecError(f"hyperbolic ensembles require a finite real gap > 0, got {self.gap!r}")
-        elif self.gap is not None:
-            raise InvalidSpecError(f"gap is only meaningful for hyperbolic, not {self.kind}")
-        if self.kind == "shift":
-            weights = self.weights
-            vector = isinstance(weights, Sequence) or (isinstance(weights, np.ndarray) and weights.ndim == 1)
-            if not vector or len(weights) != self.dim - 1:
-                raise InvalidSpecError(
-                    f"shift ensembles require a sequence of dim - 1 = {self.dim - 1} weights, got {weights!r}"
-                )
-            # abs(w) of nan, inf or an int beyond the float range fails the comparison
-            if not all(isinstance(w, Real) and abs(w) <= sys.float_info.max for w in weights):
-                raise InvalidSpecError(f"shift weights must be finite real numbers, got {weights!r}")
-            object.__setattr__(self, "weights", tuple(weights))
-        elif self.weights is not None:
-            raise InvalidSpecError(f"weights are only meaningful for shift, not {self.kind}")
+        if not self.cond_cap > 1.0:  # inf is no cap
+            raise InvalidSpecError(f"cond_cap must be above 1, got {self.cond_cap!r}")
+        if self.kind == "hyperbolic" and not 0.0 < self.gap < np.inf:
+            raise InvalidSpecError(f"hyperbolic ensembles require a finite gap > 0, got {self.gap!r}")
+        if self.kind == "shift" and not all(abs(w) < np.inf for w in self.weights):
+            raise InvalidSpecError(f"shift weights must be finite, got {weights!r}")
 
     def to_json(self) -> dict:
         return _record_to_json(self)
@@ -128,7 +123,7 @@ def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
         U = _random_unitary(rng, d)
         return (U * diag) @ U.conj().T
     if spec.kind == "hyperbolic":
-        gap = float(spec.gap)
+        gap = spec.gap
         inside = rng.random(d) < 0.5 if gap < 1.0 else np.zeros(d, dtype=bool)
         moduli = np.where(
             inside,

@@ -4,10 +4,12 @@ package's input gates, and the JSON wire formats.
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate, member by member for a
-stack, and :func:`_integer` is the single gate for integer arguments: it
-reads a value as a Python int and refuses one below its bound.  Every
-LAPACK call in the package that can fail goes through :func:`_lapack`,
-which decides which typed error a failure raises.
+stack.  :func:`_integer` and :func:`_real` are the single gates for integer
+and real-number arguments: they read a value as a Python int or float and
+refuse anything else (a string too), an int below its bound, and NaN or an
+int beyond the float range; infinities pass, for the caller's range test.
+Every LAPACK call in the package that can fail goes through
+:func:`_lapack`, which decides which typed error a failure raises.
 
 The full SVD and the eigenvalues of one matrix are memoized, so the
 transforms, the conjugator, the first iterate and the spectrum of one
@@ -113,6 +115,19 @@ def _integer(value, name: str, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float, read from a real scalar (a Python or
+    numpy number, a 0-d array, a Fraction or a bool); anything else, NaN
+    and an int beyond the float range raise ValueError naming ``name``."""
+    try:
+        # numpy orders complex numbers, so they are refused by type; NaN fails the comparison
+        if getattr(value, "ndim", 0) == 0 and not np.iscomplexobj(value) and value <= np.inf:
+            return float(value)
+    except (TypeError, ValueError, ArithmeticError):  # None, a string, a sequence; an int past the float range
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def operator_norm(T) -> float:
@@ -278,14 +293,12 @@ def matrix_to_json(T) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse a matrix from the {"rows", "cols", "data"} JSON format."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols, size = _integer(obj["rows"], "rows", 1), _integer(obj["cols"], "cols", 1), len(obj["data"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise SizeMismatchError(f"malformed matrix object: {exc}") from exc
-    if rows <= 0 or cols <= 0 or len(data) != rows * cols:
-        raise SizeMismatchError(
-            f"data length {len(data)} does not match {rows}x{cols}"
-        )
-    return as_matrix(_complex_from_json(data, ndim=1).reshape(rows, cols))
+    if size != rows * cols:
+        raise SizeMismatchError(f"data length {size} does not match {rows}x{cols}")
+    return as_matrix(_complex_from_json(obj["data"], ndim=1).reshape(rows, cols))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -66,6 +66,7 @@ from .linalg_core import (
     _integer,
     _lapack,
     _norms,
+    _real,
     _record_to_json,
     _singular_values,
     _svd,
@@ -386,7 +387,8 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     Raises
     ------
     InvalidDeltaError
-        If delta is not a real number, or is negative, NaN or infinite.
+        If delta is not a real number (a string is not), or is negative,
+        NaN or infinite.
     ValueError
         If length or seed is not an integer, or is negative.
     """
@@ -400,18 +402,6 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     length, seed = _integer(length, "length", 0), _integer(seed, "seed", 0)
     points, rho = _ball_orbits(_unit_orbits([seed], length, T.shape[0]), _norms(T[None]), value)
     return PseudoOrbit(points=points[0], delta=value, bound=float(rho[0]))
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float; anything but a real number (infinities
-    included), or NaN, raises ValueError naming ``name``."""
-    try:
-        # numpy orders complex numbers, so they are refused by type; NaN fails the comparison
-        if not np.iscomplexobj(value) and value <= np.inf:
-            return float(value)
-    except (TypeError, ValueError, OverflowError):  # None, a string, a sequence, an int past the float range
-        pass
-    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _points(points, n: int, name: str) -> np.ndarray:

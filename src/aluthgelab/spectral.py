@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _as_stack, _full_svd, _integer, _lapack, _record_to_json, as_matrix, eigenvalues
+from .linalg_core import _as_stack, _full_svd, _integer, _lapack, _real, _record_to_json, as_matrix, eigenvalues
 
 __all__ = [
     "SpectrumReport",
@@ -116,17 +116,15 @@ def multiset_match(a, b, tol: float) -> MatchResult:
     Raises
     ------
     ValueError
-        If ``tol`` is not a number, or is negative or NaN.
+        If ``tol`` is not a real number (a string is not), or is negative
+        or NaN.
     SizeMismatchError
         If the multisets have different cardinality.
     NonFiniteEntryError
         If an entry is NaN or infinite, or a pairwise distance overflows.
     """
-    try:
-        valid = tol >= 0  # nan fails the comparison
-    except TypeError:  # None or a string does not compare
-        valid = False
-    if not valid:
+    tol = _real(tol, "tol")
+    if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()

@@ -65,6 +65,10 @@ def test_transform_malformed_json_exits_2(tmp_path):
     bad.write_text("{not json")
     proc = run_cli("transform", "--in", str(bad))
     assert proc.returncode == 2
+    # a size past the float range is an input error too, not a traceback
+    bad.write_text('{"rows": 1e400, "cols": 1, "data": [[1, 0]]}')
+    proc = run_cli("spectrum", "--in", str(bad))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
 def test_transform_bad_lambda_exits_2(monomial_file):

@@ -1,5 +1,8 @@
 """Seeded matrix ensembles: validation, determinism, construction properties."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,13 @@ def test_spec_validation():
     # the Philox stream takes no negative seed; the spec names the seed
     with pytest.raises(InvalidSpecError, match="seed must be a nonnegative integer, got -1"):
         EnsembleSpec(kind="normal", dim=4, seed=-1)
+    # real numbers are read by the one real-number gate, which names the field
+    with pytest.raises(InvalidSpecError, match="^cond_cap must be a real number, got 'big'$"):
+        EnsembleSpec(kind="invertible", dim=4, seed=0, cond_cap="big")
+    with pytest.raises(InvalidSpecError, match="^gap must be a real number, got None$"):
+        EnsembleSpec(kind="hyperbolic", dim=4, seed=0)
+    with pytest.raises(InvalidSpecError, match=r"^each shift weight must be a real number, got b'1'$"):
+        EnsembleSpec(kind="shift", dim=3, seed=0, weights=(b"1", 1.0))
 
 
 @pytest.mark.parametrize(
@@ -53,6 +63,17 @@ def test_spec_validation():
         {"kind": "invertible", "cond_cap": "big"},
         {"kind": "hyperbolic", "gap": "x"},
         {"kind": "hyperbolic", "gap": float("inf")},
+        {"kind": "invertible", "cond_cap": b"2"},
+        {"kind": "invertible", "cond_cap": np.array([2.0])},
+        {"kind": "invertible", "cond_cap": 2j},
+        {"kind": "invertible", "cond_cap": 10**400},
+        {"kind": "hyperbolic", "gap": "0.2"},
+        {"kind": "hyperbolic", "gap": b"0.2"},
+        {"kind": "hyperbolic", "gap": [0.2]},
+        {"kind": "hyperbolic", "gap": np.array([0.2])},
+        {"kind": "hyperbolic", "gap": 0.2j},
+        {"kind": "hyperbolic", "gap": float("nan")},
+        {"kind": "hyperbolic", "gap": 10**400},
     ],
 )
 def test_spec_rejects_bad_cond_cap_and_gap(fields):
@@ -69,6 +90,12 @@ def test_spec_rejects_bad_cond_cap_and_gap(fields):
         (float("nan"), 1.0),
         (10**400, 1.0),  # beyond the float range
         np.ones((2, 1)),  # not one weight per entry
+        ("0.5", 1.0),
+        (b"0.5", 1.0),
+        ([0.5], 1.0),
+        (np.array([0.5]), 1.0),
+        (None, 1.0),
+        (float("inf"), 1.0),
     ],
 )
 def test_spec_rejects_bad_shift_weights(weights):
@@ -77,9 +104,10 @@ def test_spec_rejects_bad_shift_weights(weights):
 
 
 def test_spec_takes_shift_weights_of_any_real_sequence():
-    for weights in ((1, 2.0), [np.float64(0.5), 2], np.array([0.5, 2.0])):
-        T = sample_matrix(EnsembleSpec(kind="shift", dim=3, seed=0, weights=weights))
-        np.testing.assert_array_equal(np.diag(T, -1), np.asarray(weights, dtype=float))
+    for weights in ((1, 2.0), [np.float64(0.5), 2], np.array([0.5, 2.0]), (np.float32(1), 2.0), (Fraction(1, 2), True)):
+        spec = EnsembleSpec(kind="shift", dim=3, seed=0, weights=weights)
+        assert all(type(w) is float for w in spec.weights)
+        np.testing.assert_array_equal(np.diag(sample_matrix(spec), -1), np.asarray(weights, dtype=float))
 
 
 def test_spec_infinite_cond_cap_is_no_cap():
@@ -140,6 +168,11 @@ def test_spec_json_embeds_parameters():
     assert obj["dim"] == 3
     assert obj["seed"] == 42
     assert obj["gap"] == 0.2
+    # numbers are stored as Python floats, so any real scalar serializes
+    for gap, cond_cap in ((np.float32(0.25), Fraction(10**4)), (Fraction(1, 4), np.float32(1e4)), (np.array(0.25), 10**4)):
+        spec = EnsembleSpec(kind="hyperbolic", dim=3, seed=42, gap=gap, cond_cap=cond_cap)
+        obj = json.loads(json.dumps(spec.to_json()))
+        assert (obj["gap"], obj["cond_cap"]) == (0.25, 1e4)
 
 
 @pytest.mark.parametrize(

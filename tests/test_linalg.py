@@ -217,9 +217,16 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(SizeMismatchError):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0, 0]]})
-    for bad in ([["a", 0]], [[None, 0]]):
+    for bad in ([["a", 0]], [[None, 0]], 5):
         with pytest.raises(SizeMismatchError):
             matrix_from_json({"rows": 1, "cols": 1, "data": bad})
+    # rows and cols are read by the integer gate: neither truncated nor overflowed
+    with pytest.raises(SizeMismatchError, match="^malformed matrix object: rows must be an integer, got 1.9$"):
+        matrix_from_json({"rows": 1.9, "cols": 1.2, "data": [[1, 0]]})
+    with pytest.raises(SizeMismatchError, match="^malformed matrix object: rows must be an integer, got inf$"):
+        matrix_from_json(json.loads('{"rows": 1e400, "cols": 1, "data": [[1, 0]]}'))
+    with pytest.raises(SizeMismatchError, match="^malformed matrix object: cols must be a positive integer, got 0$"):
+        matrix_from_json({"rows": 1, "cols": 0, "data": []})
 
 
 # -- the factorization memo --------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -514,20 +515,21 @@ def test_orbit_rejects_non_finite_delta(delta):
 
 @pytest.mark.parametrize(
     "delta",
-    [None, "0.1", 0.1j, [0.1], np.array([0.1]), np.complex128(0.1), 10**400],
-    ids=["none", "string", "complex", "list", "array", "numpy complex", "huge"],
+    [None, "0.1", 0.1j, [0.1], np.array([0.1]), np.complex128(0.1), 10**400, b"0.1"],
+    ids=["none", "string", "complex", "list", "array", "numpy complex", "huge", "bytes"],
 )
 def test_orbit_rejects_a_delta_that_is_not_a_number(delta):
     with pytest.raises(InvalidDeltaError, match="^delta must be a finite nonnegative number"):
         generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
 
 
-@pytest.mark.parametrize("delta", [np.float32(0.25), np.array(0.25), 1, 0])
+@pytest.mark.parametrize("delta", [np.float32(0.25), np.array(0.25), 1, 0, Fraction(1, 4)])
 def test_orbit_takes_every_real_nonnegative_delta(delta):
     orbit = generate_pseudo_orbit(SADDLE, delta=delta, length=10, seed=0)
     reference = generate_pseudo_orbit(SADDLE, delta=float(delta), length=10, seed=0)
     np.testing.assert_array_equal(orbit.points, reference.points)
     assert (orbit.delta, orbit.bound) == (reference.delta, reference.bound)
+    assert type(orbit.delta) is float
 
 
 def test_orbit_rejects_bad_length_and_mode():
@@ -923,8 +925,8 @@ def _saddle_shadow():
 
 @pytest.mark.parametrize(
     "claim",
-    [None, "1", np.nan, 1 + 0j, np.complex128(1), 10**400],
-    ids=["None", "str", "nan", "complex", "numpy complex", "huge"],
+    [None, "1", np.nan, 1 + 0j, np.complex128(1), 10**400, b"1", [1.0], np.array([1.0])],
+    ids=["None", "str", "nan", "complex", "numpy complex", "huge", "bytes", "list", "array"],
 )
 def test_verify_refuses_a_claim_that_is_not_a_real_number(claim):
     orbit, result = _saddle_shadow()
@@ -940,7 +942,7 @@ def test_verify_refuses_an_orbit_whose_bound_is_nan():
 
 def test_verify_takes_every_real_claim():
     orbit, result = _saddle_shadow()
-    for claim in (1, 1.0, np.float32(1.0), np.array(1.0), True, np.inf):
+    for claim in (1, 1.0, np.float32(1.0), np.array(1.0), True, np.inf, Fraction(1)):
         assert verify_shadowing(SADDLE, orbit, result, claim)
     # a negative claim answers False; an infinite orbit bound is taken
     assert not verify_shadowing(SADDLE, orbit, result, -1.0)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,13 +100,19 @@ def test_multiset_size_mismatch():
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-12, -np.inf])
 def test_multiset_refuses_a_negative_or_nan_tolerance(tol):
-    with pytest.raises(ValueError, match="^tol must be a nonnegative number"):
+    # the real-number gate refuses NaN; the range test refuses a negative tolerance
+    kind = "real" if np.isnan(tol) else "nonnegative"
+    with pytest.raises(ValueError, match=f"^tol must be a {kind} number, got "):
         multiset_match([1.0], [1.0], tol)
 
 
-@pytest.mark.parametrize("tol", [None, "0.1", 1j], ids=["none", "string", "complex"])
+@pytest.mark.parametrize(
+    "tol",
+    [None, "0.1", 1j, b"0.1", [0.1], np.array([0.1]), 10**400],
+    ids=["none", "string", "complex", "bytes", "list", "array", "huge"],
+)
 def test_multiset_refuses_a_tolerance_that_is_not_a_number(tol):
-    with pytest.raises(ValueError, match="^tol must be a nonnegative number"):
+    with pytest.raises(ValueError, match="^tol must be a real number, got "):
         multiset_match([1.0], [1.0], tol)
 
 
@@ -113,6 +120,8 @@ def test_multiset_takes_zero_and_infinite_tolerance():
     assert multiset_match([1.0], [1.0], 0.0) == (True, 0.0)
     assert not multiset_match([1.0], [1.5], 0.0).matched
     assert multiset_match([1.0], [1e300], np.inf).matched
+    for tol in (np.float32(0.5), np.array(0.5), Fraction(1, 2)):
+        assert multiset_match([1.0], [1.5], tol).matched and not multiset_match([1.0], [1.75], tol).matched
 
 
 def test_multiset_prefers_optimal_pairing():

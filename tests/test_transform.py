@@ -1,6 +1,8 @@
 """Aluthge transform, iterates, homogeneity, and the similarity conjugator."""
 
 import io
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,11 @@ def test_transform_rejects_bad_lambda():
             aluthge_transform(T_MONOMIAL, lam)
 
 
-@pytest.mark.parametrize("lam", [None, 0.5j, [0.5], np.array([0.5])], ids=["none", "complex", "list", "array"])
+@pytest.mark.parametrize(
+    "lam",
+    [None, 0.5j, [0.5], np.array([0.5]), "0.5", b"0.5", np.nan, 10**400],
+    ids=["none", "complex", "list", "array", "string", "bytes", "nan", "huge"],
+)
 def test_lambda_that_is_not_a_real_number_is_refused(lam):
     with pytest.raises(ValueError, match="^lambda must be a real number"):
         aluthge.check_lambda(lam)
@@ -68,9 +74,13 @@ def test_lambda_that_is_not_a_real_number_is_refused(lam):
         conjugator(T_MONOMIAL, lam)
 
 
-@pytest.mark.parametrize("lam", [0.5, "0.5", np.float32(0.5), np.array(0.5), 1 / 2], ids=["float", "string", "float32", "0-d", "division"])
+@pytest.mark.parametrize(
+    "lam",
+    [0.5, np.float32(0.5), np.array(0.5), 1 / 2, Fraction(1, 2)],
+    ids=["float", "float32", "0-d", "division", "fraction"],
+)
 def test_lambda_accepts_every_real_scalar(lam):
-    assert aluthge.check_lambda(lam) == 0.5
+    assert aluthge.check_lambda(lam) == 0.5 and type(aluthge.check_lambda(lam)) is float
     np.testing.assert_array_equal(aluthge_transform(T_MONOMIAL, lam), aluthge_transform(T_MONOMIAL, 0.5))
 
 
@@ -131,8 +141,13 @@ def test_homogeneity_zero():
 def test_homogeneity_refuses_an_alpha_that_is_not_a_number():
     with pytest.raises(ValueError, match="^alpha must be a complex number, got None$"):
         scale_homogeneity_check(T_MONOMIAL, None, 0.5)
-    # what complex() reads is still taken
-    assert scale_homogeneity_check(T_MONOMIAL, "1", 0.5) <= 1e-12
+    # each part is read by the real-number gate, and must be finite
+    refused = ("1", "1+2j", b"1", [1.0], np.array([1.0]), 10**400, np.nan, np.inf, complex(np.inf, 0), complex(0, np.nan))
+    for alpha in refused:
+        with pytest.raises(ValueError, match=f"^alpha must be a complex number, got {re.escape(repr(alpha))}$"):
+            scale_homogeneity_check(T_MONOMIAL, alpha, 0.5)
+    for alpha in (np.complex64(1), np.array(1 + 0j), Fraction(1), True, 1):
+        assert scale_homogeneity_check(T_MONOMIAL, alpha, 0.5) <= 1e-12
 
 
 def test_homogeneity_negative_two():
