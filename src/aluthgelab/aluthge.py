@@ -23,12 +23,13 @@ iterate trace records both per step.  A step takes one SVD, whose largest
 singular value is the norm of the iterate it transforms, and one
 ``eigvalsh``, for the defect: the largest |eigenvalue| of the Hermitian
 S*S - SS*.  :func:`aluthge_iterates` also iterates a stack of k matrices
-of one size in lockstep, each member stopping on its own; the stop
-compares the defect with the starting norm, both scaled by powers of two,
-so it does not depend on the scale of T.  The verify suite and the CLI
-run the same core without keeping the iterates; the suite also stops each
-member at the first iterate that meets its convergence criteria, so its
-traces are prefixes of these.  For invertible T the
+of one size in lockstep, each member stopping on its own.  A defect is
+stored unscaled; the floor stop compares it with the starting norm, both
+scaled by powers of two, so it does not depend on the scale of T.  The
+CLI and the verify suite run the same core without keeping the iterates;
+the suite also stops each member at the first iterate that meets its
+convergence criteria, so its traces are prefixes of these.  For
+invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -224,16 +225,19 @@ def _iterate(
     singular value of the SVD that forms iterate j + 1, and a member's
     last iterate takes a values-only SVD in the step where it stops.  Each
     step takes one ``eigvalsh``, for the defect, and the start norm is read
-    off the SVD that step 1 takes.  The rows double when full, so memory
-    follows the steps taken, not ``n_max``.
+    off the SVD that step 1 takes.  A defect is stored unscaled in the
+    step that forms it, one beyond the float range as inf, refused once
+    the loop ends.  The rows double when full, so memory follows the
+    steps taken, not ``n_max``.
 
-    A member stops one iterate past the roundoff floor, or at the budget.
-    Given ``norm_limit_factor`` and ``defect_factor`` (the iterates
-    suite's convergence criteria), a member also stops at the first
-    iterate whose norm is within ``norm_limit_factor * (1 + r)`` of the
-    spectral radius r and whose defect is at most ``defect_factor *
-    ||T||^2``, its norm read off the SVD that would form the next iterate;
-    each row is then a prefix, bit for bit, of the row without criteria.
+    A member stops one iterate past the roundoff floor (read off the
+    scaled defect), or at the budget.  Given ``norm_limit_factor`` and
+    ``defect_factor`` (the iterates suite's convergence criteria), a
+    member also stops at the first iterate whose norm is within
+    ``norm_limit_factor * (1 + r)`` of the spectral radius r and whose
+    stored defect is at most ``defect_factor * ||T||^2``, its norm read
+    off the SVD that would form the next iterate; each row is then a
+    prefix, bit for bit, of the row without criteria.
     """
     k = len(stack)
     parts = _svd(stack)
@@ -241,9 +245,7 @@ def _iterate(
     top = parts.singular_values.max(axis=-1, initial=0.0)  # ||T|| of each member
     norm = np.ldexp(top, -start)
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
-    # a norm of T beyond the float range is refused before any step; the
-    # defects are unscaled, and checked, at the end
-    _unscaled(norm, start)
+    _unscaled(norm, start)  # a norm of T beyond the float range is refused before any step
     radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
     if defect_factor is not None:
@@ -252,44 +254,42 @@ def _iterate(
         # pow) can differ in the last bit from an array's x * x
         small = np.array([defect_factor * x**2 for x in top.tolist()])
     live = np.arange(k)  # members still iterating
-    # per member and iterate: its norm, and its scaled defect and exponent
-    norms, defects, exponents = np.zeros((k, 16)), np.zeros((k, 16)), np.zeros((k, 16), dtype=int)
-    defects[:, 0], exponents[:, 0] = defect, 2 * start
+    norms, defects = np.zeros((k, 16)), np.zeros((k, 16))  # per member and iterate
     length = np.zeros(k, dtype=int)  # each member's trace length, set when it stops
     iterates = [[M] for M in stack] if keep else None
-    for j in range(1, n_max + 1):
-        if j == norms.shape[1]:  # the rows are full: double them
-            norms, defects, exponents = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects, exponents))
-        norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
-        if defect_factor is not None:  # a member meeting the criteria at iterate j - 1 stops there
-            with np.errstate(over="ignore"):  # an overflow reads inf, fails, and is refused at the end
-                last = np.ldexp(defects[live, j - 1], exponents[live, j - 1])
-            met = (np.abs(norms[live, j - 1] - radii[live]) <= near[live]) & (last <= small[live])
-            if met.any():
-                length[live[met]] = j
-                kept = ~met
-                live, parts = live[kept], SvdParts(parts.left[kept], parts.singular_values[kept], parts.right[kept])
-                if not live.size:
-                    break
-        S = _transform(parts, lam)
-        defect, exponent = _defect(S)
-        defects[live, j], exponents[live, j] = defect, 2 * exponent
-        if keep:
-            for i, M in zip(live.tolist(), S):
-                iterates[i].append(M)
-        # a member at the floor stops, this iterate confirming it, and at
-        # the budget every member stops
-        going = ~at_floor[live] & (j < n_max)
-        at_floor[live] = np.ldexp(defect, 2 * (exponent - start[live])) < threshold[live]
-        if not going.all():
-            stop = live[~going]
-            norms[stop, j] = _singular_values(S[~going]).max(axis=-1, initial=0.0)
-            length[stop] = j + 1
-            live, S = live[going], S[going]
-        if not live.size:
-            break
-        parts = _svd(S)
-    defects = _unscaled(defects, exponents)
+    with np.errstate(over="ignore"):  # a defect beyond the float range is stored as inf, refused below
+        defects[:, 0] = np.ldexp(defect, 2 * start)
+        for j in range(1, n_max + 1):
+            if j == norms.shape[1]:  # the rows are full: double them
+                norms, defects = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects))
+            norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
+            if defect_factor is not None:  # a member meeting the criteria at iterate j - 1 stops there
+                met = (np.abs(norms[live, j - 1] - radii[live]) <= near[live]) & (defects[live, j - 1] <= small[live])
+                if met.any():  # if none is left, the step below runs on an empty stack and the loop ends
+                    length[live[met]] = j
+                    kept = ~met
+                    live, parts = live[kept], SvdParts(parts.left[kept], parts.singular_values[kept], parts.right[kept])
+            S = _transform(parts, lam)
+            defect, exponent = _defect(S)
+            defects[live, j] = np.ldexp(defect, 2 * exponent)
+            if keep:
+                for i, M in zip(live.tolist(), S):
+                    iterates[i].append(M)
+            # a member at the floor stops, this iterate confirming it, and at
+            # the budget every member stops
+            going = ~at_floor[live] & (j < n_max)
+            at_floor[live] = np.ldexp(defect, 2 * (exponent - start[live])) < threshold[live]
+            if not going.all():
+                stop = live[~going]
+                norms[stop, j] = _singular_values(S[~going]).max(axis=-1, initial=0.0)
+                length[stop] = j + 1
+                live, S = live[going], S[going]
+            if not live.size:
+                break
+            parts = _svd(S)
+    if not np.isfinite(defects).all():  # the defect scales as ||T||^2
+        member, j = np.argwhere(~np.isfinite(defects))[0].tolist()
+        raise NonFiniteEntryError(f"normality defect beyond the float range (member {member}, iterate {j})")
     return (
         [row[:m] for row, m in zip(norms, length.tolist())],
         [row[:m] for row, m in zip(defects, length.tolist())],

@@ -6,8 +6,9 @@ Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate, member by member for a
 stack.  :func:`_integer` and :func:`_real` are the single gates for integer
 and real-number arguments: they read a value as a Python int or float and
-refuse anything else (a string too), an int below its bound, and NaN or an
-int beyond the float range; infinities pass, for the caller's range test.
+refuse anything else (a string too), an int below its bound, and NaN or a
+finite value beyond the float range; infinities pass, for the caller's
+range test.
 Every LAPACK call in the package that can fail goes through
 :func:`_lapack`, which decides which typed error a failure raises.
 
@@ -120,11 +121,15 @@ def _integer(value, name: str, least: int) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a Python float, read from a real scalar (a Python or
     numpy number, a 0-d array, a Fraction or a bool); anything else, NaN
-    and an int beyond the float range raise ValueError naming ``name``."""
+    and a finite value beyond the float range raise ValueError naming
+    ``name``."""
     try:
         # numpy orders complex numbers, so they are refused by type; NaN fails the comparison
         if getattr(value, "ndim", 0) == 0 and not np.iscomplexobj(value) and value <= np.inf:
-            return float(value)
+            number = float(value)
+            # a finite Decimal or longdouble past the float range reads as an inf unequal to it
+            if abs(number) < np.inf or number == value:
+                return number
     except (TypeError, ValueError, ArithmeticError):  # None, a string, a sequence; an int past the float range
         pass
     raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -1,6 +1,7 @@
 """Seeded matrix ensembles: validation, determinism, construction properties."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,14 @@ def test_spec_validation():
         {"kind": "hyperbolic", "gap": 0.2j},
         {"kind": "hyperbolic", "gap": float("nan")},
         {"kind": "hyperbolic", "gap": 10**400},
+        {"kind": "invertible", "cond_cap": Decimal("1e400")},  # finite values beyond the float range
+        {"kind": "invertible", "cond_cap": -Decimal("1e400")},
+        {"kind": "invertible", "cond_cap": np.longdouble("1e4000")},
+        {"kind": "invertible", "cond_cap": -np.longdouble("1e4000")},
+        {"kind": "hyperbolic", "gap": Decimal("1e400")},
+        {"kind": "hyperbolic", "gap": -Decimal("1e400")},
+        {"kind": "hyperbolic", "gap": np.longdouble("1e4000")},
+        {"kind": "hyperbolic", "gap": -np.longdouble("1e4000")},
     ],
 )
 def test_spec_rejects_bad_cond_cap_and_gap(fields):
@@ -96,6 +105,10 @@ def test_spec_rejects_bad_cond_cap_and_gap(fields):
         (np.array([0.5]), 1.0),
         (None, 1.0),
         (float("inf"), 1.0),
+        (Decimal("1e400"), 1.0),  # finite values beyond the float range
+        (-Decimal("1e400"), 1.0),
+        (np.longdouble("1e4000"), 1.0),
+        (-np.longdouble("1e4000"), 1.0),
     ],
 )
 def test_spec_rejects_bad_shift_weights(weights):

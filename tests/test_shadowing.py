@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -515,8 +516,15 @@ def test_orbit_rejects_non_finite_delta(delta):
 
 @pytest.mark.parametrize(
     "delta",
-    [None, "0.1", 0.1j, [0.1], np.array([0.1]), np.complex128(0.1), 10**400, b"0.1"],
-    ids=["none", "string", "complex", "list", "array", "numpy complex", "huge", "bytes"],
+    [
+        None, "0.1", 0.1j, [0.1], np.array([0.1]), np.complex128(0.1), 10**400, b"0.1",
+        # finite values beyond the float range
+        Decimal("1e400"), -Decimal("1e400"), np.longdouble("1e4000"), -np.longdouble("1e4000"),
+    ],
+    ids=[
+        "none", "string", "complex", "list", "array", "numpy complex", "huge", "bytes",
+        "huge decimal", "-huge decimal", "huge longdouble", "-huge longdouble",
+    ],
 )
 def test_orbit_rejects_a_delta_that_is_not_a_number(delta):
     with pytest.raises(InvalidDeltaError, match="^delta must be a finite nonnegative number"):

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -108,8 +109,15 @@ def test_multiset_refuses_a_negative_or_nan_tolerance(tol):
 
 @pytest.mark.parametrize(
     "tol",
-    [None, "0.1", 1j, b"0.1", [0.1], np.array([0.1]), 10**400],
-    ids=["none", "string", "complex", "bytes", "list", "array", "huge"],
+    [
+        None, "0.1", 1j, b"0.1", [0.1], np.array([0.1]), 10**400,
+        # finite values beyond the float range
+        Decimal("1e400"), -Decimal("1e400"), np.longdouble("1e4000"), -np.longdouble("1e4000"),
+    ],
+    ids=[
+        "none", "string", "complex", "bytes", "list", "array", "huge",
+        "huge decimal", "-huge decimal", "huge longdouble", "-huge longdouble",
+    ],
 )
 def test_multiset_refuses_a_tolerance_that_is_not_a_number(tol):
     with pytest.raises(ValueError, match="^tol must be a real number, got "):

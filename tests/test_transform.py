@@ -2,6 +2,7 @@
 
 import io
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,8 +63,15 @@ def test_transform_rejects_bad_lambda():
 
 @pytest.mark.parametrize(
     "lam",
-    [None, 0.5j, [0.5], np.array([0.5]), "0.5", b"0.5", np.nan, 10**400],
-    ids=["none", "complex", "list", "array", "string", "bytes", "nan", "huge"],
+    [
+        None, 0.5j, [0.5], np.array([0.5]), "0.5", b"0.5", np.nan, 10**400,
+        # finite values beyond the float range
+        Decimal("1e400"), -Decimal("1e400"), np.longdouble("1e4000"), -np.longdouble("1e4000"),
+    ],
+    ids=[
+        "none", "complex", "list", "array", "string", "bytes", "nan", "huge",
+        "huge decimal", "-huge decimal", "huge longdouble", "-huge longdouble",
+    ],
 )
 def test_lambda_that_is_not_a_real_number_is_refused(lam):
     with pytest.raises(ValueError, match="^lambda must be a real number"):
@@ -425,19 +433,28 @@ def test_iterate_core_without_iterates_equals_the_traces():
         assert trace.spectral_radius == radius
 
 
-def test_iterate_core_stops_a_member_once_both_criteria_hold():
-    stack = _mixed_stack(4)[:3]  # the normal matrix, the slow draw and x y*
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+def test_iterate_core_stops_a_member_once_both_criteria_hold(scale):
+    # the criteria read the unscaled defects, which, like ||T||^2, underflow
+    # to 0 at 1e-300: there the defect criterion holds unless its factor is
+    # -inf (-inf * 0 is NaN).  An always-holding norm factor is inf, since
+    # 1e300 * (1 + r) overflows at 1e150
+    stack = scale * _mixed_stack(4)[:3]  # the normal matrix, the slow draw and x y*
     norms, defects, radii, _ = aluthge._iterate(stack, 0.5, 40)
     # (norm_limit_factor, defect_factor) where one criterion never holds:
     # every member runs as without criteria
-    for criteria in ((-1.0, 1e300), (1e300, -1.0)):
+    for criteria in ((-1.0, 1e300), (np.inf, -np.inf)):
         rows = aluthge._iterate(stack, 0.5, 40, *criteria)
         assert all(map(np.array_equal, rows[0], norms)) and all(map(np.array_equal, rows[1], defects))
         assert rows[2] == radii
     # where both always hold, every member stops at iterate 0
-    rows = aluthge._iterate(stack, 0.5, 40, 1e300, 1e300)
+    rows = aluthge._iterate(stack, 0.5, 40, np.inf, 1e300)
     assert [row.tolist() for row in rows[0]] == [[norm[0]] for norm in norms]
     assert [row.tolist() for row in rows[1]] == [[defect[0]] for defect in defects]
+    # under the suite's criteria each row is a prefix, bit for bit, of the row without them
+    rows = aluthge._iterate(stack, 0.5, 40, 1e-2, 1e-6)
+    for row, full in zip(rows[0] + rows[1], norms + defects):
+        assert 1 <= len(row) <= len(full) and np.array_equal(row, full[: len(row)])
 
 
 DATA = Path(__file__).parent / "data"
