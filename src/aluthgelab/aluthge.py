@@ -27,9 +27,9 @@ of one size in lockstep, each member stopping on its own.  A defect is
 stored unscaled; the floor stop compares it with the starting norm, both
 scaled by powers of two, so it does not depend on the scale of T.  The
 CLI and the verify suite run the same core without keeping the iterates;
-the suite also stops each member at the first iterate that meets its
-convergence criteria, so its traces are prefixes of these.  For
-invertible T the
+the suite also passes its convergence rule, a function that
+:mod:`aluthgelab.suites` states, and each member stops where it first
+holds, so the suite's traces are prefixes of these.  For invertible T the
 transform is a similarity: with H = |T|^lam = V S^lam V*,
 
     D_lam(T) = H T H^(-1),   H^(-1) = V S^(-lam) V*,
@@ -138,23 +138,6 @@ def _defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(_lapack("eigvalsh", Ah @ A - A @ Ah)).max(axis=-1, initial=0.0), exponent
 
 
-def _unscaled(value: np.ndarray, exponent) -> np.ndarray:
-    """``value * 2**exponent``, the true norm or defect of a scaled one.
-
-    Raises
-    ------
-    NonFiniteEntryError
-        If it is beyond the float range (the defect scales as ||T||^2).
-    """
-    with np.errstate(over="ignore"):
-        value = np.ldexp(value, exponent)
-    if not np.isfinite(value).all():
-        raise NonFiniteEntryError(
-            f"operator norm or normality defect beyond the float range (near 2**{int(np.max(exponent))})"
-        )
-    return value
-
-
 def normality_defect(T) -> float:
     """Operator norm of the self-commutator, ||T*T - TT*||.
 
@@ -167,7 +150,11 @@ def normality_defect(T) -> float:
         If the defect is beyond the float range.
     """
     defect, exponent = _defect(as_matrix(T))
-    return float(_unscaled(defect, 2 * exponent))
+    with np.errstate(over="ignore"):
+        defect = np.ldexp(defect, 2 * exponent)
+    if not np.isfinite(defect):
+        raise NonFiniteEntryError("normality defect beyond the float range")
+    return float(defect)
 
 
 def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
@@ -214,9 +201,7 @@ class IterateTrace:
         return len(self.iterates)
 
 
-def _iterate(
-    stack: np.ndarray, lam: float, n_max: int, norm_limit_factor=None, defect_factor=None, keep: bool = False
-):
+def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bool = False):
     """Iterate a validated stack in lockstep; ``(norms, defects, radii,
     iterates)`` with one entry per member, in input order, and
     ``iterates`` None unless ``keep``.
@@ -231,28 +216,23 @@ def _iterate(
     steps taken, not ``n_max``.
 
     A member stops one iterate past the roundoff floor (read off the
-    scaled defect), or at the budget.  Given ``norm_limit_factor`` and
-    ``defect_factor`` (the iterates suite's convergence criteria), a
-    member also stops at the first iterate whose norm is within
-    ``norm_limit_factor * (1 + r)`` of the spectral radius r and whose
-    stored defect is at most ``defect_factor * ||T||^2``, its norm read
-    off the SVD that would form the next iterate; each row is then a
-    prefix, bit for bit, of the row without criteria.
+    scaled defect), at the budget, or at the first iterate that meets the
+    rule ``converged(norm, defect, start, radius)``, if given (the
+    iterates suite passes its own): it takes arrays of the live members'
+    norms, read off the SVD that would form the next iterate, stored
+    defects, start norms and spectral radii, and returns which meet it.
+    Each row under a rule is a prefix, bit for bit, of the row without.
     """
     k = len(stack)
     parts = _svd(stack)
     defect, start = _defect(stack)
     top = parts.singular_values.max(axis=-1, initial=0.0)  # ||T|| of each member
+    if not np.isfinite(top).all():  # refused before any step
+        raise NonFiniteEntryError(f"operator norm beyond the float range (member {np.argmin(np.isfinite(top))})")
     norm = np.ldexp(top, -start)
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
-    _unscaled(norm, start)  # a norm of T beyond the float range is refused before any step
     radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
-    if defect_factor is not None:
-        near = norm_limit_factor * (1.0 + radii)
-        # float by float, as the suite squares ||T||: a float's ** 2 (libm
-        # pow) can differ in the last bit from an array's x * x
-        small = np.array([defect_factor * x**2 for x in top.tolist()])
     live = np.arange(k)  # members still iterating
     norms, defects = np.zeros((k, 16)), np.zeros((k, 16))  # per member and iterate
     length = np.zeros(k, dtype=int)  # each member's trace length, set when it stops
@@ -263,8 +243,8 @@ def _iterate(
             if j == norms.shape[1]:  # the rows are full: double them
                 norms, defects = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects))
             norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
-            if defect_factor is not None:  # a member meeting the criteria at iterate j - 1 stops there
-                met = (np.abs(norms[live, j - 1] - radii[live]) <= near[live]) & (defects[live, j - 1] <= small[live])
+            if converged is not None:  # a member meeting the rule at iterate j - 1 stops there
+                met = converged(norms[live, j - 1], defects[live, j - 1], norms[live, 0], radii[live])
                 if met.any():  # if none is left, the step below runs on an empty stack and the loop ends
                     length[live[met]] = j
                     kept = ~met
@@ -323,7 +303,8 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     ValueError
         If ``n_max`` is not an integer of at least 1.
     NonFiniteEntryError
-        If an entry is not finite, or a norm or defect overflows.
+        If an entry is not finite, or a norm, defect or eigenvalue
+        overflows.
     SizeMismatchError
         If a member is not square, or the members differ in size.
     """

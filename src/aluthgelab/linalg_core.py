@@ -242,7 +242,8 @@ def eigenvalues(T) -> np.ndarray:
     Order follows the underlying solver and is deterministic for a fixed
     input but otherwise unspecified; use spectral.multiset_match to compare
     spectra.  The vector is read-only: it is shared with later calls on the
-    same matrix (see the module docstring).
+    same matrix (see the module docstring).  An eigenvalue beyond the float
+    range raises NonFiniteEntryError, as a non-finite entry does.
     """
     return _eigenvalues(as_matrix(T))
 
@@ -253,8 +254,12 @@ def _eigenvalues(T: np.ndarray) -> np.ndarray:
 
 
 def _eigvals(T: np.ndarray) -> tuple[np.ndarray]:
-    """``(eigenvalues,)`` from one LAPACK eigenvalue solve."""
-    return (_lapack("eigvals", T),)
+    """``(eigenvalues,)`` from one LAPACK eigenvalue solve, refused if one
+    is beyond the float range (finite entries can have one)."""
+    values = _lapack("eigvals", T)
+    if not np.isfinite(values).all():
+        raise NonFiniteEntryError("eigenvalue beyond the float range")
+    return (values,)
 
 
 def _complex_to_json(z: np.ndarray) -> list:

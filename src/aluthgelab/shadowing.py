@@ -162,6 +162,8 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
         hyperbolicity tolerance of the unit circle.
     NoConvergenceError
         If the eigenvalue or the matrix sign iteration does not converge.
+    NonFiniteEntryError
+        If an entry or an eigenvalue is not finite.
     NotInvertibleError
         If the Cayley solve, a Newton sign step or the solve for T^(-1) P_u
         meets a matrix that is singular in floating point.

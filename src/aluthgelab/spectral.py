@@ -83,7 +83,8 @@ class SpectrumReport:
 
 def spectrum_report(T) -> SpectrumReport:
     """Eigenvalues, spectral radius, distance to the unit circle, and the
-    hyperbolic flag for a square matrix."""
+    hyperbolic flag for a square matrix; an eigenvalue beyond the float
+    range raises NonFiniteEntryError, as a non-finite entry does."""
     T = as_matrix(T)
     ev = eigenvalues(T)
     order = np.lexsort((ev.imag, ev.real))
@@ -241,7 +242,7 @@ class QuasiHyperbolicVerdict:
 def is_quasi_hyperbolic_spectral(T) -> QuasiHyperbolicVerdict:
     """Spectral route: quasi-hyperbolic iff the spectrum (equal to the
     approximate point spectrum in finite dimension) avoids the unit
-    circle."""
+    circle; it raises as :func:`spectrum_report` does."""
     report = spectrum_report(T)
     return QuasiHyperbolicVerdict(
         verdict=report.hyperbolic,

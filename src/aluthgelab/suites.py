@@ -31,8 +31,8 @@ returns the problems of each trial, in group order:
     iterates   one ``_iterate`` call per distinct lambda (the core of
                ``aluthge_iterates``) iterates its members in lockstep,
                each up to the first iterate that meets the suite's
-               convergence criteria, and keeps only their norms, defects
-               and radii
+               convergence rule ``_converged``, which each verdict
+               calls too, and keeps only their norms, defects and radii
     shadowing  one values-only SVD of the stack gives the norms and feeds
                one ``_splittings`` call (``hyperbolic_splitting``), one
                orbit draw per trial is scaled to each delta, then one
@@ -87,12 +87,13 @@ spectral
 fixedpoint
     Normal operators are fixed points of every transform.
 iterates
-    Iterate norms decrease monotonically; norms approach the spectral
-    radius and defects fall below ``defect_factor * ||T||^2`` for a
-    calibrated fraction of trials.  Each member stops at the first iterate
-    that meets both criteria (else one iterate past the roundoff floor, or
-    at the budget), so its trace is a prefix of the ``aluthge_iterates``
-    trace, and monotonicity is checked on the steps up to that stop.
+    Iterate norms decrease monotonically; for a calibrated fraction of
+    trials the last norm is within ``norm_limit_factor * (1 + r)`` of the
+    spectral radius r and the last defect at most ``defect_factor *
+    ||T||^2``, the rule that ``_converged`` states.  Each member stops at
+    the first iterate that meets it (else one iterate past the roundoff
+    floor, or at the budget), so its trace is a prefix of the
+    ``aluthge_iterates`` trace, and monotonicity is checked up to that stop.
 shadowing
     Ball-mode pseudo-orbits of hyperbolic samples are shadowed within
     C * delta, the shadow is a true orbit, and epsilon responds linearly
@@ -249,24 +250,30 @@ def _fixedpoint(group, spec, tolerances):
     ]
 
 
+def _converged(tolerances, norm, defect, start, radius):
+    """The iterates suite's convergence rule (see the module docstring), on
+    scalars or arrays; ``*`` squares ||T||, the start norm, to the same
+    bits in both."""
+    near = abs(norm - radius) <= tolerances["norm_limit_factor"] * (1.0 + radius)
+    return near & (defect <= tolerances["defect_factor"] * (start * start))
+
+
 def _iterates(group, spec, tolerances):
     """The iterates suite on a group of one dim: each member's norms,
     defects and radius are checked on their own."""
     stack = np.stack([_sample(trial, spec) for trial in group])
+    # each member stops at the first iterate that meets the rule its verdict reads
+    converged = functools.partial(_converged, tolerances)
     problems = [None] * len(group)
     for lam in dict.fromkeys(trial.lam for trial in group):
         members = [i for i, trial in enumerate(group) if trial.lam == lam]
-        # each member stops at the first iterate that meets the criteria checked below
-        criteria = tolerances["norm_limit_factor"], tolerances["defect_factor"]
-        norms, defects, radii, _ = _iterate(stack[members], lam, tolerances["iteration_budget"], *criteria)
+        norms, defects, radii, _ = _iterate(stack[members], lam, tolerances["iteration_budget"], converged)
         for i, norm, defect, radius in zip(members, norms, defects, radii):
             trial, found = group[i], []
             steps = np.diff(norm)
             if steps.size and steps.max() > tolerances["monotonicity_slack"]:
                 found.append(f"{trial.kind} dim {trial.dim}: norm increased by {steps.max():.3e}")
-            norm_ok = abs(norm[-1] - radius) <= tolerances["norm_limit_factor"] * (1.0 + radius)
-            defect_ok = defect[-1] <= tolerances["defect_factor"] * norm[0] ** 2
-            if not (norm_ok and defect_ok):
+            if not converged(norm[-1], defect[-1], norm[0], radius):
                 found.append(_UNCONVERGED)
             problems[i] = found
     return problems

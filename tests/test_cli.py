@@ -71,6 +71,14 @@ def test_transform_malformed_json_exits_2(tmp_path):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+def test_eigenvalues_beyond_the_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    save_matrix(np.full((2, 2), 1e308), path)
+    for command in ("spectrum", "quasihyp"):
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: eigenvalue beyond the float range\n")
+
+
 def test_transform_bad_lambda_exits_2(monomial_file):
     proc = run_cli("transform", "--in", monomial_file, "--lambda", "1.5")
     assert proc.returncode == 2

@@ -18,6 +18,7 @@ from aluthgelab import (
     eigenvalues,
     generate_pseudo_orbit,
     hyperbolic_splitting,
+    is_quasi_hyperbolic_spectral,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -126,6 +127,23 @@ def test_eigenvalues_failure_is_typed(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(NoConvergenceError):
         eigenvalues(np.diag([2.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        eigenvalues,
+        spectrum_report,
+        is_quasi_hyperbolic_spectral,
+        lambda T: linalg_core._eigenvalues(np.stack([np.eye(2), T])),
+    ],
+    ids=["eigenvalues", "spectrum_report", "is_quasi_hyperbolic_spectral", "stack"],
+)
+def test_eigenvalues_beyond_the_float_range_are_refused(call, memo):
+    # finite entries whose eigenvalues LAPACK returns as [inf, 1.44e276]
+    with pytest.raises(NonFiniteEntryError, match="^eigenvalue beyond the float range$"):
+        call(np.full((2, 2), 1e308))
+    assert linalg_core._eigvals not in memo
 
 
 def test_values_only_svd_failure_is_typed(monkeypatch):

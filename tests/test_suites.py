@@ -587,10 +587,10 @@ def test_iterates_suite_reads_what_aluthge_iterates_reports(monkeypatch):
     report = run_suite("iterates", trials=15, base_seed=33)
     assert report.trials == 15 and len(calls) == 5
     tolerances, stopped_early = report.tolerances, 0
-    for (stack, lam, n_max, *criteria), (norms, defects, radii, iterates) in calls:
+    for (stack, lam, n_max, converged), (norms, defects, radii, iterates) in calls:
         assert iterates is None  # the suite keeps no iterate
-        # the suite's own criteria stop its members
-        assert criteria == [tolerances["norm_limit_factor"], tolerances["defect_factor"]]
+        # the suite's own rule, under its report's tolerances, stops its members
+        assert converged.func is suites._converged and converged.args == (tolerances,)
         traces = aluthge_iterates(stack, lam, n_max)
         for trace, norm, defect, radius in zip(traces, norms, defects, radii, strict=True):
             # each row is a prefix of the member's trace, bit for bit
@@ -601,6 +601,24 @@ def test_iterates_suite_reads_what_aluthge_iterates_reports(monkeypatch):
             assert trace.spectral_radius == radius
             stopped_early += m < len(trace)
     assert stopped_early
+
+
+def test_iterates_verdict_and_exit_call_one_rule(monkeypatch):
+    # what the suite's rule answered, by caller: the iterate core's exit
+    # passes arrays of the live members, the verdict one member's scalars
+    met = {"exit": [], "verdict": []}
+    real = suites._converged
+
+    def spy(tolerances, norm, *args):
+        result = real(tolerances, norm, *args)
+        met["exit" if np.ndim(norm) else "verdict"] += np.atleast_1d(result).tolist()
+        return result
+
+    monkeypatch.setattr(suites, "_converged", spy)
+    report = run_suite("iterates", trials=15, base_seed=33)
+    assert len(met["verdict"]) == report.trials
+    # every member the exit stopped is judged converged by the verdict
+    assert 0 < sum(met["exit"]) <= sum(met["verdict"])
 
 
 def _meets_criteria(norms, defects, radius, tolerances) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Aluthge transform, iterates, homogeneity, and the similarity conjugator."""
 
+import functools
 import io
 import re
 from decimal import Decimal
@@ -29,6 +30,8 @@ from aluthgelab import aluthge, linalg_core, suites
 
 T_MONOMIAL = np.array([[0.0, 4.0], [1.0, 0.0]])
 LAMBDAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+#: The iterates suite's convergence rule, as the suite hands it to ``_iterate``.
+SUITE_RULE = functools.partial(suites._converged, suites._SUITES["iterates"].tolerances)
 
 
 def random_matrix(seed, n):
@@ -277,6 +280,11 @@ def test_iterates_overflowing_defect_is_a_typed_error():
     with pytest.raises(NonFiniteEntryError):
         aluthge_iterates(1e308 * np.ones((2, 2)), 0.5, 10)
     assert normality_defect(1e308 * np.ones((2, 2))) == 0.0
+    # under the suite's rule ||T||^2 overflows to inf: the member meets it
+    # at iterate 0, and its rows come back
+    rows = aluthge._iterate((1e160 * np.diag([1.0, 2.0j]))[None], 0.5, 10, SUITE_RULE)
+    assert [row.tolist() for row in rows[0] + rows[1]] == [[2e160], [0.0]]
+    assert rows[2] == [2e160]
 
 
 def _mixed_stack(n):
@@ -433,26 +441,30 @@ def test_iterate_core_without_iterates_equals_the_traces():
         assert trace.spectral_radius == radius
 
 
+def _never(norm, defect, start, radius):
+    """A convergence rule that no member meets."""
+    return np.zeros(len(norm), dtype=bool)
+
+
+def _always(norm, defect, start, radius):
+    """A convergence rule that every member meets."""
+    return np.ones(len(norm), dtype=bool)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
 def test_iterate_core_stops_a_member_once_both_criteria_hold(scale):
-    # the criteria read the unscaled defects, which, like ||T||^2, underflow
-    # to 0 at 1e-300: there the defect criterion holds unless its factor is
-    # -inf (-inf * 0 is NaN).  An always-holding norm factor is inf, since
-    # 1e300 * (1 + r) overflows at 1e150
     stack = scale * _mixed_stack(4)[:3]  # the normal matrix, the slow draw and x y*
     norms, defects, radii, _ = aluthge._iterate(stack, 0.5, 40)
-    # (norm_limit_factor, defect_factor) where one criterion never holds:
-    # every member runs as without criteria
-    for criteria in ((-1.0, 1e300), (np.inf, -np.inf)):
-        rows = aluthge._iterate(stack, 0.5, 40, *criteria)
-        assert all(map(np.array_equal, rows[0], norms)) and all(map(np.array_equal, rows[1], defects))
-        assert rows[2] == radii
-    # where both always hold, every member stops at iterate 0
-    rows = aluthge._iterate(stack, 0.5, 40, np.inf, 1e300)
+    # under a rule that never holds every member runs as without one
+    rows = aluthge._iterate(stack, 0.5, 40, _never)
+    assert all(map(np.array_equal, rows[0], norms)) and all(map(np.array_equal, rows[1], defects))
+    assert rows[2] == radii
+    # where the rule always holds, every member stops at iterate 0
+    rows = aluthge._iterate(stack, 0.5, 40, _always)
     assert [row.tolist() for row in rows[0]] == [[norm[0]] for norm in norms]
     assert [row.tolist() for row in rows[1]] == [[defect[0]] for defect in defects]
-    # under the suite's criteria each row is a prefix, bit for bit, of the row without them
-    rows = aluthge._iterate(stack, 0.5, 40, 1e-2, 1e-6)
+    # under the suite's rule each row is a prefix, bit for bit, of the row without it
+    rows = aluthge._iterate(stack, 0.5, 40, SUITE_RULE)
     for row, full in zip(rows[0] + rows[1], norms + defects):
         assert 1 <= len(row) <= len(full) and np.array_equal(row, full[: len(row)])
 
