@@ -5,6 +5,12 @@ is a complete, portable description of its matrix: identical specs yield
 bit-identical samples, and per-trial seeds are derived by adding the
 trial index to the base seed.  The generator identifier recorded in
 reports is :data:`RNG_IDENTIFIER`.
+
+Every draw happens in one private core, ``_draw``, which takes a spec's
+fields as arguments and validates none of them: :func:`sample_matrix`
+hands it the fields of a validated :class:`EnsembleSpec`, and the verify
+suites (``suites._sample``) the constants of their own specs, so they
+build no spec.
 """
 
 from __future__ import annotations
@@ -109,33 +115,37 @@ def _conditioned_gaussian(rng: np.random.Generator, dim: int, cond_cap: float) -
 
 def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Draw the matrix described by ``spec``; deterministic per spec."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    d = spec.dim
-    if spec.kind == "shift":
-        T = np.zeros((d, d), dtype=complex)
-        if d > 1:
-            T += np.diag(np.asarray(spec.weights, dtype=float), -1)
+    return _draw(spec.kind, spec.dim, spec.seed, spec.gap, spec.cond_cap, spec.weights)
+
+
+def _draw(kind: str, dim: int, seed: int, gap, cond_cap, weights) -> np.ndarray:
+    """The draw of :func:`sample_matrix` from the fields of a spec, which
+    are not validated again: each argument reads as its field does."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "shift":
+        T = np.zeros((dim, dim), dtype=complex)
+        if dim > 1:
+            T += np.diag(np.asarray(weights, dtype=float), -1)
         return T
-    if spec.kind == "unitary":
-        return _random_unitary(rng, d)
-    if spec.kind == "normal":
-        diag = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
-        U = _random_unitary(rng, d)
+    if kind == "unitary":
+        return _random_unitary(rng, dim)
+    if kind == "normal":
+        diag = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+        U = _random_unitary(rng, dim)
         return (U * diag) @ U.conj().T
-    if spec.kind == "hyperbolic":
-        gap = spec.gap
-        inside = rng.random(d) < 0.5 if gap < 1.0 else np.zeros(d, dtype=bool)
+    if kind == "hyperbolic":
+        inside = rng.random(dim) < 0.5 if gap < 1.0 else np.zeros(dim, dtype=bool)
         moduli = np.where(
             inside,
-            rng.uniform((1.0 - gap) / 2.0, max(1.0 - gap, 1e-12), d),
-            rng.uniform(1.0 + gap, 2.0 + gap, d),
+            rng.uniform((1.0 - gap) / 2.0, max(1.0 - gap, 1e-12), dim),
+            rng.uniform(1.0 + gap, 2.0 + gap, dim),
         )
-        phases = np.exp(2j * np.pi * rng.random(d))
-        S = _conditioned_gaussian(rng, d, spec.cond_cap)
+        phases = np.exp(2j * np.pi * rng.random(dim))
+        S = _conditioned_gaussian(rng, dim, cond_cap)
         S_inv = _lapack("inv", S)
         with np.errstate(over="ignore", invalid="ignore"):
             T = (S * (moduli * phases)) @ S_inv
         if not np.isfinite(T).all():  # the moduli of a gap near the float limit overflow
             raise InvalidSpecError(f"a hyperbolic draw at gap {gap:g} overflows the float range")
         return T
-    return _conditioned_gaussian(rng, d, spec.cond_cap)  # invertible
+    return _conditioned_gaussian(rng, dim, cond_cap)  # invertible

@@ -158,8 +158,9 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     Raises
     ------
     NotHyperbolicError
-        If T is numerically singular or has an eigenvalue within the
-        hyperbolicity tolerance of the unit circle.
+        If T is numerically singular or has an eigenvalue mu on the unit
+        circle: ||mu| - 1| at most HYPERBOLICITY_TOL_FACTOR * (1 + |mu|)
+        + n * eps * spectral radius (see :mod:`aluthgelab.spectral`).
     NoConvergenceError
         If the eigenvalue or the matrix sign iteration does not converge.
     NonFiniteEntryError
@@ -502,12 +503,12 @@ def _closeness(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return _largest(y - x), _largest(_steps(T, y))
 
 
-def _verified(norm, bound, y, epsilon, residual, claim) -> np.ndarray:
+def _verified(norm, bound, y, epsilon, residual, claim, residual_factor) -> np.ndarray:
     """The check of :func:`verify_shadowing` for each member of a stack of
     operators with spectral norms ``norm``: the residual is at most
-    RESIDUAL_TOL_FACTOR * (1 + ||T||) * max(bound, max_k ||y_k||) and
-    epsilon at most the claim."""
-    tolerance = RESIDUAL_TOL_FACTOR * (1.0 + norm) * np.maximum(bound, _largest(y))
+    residual_factor * (1 + ||T||) * max(bound, max_k ||y_k||) and epsilon
+    at most the claim; :func:`verify_shadowing` takes RESIDUAL_TOL_FACTOR."""
+    tolerance = residual_factor * (1.0 + norm) * np.maximum(bound, _largest(y))
     return (residual <= tolerance) & (epsilon <= claim)
 
 
@@ -653,5 +654,5 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     if x.shape[1] != y.shape[1]:
         raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
     claim, bound = _real(eps_claim, "eps_claim"), _real(orbit.bound, "orbit bound")
-    return bool(_verified(_norms(T), bound, y, *_closeness(T, x, y), claim)[0])
+    return bool(_verified(_norms(T), bound, y, *_closeness(T, x, y), claim, RESIDUAL_TOL_FACTOR)[0])
 

@@ -46,8 +46,11 @@ __all__ = [
     "quasi_hyperbolic_definitional",
 ]
 
-#: An eigenvalue counts as "on the unit circle" when ||lambda| - 1| is at
-#: most this factor times (1 + spectral radius).
+#: An eigenvalue lambda of an n x n matrix counts as "on the unit circle"
+#: when ||lambda| - 1| is at most this factor times (1 + |lambda|), plus
+#: n * eps * spectral radius, the roundoff a largest eigenvalue brings into
+#: every eigenvalue.  Each eigenvalue is held to its own scale, so a large
+#: one does not hide a small one's distance to the circle.
 HYPERBOLICITY_TOL_FACTOR = 1e-8
 
 #: An exponent n is left undecided when an entry of T^1..T^(2n) exceeds
@@ -68,8 +71,8 @@ class SpectrumReport:
 
     ``eigenvalues`` is sorted by (real, imaginary) part for determinism;
     ``circle_distance`` is min over eigenvalues of ||lambda| - 1|;
-    ``hyperbolic`` is true when that distance clears the scale-aware
-    tolerance HYPERBOLICITY_TOL_FACTOR * (1 + spectral_radius).
+    ``hyperbolic`` is true when every eigenvalue clears its own tolerance
+    HYPERBOLICITY_TOL_FACTOR * (1 + |lambda|) + n * eps * spectral_radius.
     """
 
     eigenvalues: np.ndarray
@@ -97,8 +100,10 @@ def _hyperbolicity(ev: np.ndarray) -> tuple[float, float, bool]:
     flag of an eigenvalue multiset (see :class:`SpectrumReport`)."""
     moduli = np.abs(ev)
     radius = float(moduli.max()) if ev.size else 0.0
-    circle = float(np.abs(moduli - 1.0).min()) if ev.size else 1.0
-    return radius, circle, bool(circle > HYPERBOLICITY_TOL_FACTOR * (1.0 + radius))
+    distances = np.abs(moduli - 1.0)
+    circle = float(distances.min()) if ev.size else 1.0
+    tolerances = HYPERBOLICITY_TOL_FACTOR * (1.0 + moduli) + ev.size * np.finfo(float).eps * radius
+    return radius, circle, not (distances <= tolerances).any()
 
 
 class MatchResult(NamedTuple):

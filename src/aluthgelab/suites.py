@@ -19,6 +19,14 @@ A trial that throws a package error is recorded as a failure with the
 text ``"{kind} dim {dim}: error: {exception}"``, never as a crash of the
 runner.
 
+Every stack is drawn by ``_sample``, the one place where trials become
+matrices: it calls ``ensembles._draw``, the unvalidated core of
+``sample_matrix``, once per trial, with the spec's ``cond_cap`` (a spec
+of normal draws alone has none), the gap it is given for hyperbolic
+draws only, and a shift trial's weights from its seed's own Philox
+stream.  The quasihyp suite draws at each of its two gaps, so its
+unitary trials are drawn twice, with the same bits.
+
 Every suite runs the trials of each dim as one (k, n, n) stack through
 private cores, which do not validate the stacks built here again, and
 returns the problems of each trial, in group order:
@@ -125,7 +133,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .aluthge import _conjugacy, _iterate, _transform
-from .ensembles import RNG_IDENTIFIER, EnsembleSpec, sample_matrix, trial_seed
+from .ensembles import RNG_IDENTIFIER, _draw, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _record_to_json, _singular_values, _svd
 from .shadowing import (
@@ -192,21 +200,18 @@ def _trial(spec: dict, index: int) -> _Trial:
     )
 
 
-def _sample(trial: _Trial, spec: dict, **extra) -> np.ndarray:
-    """The trial's matrix, drawn under the spec's condition cap if it has one."""
-    if "cond_cap" in spec:
-        extra["cond_cap"] = spec["cond_cap"]
-    return sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed, **extra))
-
-
-def _spectral_matrix(trial, spec):
-    """The trial's matrix; a shift draw takes its weights from the trial
-    seed's own stream."""
-    weights = None
-    if trial.kind == "shift":
-        rng = np.random.Generator(np.random.Philox(trial.seed))
-        weights = tuple(rng.uniform(*spec["shift_weights"], trial.dim - 1))
-    return _sample(trial, spec, weights=weights)
+def _sample(group, spec: dict, gap=None) -> np.ndarray:
+    """The (k, n, n) stack of a group's matrices, each drawn alone as
+    ``sample_matrix`` draws it (see the module docstring)."""
+    stack = []
+    for trial in group:
+        weights = None
+        if trial.kind == "shift":
+            rng = np.random.Generator(np.random.Philox(trial.seed))
+            weights = rng.uniform(*spec["shift_weights"], trial.dim - 1)
+        own_gap = gap if trial.kind == "hyperbolic" else None
+        stack.append(_draw(trial.kind, trial.dim, trial.seed, own_gap, spec.get("cond_cap"), weights))
+    return np.stack(stack)
 
 
 def _by_lambda(group, parts: SvdParts):
@@ -220,7 +225,7 @@ def _by_lambda(group, parts: SvdParts):
 
 def _spectral(group, spec, tolerances):
     """The spectral suite on a group of one dim: each trial's multiset match."""
-    T = np.stack([_spectral_matrix(trial, spec) for trial in group])
+    T = _sample(group, spec)
     D = np.empty_like(T)
     for members, parts, lam in _by_lambda(group, _svd(T)):
         D[members] = _transform(parts, lam)
@@ -236,7 +241,7 @@ def _spectral(group, spec, tolerances):
 
 def _fixedpoint(group, spec, tolerances):
     """The fixedpoint suite on a group of one dim: each drift ||D_lam(T) - T||."""
-    T = np.stack([_sample(trial, spec) for trial in group])
+    T = _sample(group, spec)
     parts = _svd(T)
     scales = tolerances["fixed_point_factor"] * _norms(T)
     drifts = np.stack([_norms(_transform(parts, lam) - T) for lam in spec["lambdas"]], axis=-1)
@@ -261,7 +266,7 @@ def _converged(tolerances, norm, defect, start, radius):
 def _iterates(group, spec, tolerances):
     """The iterates suite on a group of one dim: each member's norms,
     defects and radius are checked on their own."""
-    stack = np.stack([_sample(trial, spec) for trial in group])
+    stack = _sample(group, spec)
     # each member stops at the first iterate that meets the rule its verdict reads
     converged = functools.partial(_converged, tolerances)
     problems = [None] * len(group)
@@ -281,7 +286,7 @@ def _iterates(group, spec, tolerances):
 
 def _shadowing(group, spec, tolerances):
     """The shadowing suite on a group of one dim: every delta, then the linear response."""
-    T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
+    T = _sample(group, spec, spec["gap"])
     sing = _singular_values(T)
     splittings = _splittings(T, sing)
     constant = np.array([split.constant_bound for split in splittings])
@@ -293,7 +298,7 @@ def _shadowing(group, spec, tolerances):
         x, bound = _ball_orbits(unit, norm, delta)
         y, epsilon, residual = _shadow(T, splittings, x)
         claim = constant * delta + tolerances["epsilon_slack"]
-        verified = _verified(norm, bound, y, epsilon, residual, claim)
+        verified = _verified(norm, bound, y, epsilon, residual, claim, tolerances["residual_factor"])
         per_delta.append(list(zip(epsilon.tolist(), residual.tolist(), claim.tolist(), verified.tolist())))
     problems = []
     for trial, shadows in zip(group, zip(*per_delta)):
@@ -315,7 +320,7 @@ def _shadowing(group, spec, tolerances):
 def _transfer(group, spec, tolerances):
     """The transfer suite on a group of one dim: forward and reverse shadows."""
     delta, length = tolerances["delta"], tolerances["orbit_length"]
-    T = np.stack([_sample(trial, spec, gap=spec["gap"]) for trial in group])
+    T = _sample(group, spec, spec["gap"])
     D, H, H_inv, factor = np.empty_like(T), np.empty_like(T), np.empty_like(T), np.empty(len(group))
     for members, parts, lam in _by_lambda(group, _svd(T)):
         D[members], H[members], H_inv[members], factor[members] = _conjugacy(parts, lam)
@@ -329,7 +334,7 @@ def _transfer(group, spec, tolerances):
         x, bound = _ball_orbits(unit, norm, delta)
         y, epsilon, residual, constant = _transferred(T, (D, H, H_inv, factor), x, reverse, sing)
         claim = constant * delta + tolerances["epsilon_slack"]
-        verified = _verified(norm, bound, y, epsilon, residual, claim)
+        verified = _verified(norm, bound, y, epsilon, residual, claim, tolerances["residual_factor"])
         per_direction.append(list(zip(epsilon.tolist(), claim.tolist(), verified.tolist())))
     return [
         [
@@ -346,19 +351,13 @@ def _quasihyp(group, spec, tolerances):
     """The quasihyp suite on a group of one dim.  The definitional and the
     preservation matrix are hyperbolic draws at their gaps, or both the
     trial's unitary."""
-    stack = np.stack([
-        _sample(trial, spec, gap=spec["definitional_gap"]) if trial.kind == "hyperbolic" else _sample(trial, spec)
-        for trial in group
-    ])
-    verdicts = _decide(stack, tolerances["n_max"])
-    T = np.stack([
-        _sample(trial, spec, gap=spec["preservation_gap"]) if trial.kind == "hyperbolic" else M
-        for trial, M in zip(group, stack)
-    ])
+    definitional = _sample(group, spec, spec["definitional_gap"])
+    verdicts = _decide(definitional, tolerances["n_max"])
+    T = _sample(group, spec, spec["preservation_gap"])
     D = np.empty_like(T)
     for members, parts, lam in _by_lambda(group, _svd(T)):
         D[members] = _transform(parts, lam)
-    spectra = _eigenvalues(np.concatenate([T, D, stack])).reshape(3, len(group), -1)
+    spectra = _eigenvalues(np.concatenate([T, D, definitional])).reshape(3, len(group), -1)
     problems = []
     for trial, definitional, *evs in zip(group, verdicts, *spectra):
         # the spectral verdicts of T, of D_lam(T) and of the definitional matrix

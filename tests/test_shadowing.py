@@ -70,6 +70,21 @@ def test_splitting_saddle_oracle():
     assert split.constant_bound == pytest.approx(4.0, abs=1e-8)
 
 
+# a large unstable eigenvalue does not pull 0.5 onto the unit circle
+@pytest.mark.parametrize("large", [6e7, 1e9, 1e15])
+def test_splitting_saddle_with_a_large_unstable_eigenvalue(large):
+    T = np.diag([large, 0.5])
+    split = hyperbolic_splitting(T)
+    np.testing.assert_array_equal(split.stable_projector, np.diag([0.0, 1.0]))
+    assert (split.stable_rate, split.unstable_rate) == (0.5, large)
+    # C = Ks/(1 - rs) + Ku ru/(ru - 1), about 2 + 1
+    assert split.constant_bound == pytest.approx(2.0 + large / (large - 1.0), rel=1e-12)
+    delta = 1e-2
+    orbit = generate_pseudo_orbit(T, delta=delta, length=200, seed=3)
+    result = shadow_orbit(T, split, orbit)
+    assert verify_shadowing(T, orbit, result, split.constant_bound * delta + 1e-9)
+
+
 def test_splitting_fully_contracting():
     split = hyperbolic_splitting(np.diag([0.5, 1.0 / 3.0]))
     np.testing.assert_allclose(split.stable_projector, np.eye(2), atol=1e-12)
@@ -82,6 +97,13 @@ def test_splitting_fully_contracting():
 def test_splitting_rejects_spectrum_on_circle():
     with pytest.raises(NotHyperbolicError):
         hyperbolic_splitting(ROTATION)
+
+
+# within roundoff of the circle at the scale the largest eigenvalue sets
+@pytest.mark.parametrize("near", [1.0 + 1e-12, 1.0 + 1e-7])
+def test_splitting_rejects_spectrum_near_circle_beside_a_large_eigenvalue(near):
+    with pytest.raises(NotHyperbolicError, match="of the unit circle"):
+        hyperbolic_splitting(np.diag([near, 1e9]))
 
 
 def test_splitting_rejects_singular():

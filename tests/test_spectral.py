@@ -243,6 +243,26 @@ def test_spectral_verdict_unitary_false():
     assert not v.verdict
 
 
+# each eigenvalue is held to its own scale, so a large one does not pull
+# 0.5 onto the unit circle (beyond 5e7 it once did)
+@pytest.mark.parametrize("large", [6e7, 1e9, 1e15])
+def test_spectral_verdict_large_eigenvalue_leaves_a_small_one_off_the_circle(large):
+    T = np.diag([large, 0.5])
+    v = is_quasi_hyperbolic_spectral(T)
+    assert v.verdict and v.margin == 0.5
+    assert spectrum_report(T).hyperbolic
+    definitional = quasi_hyperbolic_definitional(T)
+    assert definitional.verdict and definitional.exponent == 2
+
+
+# within roundoff of the circle at the scale the largest eigenvalue sets
+@pytest.mark.parametrize("near", [1.0 + 1e-12, 1.0 + 1e-7])
+def test_spectral_verdict_near_circle_beside_a_large_eigenvalue_false(near):
+    T = np.diag([near, 1e9])
+    assert not is_quasi_hyperbolic_spectral(T).verdict
+    assert not spectrum_report(T).hyperbolic
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spectral_verdict_preserved_by_transform(seed, lam):

@@ -18,6 +18,7 @@ from aluthgelab import (
     SUITE_NAMES,
     EnsembleSpec,
     ExperimentReport,
+    InvalidSpecError,
     NotInvertibleError,
     aluthge_iterates,
     aluthge_transform,
@@ -120,7 +121,7 @@ def test_negative_seed_is_refused_before_any_trial(run, monkeypatch):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(suites, "sample_matrix", no_trial)
+    monkeypatch.setattr(suites, "_draw", no_trial)
     monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", _no_worker)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
@@ -355,6 +356,38 @@ def test_serial_run_all_does_not_validate_the_stacks_it_builds(monkeypatch):
     assert calls == [(2, 2)]
 
 
+def test_serial_run_all_builds_no_ensemble_spec(monkeypatch):
+    specs, draws = [], _record(monkeypatch, "_draw")
+    monkeypatch.setattr(EnsembleSpec, "__post_init__", lambda spec: specs.append(spec))
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _no_worker)
+    run_all(trials=100, base_seed=1)
+    assert specs == []
+    # every trial is drawn once, a quasihyp trial once at each of its gaps
+    assert len(draws) == 100 * (len(SUITE_NAMES) + 1)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_refused_draw_fails_only_its_own_trial(name, monkeypatch):
+    # trial 0 (base seed 1) is refused; at 40 trials it shares its stack
+    # with trials that pass when run alone, and the iterates suite's rate
+    # stays at 0.95 (seed 10 does not converge)
+    real, seeds = suites._draw, []
+
+    def refuse_seed_1(kind, dim, seed, *fields):
+        seeds.append(seed)
+        if seed == 1:
+            raise InvalidSpecError(f"could not draw {kind} seed {seed}")
+        return real(kind, dim, seed, *fields)
+
+    monkeypatch.setattr(suites, "_draw", refuse_seed_1)
+    report = run_suite(name, trials=40, base_seed=1)
+    kind, dim = report.spec["kinds"][0], report.spec["dims"][0]
+    assert report.failures == [{"seed": 1, "diagnostic": f"{kind} dim {dim}: error: could not draw {kind} seed 1"}]
+    # refused in its stack, then once more alone, as a group of one
+    assert seeds.count(1) == 2
+
+
 def test_verify_never_imports_multiprocessing():
     path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
@@ -452,6 +485,20 @@ def _record(monkeypatch, entry):
     return calls
 
 
+def _public_matrix(trial, spec, gap=None):
+    """The trial's matrix through the public route: ``sample_matrix`` of
+    its own ``EnsembleSpec``, under the spec's condition cap, at ``gap``
+    if hyperbolic, and a shift with weights from the trial seed's own
+    stream."""
+    fields = {"cond_cap": spec["cond_cap"]} if "cond_cap" in spec else {}
+    if trial.kind == "hyperbolic":
+        fields["gap"] = gap
+    if trial.kind == "shift":
+        rng = np.random.Generator(np.random.Philox(trial.seed))
+        fields["weights"] = tuple(rng.uniform(*spec["shift_weights"], trial.dim - 1))
+    return sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed, **fields))
+
+
 def _calls_running(calls, name, group, spec, tolerances):
     """The calls gathered in ``calls`` while suite ``name`` runs ``group``."""
     calls.clear()
@@ -488,7 +535,7 @@ def test_stacked_spectral_equals_each_trial_alone(monkeypatch):
             np.testing.assert_array_equal(after, alone_after)
             assert tol == alone_tol
             # and to the public route
-            T = suites._spectral_matrix(trial, spec)
+            T = _public_matrix(trial, spec)
             np.testing.assert_array_equal(before, eigenvalues(T))
             np.testing.assert_array_equal(after, eigenvalues(aluthge_transform(T, trial.lam)))
             assert tol == tolerances["eigenvalue_match_factor"] * (1.0 + operator_norm(T))
@@ -538,11 +585,8 @@ def test_stacked_quasihyp_equals_each_trial_alone(monkeypatch):
                 np.testing.assert_array_equal(stack[j * k + i], alone_stack[j])
                 np.testing.assert_array_equal(spectra[j * k + i], alone_spectra[j])
             # and to the public route
-            if trial.kind == "hyperbolic":
-                gaps = (spec["preservation_gap"], spec["definitional_gap"])
-                T, definitional = (suites._sample(trial, spec, gap=gap) for gap in gaps)
-            else:
-                T = definitional = suites._sample(trial, spec)
+            gaps = (spec["preservation_gap"], spec["definitional_gap"])
+            T, definitional = (_public_matrix(trial, spec, gap) for gap in gaps)
             for j, M in enumerate((T, aluthge_transform(T, trial.lam), definitional)):
                 np.testing.assert_array_equal(stack[j * k + i], M)
                 np.testing.assert_array_equal(spectra[j * k + i], eigenvalues(M))
@@ -657,7 +701,7 @@ def _iterates_against_full_floor(base_seed):
             calls = _record(patch, "_iterate")
             problems = suites._iterates(group, spec, tolerances)
         ((_, (norms, defects, radii, _)),) = calls
-        stack = np.stack([suites._sample(trial, spec) for trial in group])
+        stack = np.stack([_public_matrix(trial, spec) for trial in group])
         traces = aluthge_iterates(stack, lam, tolerances["iteration_budget"])
         for trial, found, row, trace in zip(group, problems, zip(norms, defects, radii), traces, strict=True):
             full = (trace.operator_norms, trace.normality_defects)
@@ -696,7 +740,7 @@ def test_iterates_suite_checks_monotonicity_only_up_to_the_stop(monkeypatch):
     T = np.diag([1.0, 0.5]).astype(complex)
     real = aluthge._transform
     monkeypatch.setattr(aluthge, "_transform", lambda parts, lam: real(parts, lam) * (1.0 + 1e-3))
-    monkeypatch.setattr(suites, "_sample", lambda trial, spec: T)
+    monkeypatch.setattr(suites, "_draw", lambda *fields: T)
     spec, tolerances, ((trial, *_),) = _groups("iterates", 1, 0)
     # its full trace loses monotonicity right after iterate 0
     trace = aluthge_iterates(T, trial.lam, tolerances["iteration_budget"])
@@ -804,6 +848,16 @@ def test_shadow_suites_stack_error_retries_each_trial_alone(case, monkeypatch):
     monkeypatch.setattr(module, entry, flaky)
     report = run_suite(name, trials=trials, base_seed=1)
     assert report.failures == [{"seed": spec.seed, "diagnostic": f"{spec.kind} dim {spec.dim}: error: refused"}]
+
+
+@pytest.mark.parametrize("name", ["shadowing", "transfer"])
+def test_shadow_suites_read_the_residual_factor_they_report(name, monkeypatch):
+    # no shadow is an orbit to the last bit, so a zero factor fails every trial
+    suite = suites._SUITES[name]
+    monkeypatch.setitem(suites._SUITES, name, suite._replace(tolerances=dict(suite.tolerances, residual_factor=0.0)))
+    report = run_suite(name, trials=7, base_seed=1)
+    assert report.tolerances["residual_factor"] == 0.0
+    assert report.passes == 0
 
 
 @pytest.mark.parametrize("name", ["shadowing", "transfer"])

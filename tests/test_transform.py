@@ -407,7 +407,10 @@ def _old_iterate_loop(stack, lam, n_max):
 def _suite_stacks(seed):
     """The iterates suite's stacks at 100 trials from ``seed``, one per dim."""
     return [
-        np.stack([suites._sample(trial, unit.spec) for trial in unit.group])
+        np.stack([
+            sample_matrix(EnsembleSpec(kind=trial.kind, dim=trial.dim, seed=trial.seed, cond_cap=unit.spec["cond_cap"]))
+            for trial in unit.group
+        ])
         for unit in suites._units(["iterates"], 100, seed)
     ]
 
