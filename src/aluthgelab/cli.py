@@ -138,45 +138,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Aluthge transforms, spectra, quasi-hyperbolicity, and shadowing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag that several subcommands share is declared once, on a parent
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    orbit = argparse.ArgumentParser(add_help=False)
+    orbit.add_argument("--delta", type=float, default=0.01, help="defect bound")
+    orbit.add_argument("--len", dest="length", type=int, default=200, help="orbit steps")
+    orbit.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("transform", help="apply the lambda-Aluthge transform to a matrix")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p = sub.add_parser("transform", parents=[infile, lam], help="apply the lambda-Aluthge transform to a matrix")
     p.add_argument("--out", help="output matrix JSON (stdout if omitted)")
     p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("iterate", help="iterate the transform, tracing norms and defects")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p = sub.add_parser("iterate", parents=[infile, lam], help="iterate the transform, tracing norms and defects")
     p.add_argument("--n", type=int, default=500, help="iteration budget")
     p.add_argument("--trace", help="trace CSV path (stdout if omitted)")
     p.set_defaults(handler=_cmd_iterate)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and hyperbolicity report")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
+    p = sub.add_parser("spectrum", parents=[infile], help="eigenvalues and hyperbolicity report")
     p.add_argument("--json", help="report path (stdout if omitted)")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("quasihyp", help="quasi-hyperbolicity verdict")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
+    p = sub.add_parser("quasihyp", parents=[infile], help="quasi-hyperbolicity verdict")
     p.add_argument("--method", choices=["spectral", "definitional"], default="spectral")
     p.add_argument("--nmax", type=int, default=20, help="largest exponent to test")
     p.set_defaults(handler=_cmd_quasihyp)
 
-    p = sub.add_parser("shadow", help="generate and shadow a ball-mode pseudo-orbit")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
-    p.add_argument("--delta", type=float, default=0.01, help="defect bound")
-    p.add_argument("--len", dest="length", type=int, default=200, help="orbit steps")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("shadow", parents=[infile, orbit], help="generate and shadow a ball-mode pseudo-orbit")
     p.add_argument("--json", help="result path (stdout if omitted)")
     p.set_defaults(handler=_cmd_shadow)
 
-    p = sub.add_parser("transfer", help="shadow an orbit of the transform through the conjugacy")
-    p.add_argument("--in", dest="infile", required=True, help="input matrix JSON")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.01, help="defect bound")
-    p.add_argument("--len", dest="length", type=int, default=200, help="orbit steps")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "transfer", parents=[infile, lam, orbit], help="shadow an orbit of the transform through the conjugacy"
+    )
     p.set_defaults(handler=_cmd_transfer)
 
     p = sub.add_parser("verify", help="run ensemble property suites")

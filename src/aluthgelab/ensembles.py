@@ -10,7 +10,11 @@ Every draw happens in one private core, ``_draw``, which takes a spec's
 fields as arguments and validates none of them: :func:`sample_matrix`
 hands it the fields of a validated :class:`EnsembleSpec`, and the verify
 suites (``suites._sample``) the constants of their own specs, so they
-build no spec.
+build no spec.  ``_draw`` is the one place that knows which fields a kind
+reads; the spec refuses a gap or weights on a kind that does not read
+them.  ``_stream`` is the one constructor of the seeded generator: the
+draws, the suites' shift weights and the pseudo-orbit points of
+``shadowing`` all read it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,12 @@ ENSEMBLE_KINDS = ("invertible", "hyperbolic", "normal", "unitary", "shift")
 
 # resampling cap for the condition-number rejection loop
 _MAX_RESAMPLES = 1000
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """The generator named by :data:`RNG_IDENTIFIER`, seeded by ``seed``:
+    the one constructor behind every seeded draw of the package."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,15 @@ def sample_matrix(spec: EnsembleSpec) -> np.ndarray:
 
 def _draw(kind: str, dim: int, seed: int, gap, cond_cap, weights) -> np.ndarray:
     """The draw of :func:`sample_matrix` from the fields of a spec, which
-    are not validated again: each argument reads as its field does."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    are not validated again: each argument reads as its field does, and
+    only the kind's own fields are read (``gap`` by hyperbolic draws alone,
+    ``weights`` by shift draws alone, which draw nothing from a stream)."""
     if kind == "shift":
         T = np.zeros((dim, dim), dtype=complex)
         if dim > 1:
             T += np.diag(np.asarray(weights, dtype=float), -1)
         return T
+    rng = _stream(seed)
     if kind == "unitary":
         return _random_unitary(rng, dim)
     if kind == "normal":

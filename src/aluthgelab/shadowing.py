@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aluthge import _conjugacy, _scaled, check_lambda
+from .ensembles import _stream
 from .errors import (
     InvalidDeltaError,
     LengthMismatchError,
@@ -348,13 +349,13 @@ class ShadowResult:
 
 def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:
     """Points (k, length + 1, dim) drawn uniformly from the complex unit
-    ball, one Philox stream per seed; nothing is drawn at dim 0."""
+    ball, one ``ensembles._stream`` per seed; nothing is drawn at dim 0."""
     if not dim:
         return np.zeros((len(seeds), length + 1, 0), dtype=complex)
     g = np.empty((len(seeds), length + 1, 2 * dim))
     r = np.empty((len(seeds), length + 1, 1))
     for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = _stream(seed)
         rng.standard_normal(out=g[i])
         rng.random(out=r[i])
     g /= np.linalg.norm(g, axis=-1, keepdims=True)
@@ -609,7 +610,8 @@ def transfer_shadowing(
     Raises
     ------
     ValueError
-        If lambda is not a real number in (0, 1).
+        If lambda is not a real number in (0, 1), or reverse is not a
+        Python or numpy bool.
     SizeMismatchError, NonFiniteEntryError
         If T or the orbit's points are refused (see :func:`shadow_orbit`).
     NotInvertibleError
@@ -619,8 +621,10 @@ def transfer_shadowing(
     """
     T = as_matrix(T)
     lam = check_lambda(lam)
+    if not isinstance(reverse, (bool, np.bool_)):
+        raise ValueError(f"reverse must be a bool, got {reverse!r}")
     x = _points(orbit_for_transform.points, len(T), "orbit points")
-    y, epsilon, residual, constant = _transferred(T[None], _conjugacy(_svd(T[None]), lam), x[None], reverse)
+    y, epsilon, residual, constant = _transferred(T[None], _conjugacy(_svd(T[None]), lam), x[None], bool(reverse))
     return ShadowResult(
         shadow_points=y[0],
         epsilon=float(epsilon[0]),

@@ -22,10 +22,17 @@ runner.
 Every stack is drawn by ``_sample``, the one place where trials become
 matrices: it calls ``ensembles._draw``, the unvalidated core of
 ``sample_matrix``, once per trial, with the spec's ``cond_cap`` (a spec
-of normal draws alone has none), the gap it is given for hyperbolic
-draws only, and a shift trial's weights from its seed's own Philox
-stream.  The quasihyp suite draws at each of its two gaps, so its
-unitary trials are drawn twice, with the same bits.
+of normal draws alone has none), the gap it is given, and a shift
+trial's weights from its seed's own stream, ``ensembles._stream``, the
+one constructor of the seeded generator.  ``_draw`` alone decides which
+of these a kind reads: only hyperbolic draws read the gap.  The quasihyp
+suite draws at each of its two gaps, so its unitary trials are drawn
+twice, with the same bits.
+
+The shadowing and transfer suites test the two sides of the shadowing
+transfer on the same operators: their specs are built from one declared
+ensemble, ``_SHADOW_ENSEMBLE``, and their tolerances from one declared
+set, ``_SHADOW_TOLERANCES``, and each suite adds only its own keys.
 
 Every suite runs the trials of each dim as one (k, n, n) stack through
 private cores, which do not validate the stacks built here again, and
@@ -44,7 +51,8 @@ returns the problems of each trial, in group order:
     shadowing  one values-only SVD of the stack gives the norms and feeds
                one ``_splittings`` call (``hyperbolic_splitting``), one
                orbit draw per trial is scaled to each delta, then one
-               batched shadow and check covers all
+               ``_shadow`` and one ``_verified`` call per delta cover
+               every trial
     transfer   one ``_svd`` of the stack feeds ``_conjugacy``, which
                gives D_lam(T), H = |T|^lam, H^(-1) and ||H|| ||H^(-1)||;
                a values-only SVD of the operators and one of their
@@ -66,8 +74,8 @@ factorization factors each member on its own, and ||H|| ||H^(-1)|| is
 formed member by member.
 
 The orbits of the shadowing and transfer stacks are those of
-``generate_pseudo_orbit`` bit for bit: unit-ball points from one Philox
-stream per seed, scaled by delta / (1 + ||T||), with ||T|| of every
+``generate_pseudo_orbit`` bit for bit: unit-ball points from one
+``_stream`` per seed, scaled by delta / (1 + ||T||), with ||T|| of every
 member from one batched SVD that the check of the shadows reuses.
 
 If a group raises, in its stacked work or in a trial's own part, each of
@@ -133,7 +141,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .aluthge import _conjugacy, _iterate, _transform
-from .ensembles import RNG_IDENTIFIER, _draw, trial_seed
+from .ensembles import RNG_IDENTIFIER, _draw, _stream, trial_seed
 from .errors import AluthgeLabError
 from .linalg_core import SvdParts, _eigenvalues, _integer, _norms, _record_to_json, _singular_values, _svd
 from .shadowing import (
@@ -207,10 +215,8 @@ def _sample(group, spec: dict, gap=None) -> np.ndarray:
     for trial in group:
         weights = None
         if trial.kind == "shift":
-            rng = np.random.Generator(np.random.Philox(trial.seed))
-            weights = rng.uniform(*spec["shift_weights"], trial.dim - 1)
-        own_gap = gap if trial.kind == "hyperbolic" else None
-        stack.append(_draw(trial.kind, trial.dim, trial.seed, own_gap, spec.get("cond_cap"), weights))
+            weights = _stream(trial.seed).uniform(*spec["shift_weights"], trial.dim - 1)
+        stack.append(_draw(trial.kind, trial.dim, trial.seed, gap, spec.get("cond_cap"), weights))
     return np.stack(stack)
 
 
@@ -385,6 +391,10 @@ class _Suite(NamedTuple):
     run: Callable[[list, dict, dict], list]
 
 
+# what the shadowing and transfer suites share (see the module docstring)
+_SHADOW_ENSEMBLE = {"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4}
+_SHADOW_TOLERANCES = {"residual_factor": RESIDUAL_TOL_FACTOR, "epsilon_slack": EPSILON_SLACK, "orbit_length": 200}
+
 _SUITES = {
     "spectral": _Suite(
         spec={
@@ -416,30 +426,13 @@ _SUITES = {
         run=_iterates,
     ),
     "shadowing": _Suite(
-        spec={"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4},
-        tolerances={
-            "residual_factor": RESIDUAL_TOL_FACTOR,
-            "epsilon_slack": EPSILON_SLACK,
-            "linear_response_rel": 0.1,
-            "deltas": [1e-2, 1e-3, 5e-3],
-            "orbit_length": 200,
-        },
+        spec=dict(_SHADOW_ENSEMBLE),
+        tolerances={**_SHADOW_TOLERANCES, "linear_response_rel": 0.1, "deltas": [1e-2, 1e-3, 5e-3]},
         run=_shadowing,
     ),
     "transfer": _Suite(
-        spec={
-            "kinds": ["hyperbolic"],
-            "dims": [2, 8],
-            "gap": 0.2,
-            "cond_cap": 1e4,
-            "lambdas": list(LAMBDA_GRID),
-        },
-        tolerances={
-            "residual_factor": RESIDUAL_TOL_FACTOR,
-            "epsilon_slack": EPSILON_SLACK,
-            "delta": 1e-2,
-            "orbit_length": 200,
-        },
+        spec={**_SHADOW_ENSEMBLE, "lambdas": list(LAMBDA_GRID)},
+        tolerances={**_SHADOW_TOLERANCES, "delta": 1e-2},
         run=_transfer,
     ),
     "quasihyp": _Suite(

@@ -890,6 +890,23 @@ def test_transfer_short_orbits(length, reverse):
         assert result.epsilon <= 1e-15
 
 
+@pytest.mark.parametrize("reverse", [2, 1, np.int64(1), None, "yes", 0.0, [1]])
+def test_transfer_refuses_a_reverse_that_is_not_a_bool(reverse, monkeypatch):
+    # refused at the boundary, before the SVD and the conjugacy are formed
+    monkeypatch.setattr(shadowing, "_svd", None)
+    with pytest.raises(ValueError, match=r"^reverse must be a bool, got "):
+        transfer_shadowing(SADDLE, 0.5, constant_orbit(0.01, 0.01, 5, dim=2), reverse=reverse)
+
+
+@pytest.mark.parametrize("reverse", [np.True_, np.False_])
+def test_transfer_reads_a_numpy_bool_as_a_bool(reverse):
+    orbit = generate_pseudo_orbit(SADDLE, delta=1e-2, length=20, seed=3)
+    expected = transfer_shadowing(SADDLE, 0.5, orbit, reverse=bool(reverse))
+    result = transfer_shadowing(SADDLE, 0.5, orbit, reverse=reverse)
+    np.testing.assert_array_equal(result.shadow_points, expected.shadow_points)
+    assert result.to_json() == expected.to_json()
+
+
 def test_transfer_rejects_singular_and_nonhyperbolic():
     with pytest.raises(NotInvertibleError):
         transfer_shadowing(np.diag([0.0, 3.0]), 0.5, constant_orbit(0.01, 0.01, 5, dim=2))

@@ -367,6 +367,37 @@ def test_serial_run_all_builds_no_ensemble_spec(monkeypatch):
     assert len(draws) == 100 * (len(SUITE_NAMES) + 1)
 
 
+def test_every_seeded_generator_is_built_by_one_constructor(monkeypatch):
+    real, builders = np.random.Philox, []
+
+    def recorded(*args, **kwargs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", recorded)
+    # a shift draw reads its weights and no stream
+    sample_matrix(EnsembleSpec(kind="shift", dim=3, seed=1, weights=(1.0, 2.0)))
+    assert builders == []
+    for kind, fields in [("invertible", {}), ("hyperbolic", {"gap": 0.2}), ("normal", {}), ("unitary", {})]:
+        sample_matrix(EnsembleSpec(kind=kind, dim=3, seed=1, **fields))
+    generate_pseudo_orbit(np.diag([2.0, 0.5]), 1e-2, 10, 1)
+    for name in ("spectral", "shadowing", "transfer"):  # spectral draws shift weights
+        run_suite(name, trials=12, base_seed=1)
+    assert builders and set(builders) == {"_stream"}
+
+
+def test_shadowing_and_transfer_suites_draw_the_same_operators():
+    shadow_spec, shadow_tolerances, shadow_groups = _groups("shadowing", trials=100, base_seed=1)
+    spec, tolerances, groups = _groups("transfer", trials=100, base_seed=1)
+    assert {key: spec[key] for key in shadow_spec} == shadow_spec
+    shared = ("residual_factor", "epsilon_slack", "orbit_length")
+    assert [tolerances[key] for key in shared] == [shadow_tolerances[key] for key in shared]
+    assert len(groups) == len(shadow_groups) == 7
+    for group, shadow_group in zip(groups, shadow_groups, strict=True):
+        stack = suites._sample(group, spec, spec["gap"])
+        assert stack.tobytes() == suites._sample(shadow_group, shadow_spec, shadow_spec["gap"]).tobytes()
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_a_refused_draw_fails_only_its_own_trial(name, monkeypatch):
     # trial 0 (base seed 1) is refused; at 40 trials it shares its stack
