@@ -59,6 +59,7 @@ from .linalg_core import (
     _real,
     _singular_values,
     _svd,
+    _within_range,
     as_matrix,
     rank_tolerance,
     svd,
@@ -111,19 +112,22 @@ def _modulus_power(parts: SvdParts, t: float) -> np.ndarray:
 
 
 def aluthge_transform(T, lam: float = 0.5) -> np.ndarray:
-    """Lambda-Aluthge transform |T|^lam U |T|^(1-lam), from one SVD of T."""
+    """Lambda-Aluthge transform |T|^lam U |T|^(1-lam), from one SVD of T; a
+    singular value beyond the float range raises NonFiniteEntryError."""
     lam = check_lambda(lam)
     return _transform(svd(T), lam)
 
 
 def _scaled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(A, exponent)`` with A = S * 2**-exponent, or each member of a
-    stack so scaled, with its largest entry in [1/2, 1).
+    stack so scaled, with its largest entry in [1/2, 1) ([1/2, sqrt 2) if its modulus overflows).
 
     The scaling is exact, and it keeps the squares of A from overflowing
     or underflowing.
     """
     peak = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(peak).all():  # where a modulus overflows, the larger parts set the peak
+        peak = np.where(np.isfinite(peak), peak, np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=(-2, -1)))
     # the floor keeps 2**-exponent finite when the entries are subnormal
     exponent = np.maximum(np.frexp(peak)[1], -1000)
     return S * np.ldexp(1.0, -exponent)[..., None, None], exponent
@@ -151,10 +155,7 @@ def normality_defect(T) -> float:
     """
     defect, exponent = _defect(as_matrix(T))
     with np.errstate(over="ignore"):
-        defect = np.ldexp(defect, 2 * exponent)
-    if not np.isfinite(defect):
-        raise NonFiniteEntryError("normality defect beyond the float range")
-    return float(defect)
+        return float(_within_range(np.ldexp(defect, 2 * exponent), "normality defect"))
 
 
 def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
@@ -176,9 +177,9 @@ def scale_homogeneity_check(T, alpha: complex, lam: float = 0.5) -> float:
         value = complex(np.nan)  # refused with the infinite alphas
     if not abs(value) < np.inf:
         raise ValueError(f"alpha must be a complex number, got {alpha!r}")
-    scaled = aluthge_transform(value * T, lam)
-    reference = value * aluthge_transform(T, lam)
-    return float(_norms(scaled - reference))
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix refuses an overflowing alpha T
+        scaled = value * T
+    return float(_norms(aluthge_transform(scaled, lam) - value * aluthge_transform(T, lam)))
 
 
 @dataclass(frozen=True)
@@ -226,10 +227,7 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
     k = len(stack)
     parts = _svd(stack)
     defect, start = _defect(stack)
-    top = parts.singular_values.max(axis=-1, initial=0.0)  # ||T|| of each member
-    if not np.isfinite(top).all():  # refused before any step
-        raise NonFiniteEntryError(f"operator norm beyond the float range (member {np.argmin(np.isfinite(top))})")
-    norm = np.ldexp(top, -start)
+    norm = np.ldexp(parts.singular_values.max(axis=-1, initial=0.0), -start)  # ||T|| of each member
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
     radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
@@ -303,8 +301,7 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     ValueError
         If ``n_max`` is not an integer of at least 1.
     NonFiniteEntryError
-        If an entry is not finite, or a norm, defect or eigenvalue
-        overflows.
+        If an entry is not finite, or a norm, defect or eigenvalue overflows.
     SizeMismatchError
         If a member is not square, or the members differ in size.
     """
@@ -359,10 +356,10 @@ def _lipschitz(s: np.ndarray, lam: float) -> tuple[float, float]:
     |T|^lam, from the singular values ``s`` of one T; a numerically
     singular T raises NotInvertibleError."""
     if not s.size or not _truncated(s)[-1]:
-        raise NotInvertibleError(
-            f"operator is numerically singular (min singular value {s[-1] if s.size else 0.0:.3e})"
-        )
-    return float(s[0] ** lam), float(s[-1] ** (-lam))
+        smallest = s[-1] if s.size else 0.0
+        raise NotInvertibleError(f"operator is numerically singular (min singular value {smallest:.3e})")
+    with np.errstate(over="ignore"):  # sigma_min^(-lam) of a subnormal sigma_min can overflow
+        return tuple(map(float, _within_range((s[0] ** lam, s[-1] ** (-lam)), "conjugator norm")))
 
 
 def conjugator(T, lam: float = 0.5) -> Conjugator:
@@ -372,6 +369,8 @@ def conjugator(T, lam: float = 0.5) -> Conjugator:
     ------
     NotInvertibleError
         If the smallest singular value of T is within the rank tolerance.
+    NonFiniteEntryError
+        If a singular value or sigma_min^(-lam) is beyond the float range.
     """
     lam = check_lambda(lam)
     parts = svd(T)

@@ -11,8 +11,8 @@ class AluthgeLabError(Exception):
 
 
 class NonFiniteEntryError(AluthgeLabError):
-    """A matrix contains NaN or infinite entries, or a norm derived from
-    it (such as the normality defect ||T*T - TT*||) overflows."""
+    """A matrix contains NaN or infinite entries, or a number derived from
+    it (singular value, |eigenvalue|, defect, conjugator norm) overflows."""
 
 
 class NoConvergenceError(AluthgeLabError):

@@ -8,9 +8,10 @@ stack.  :func:`_integer` and :func:`_real` are the single gates for integer
 and real-number arguments: they read a value as a Python int or float and
 refuse anything else (a string too), an int below its bound, and NaN or a
 finite value beyond the float range; infinities pass, for the caller's
-range test.
-Every LAPACK call in the package that can fail goes through
-:func:`_lapack`, which decides which typed error a failure raises.
+range test.  Every LAPACK call in the package that can fail goes through
+:func:`_lapack`, which decides which typed error a failure raises, and
+:func:`_within_range` is the one rule that refuses a singular value,
+eigenvalue, defect or conjugator norm beyond the float range.
 
 The full SVD and the eigenvalues of one matrix are memoized, so the
 transforms, the conjugator, the first iterate and the spectrum of one
@@ -141,7 +142,7 @@ def operator_norm(T) -> float:
     Raises
     ------
     NonFiniteEntryError, SizeMismatchError
-        Propagated from input validation.
+        From input validation, and NonFiniteEntryError for a norm beyond the float range.
     """
     return float(_norms(as_matrix(T)))
 
@@ -173,7 +174,7 @@ def svd(T) -> SvdParts:
     Raises
     ------
     NonFiniteEntryError, SizeMismatchError
-        Propagated from input validation.
+        From input validation, and NonFiniteEntryError for a singular value beyond the float range.
     NoConvergenceError
         If the underlying iteration fails to converge.
     """
@@ -211,15 +212,15 @@ def _svd(T: np.ndarray) -> SvdParts:
 
 def _full_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(left, singular_values, right)`` from one LAPACK SVD of a matrix,
-    or of each member of a stack."""
+    or of each member of a stack, refused by :func:`_within_range`."""
     W, s, Vh = _lapack("svd", T)
-    return W, s, Vh.conj().swapaxes(-1, -2)
+    return W, _within_range(s, "singular value"), Vh.conj().swapaxes(-1, -2)
 
 
 def _singular_values(T: np.ndarray) -> np.ndarray:
     """The singular values alone of a validated matrix, or of each member
-    of a stack, nonincreasing."""
-    return _lapack("svd", T, compute_uv=False)
+    of a stack, nonincreasing, refused by :func:`_within_range`."""
+    return _within_range(_lapack("svd", T, compute_uv=False), "singular value")
 
 
 def _lapack(routine: str, *args, **kwargs):
@@ -254,12 +255,15 @@ def _eigenvalues(T: np.ndarray) -> np.ndarray:
 
 
 def _eigvals(T: np.ndarray) -> tuple[np.ndarray]:
-    """``(eigenvalues,)`` from one LAPACK eigenvalue solve, refused if one
-    is beyond the float range (finite entries can have one)."""
-    values = _lapack("eigvals", T)
-    if not np.isfinite(values).all():
-        raise NonFiniteEntryError("eigenvalue beyond the float range")
-    return (values,)
+    """``(eigenvalues,)`` from one LAPACK eigenvalue solve, refused by :func:`_within_range`."""
+    return (_within_range(_lapack("eigvals", T), "eigenvalue"),)
+
+
+def _within_range(values, what: str):
+    """``values``, refused with NonFiniteEntryError if a modulus is beyond the float range or NaN."""
+    if not np.abs(values).max(initial=0.0) < np.inf:  # NaN fails too
+        raise NonFiniteEntryError(f"{what} beyond the float range")
+    return values
 
 
 def _complex_to_json(z: np.ndarray) -> list:

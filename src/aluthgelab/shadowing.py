@@ -165,7 +165,7 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
     NoConvergenceError
         If the eigenvalue or the matrix sign iteration does not converge.
     NonFiniteEntryError
-        If an entry or an eigenvalue is not finite.
+        If an entry is not finite, or a singular value or eigenvalue is beyond the float range.
     NotInvertibleError
         If the Cayley solve, a Newton sign step or the solve for T^(-1) P_u
         meets a matrix that is singular in floating point.
@@ -395,6 +395,8 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
         NaN or infinite.
     ValueError
         If length or seed is not an integer, or is negative.
+    NonFiniteEntryError
+        If an entry is not finite, or ||T|| is beyond the float range.
     """
     T = as_matrix(T)
     try:
@@ -613,7 +615,7 @@ def transfer_shadowing(
         If lambda is not a real number in (0, 1), or reverse is not a
         Python or numpy bool.
     SizeMismatchError, NonFiniteEntryError
-        If T or the orbit's points are refused (see :func:`shadow_orbit`).
+        If T or the orbit's points are refused (see :func:`shadow_orbit`), or a conjugator norm overflows.
     NotInvertibleError
         If T is numerically singular (no conjugacy exists).
     NotHyperbolicError

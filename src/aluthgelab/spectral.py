@@ -33,8 +33,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonFiniteEntryError, SizeMismatchError
-from .linalg_core import _as_stack, _full_svd, _integer, _lapack, _real, _record_to_json, as_matrix, eigenvalues
+from .errors import SizeMismatchError
+from .linalg_core import (
+    _as_stack, _full_svd, _integer, _lapack, _real, _record_to_json, _within_range, as_matrix, eigenvalues
+)
 
 __all__ = [
     "SpectrumReport",
@@ -139,9 +141,7 @@ def multiset_match(a, b, tol: float) -> MatchResult:
     if a.size == 0:
         return MatchResult(True, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = np.abs(a[:, None] - b[None, :])
-    if not np.isfinite(cost).all():
-        raise NonFiniteEntryError("multiset entries or their distances are not finite")
+        cost = _within_range(np.abs(a[:, None] - b[None, :]), "multiset distance")
     max_distance = _bottleneck(cost)
     return MatchResult(bool(max_distance <= tol), max_distance)
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: wire formats, exit codes, reproducibility."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,16 @@ def test_eigenvalues_beyond_the_float_range_exit_2(tmp_path, capsys):
     for command in ("spectrum", "quasihyp"):
         assert main([command, "--in", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: eigenvalue beyond the float range\n")
+
+
+def test_factorizations_beyond_the_float_range_exit_2(tmp_path, capsys):
+    # a normal operator with finite entries whose |mu| = sigma = 1.84e308
+    path = tmp_path / "huge.json"
+    save_matrix(1.3e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]), path)
+    for command in ("transform", "spectrum", "quasihyp", "iterate", "shadow", "transfer"):
+        assert main([command, "--in", str(path)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: (singular value|eigenvalue) beyond the float range\n", err), command
 
 
 def test_transform_bad_lambda_exits_2(monomial_file):

@@ -15,6 +15,8 @@ from aluthgelab import (
     NotInvertibleError,
     SizeMismatchError,
     aluthge_iterates,
+    aluthge_transform,
+    conjugator,
     eigenvalues,
     generate_pseudo_orbit,
     hyperbolic_splitting,
@@ -30,9 +32,12 @@ from aluthgelab import (
     run_suite,
     sample_matrix,
     save_matrix,
+    scale_homogeneity_check,
     shadow_orbit,
     spectrum_report,
     svd,
+    transfer_shadowing,
+    verify_shadowing,
 )
 from aluthgelab import linalg_core
 from aluthgelab.linalg_core import KAPPA_SVD
@@ -203,6 +208,86 @@ def test_lapack_failures_are_typed(case, monkeypatch):
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(error, match=f"{routine} failed"):
         call()
+
+
+# -- the float-range gate ----------------------------------------------
+
+# finite entries whose factorizations leave the float range: N is normal
+# with |mu| = sigma = 1.84e308, R1 is normal with sigma = 2e308, and D's
+# first entry has modulus 2.1e308, which LAPACK's SVD returns as NaN
+BEYOND_RANGE = {
+    "N": 1.3e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]),
+    "R1": 1e308 * np.ones((2, 2)),
+    "D": np.diag([1.5e308 + 1.5e308j, 1.0]),
+}
+SADDLE_SHADOW = shadow_orbit(SADDLE, hyperbolic_splitting(SADDLE), SADDLE_ORBIT)
+
+# every public entry point that factors its operator
+FACTORING_CALLS = {
+    "svd": svd,
+    "operator_norm": operator_norm,
+    "eigenvalues": eigenvalues,
+    "spectrum_report": spectrum_report,
+    "is_quasi_hyperbolic_spectral": is_quasi_hyperbolic_spectral,
+    "aluthge_transform": aluthge_transform,
+    "conjugator": conjugator,
+    "aluthge_iterates": aluthge_iterates,
+    "scale_homogeneity_check": lambda T: scale_homogeneity_check(T, 0.5),
+    "hyperbolic_splitting": hyperbolic_splitting,
+    "generate_pseudo_orbit": lambda T: generate_pseudo_orbit(T, 0.01, 2, 0),
+    "transfer_shadowing": lambda T: transfer_shadowing(T, 0.5, SADDLE_ORBIT),
+    "verify_shadowing": lambda T: verify_shadowing(T, SADDLE_ORBIT, SADDLE_SHADOW, 1.0),
+}
+
+
+def memo_keys(memo):
+    return {key for key, _ in memo.values()}
+
+
+@pytest.mark.parametrize("call", FACTORING_CALLS.values(), ids=FACTORING_CALLS)
+def test_factorizations_beyond_the_float_range_are_refused(call, memo):
+    for T in BEYOND_RANGE.values():
+        with pytest.raises(NonFiniteEntryError, match=" beyond the float range$"):
+            call(T)
+        # a refused factorization leaves no entry for the matrix it refused
+        assert (T.shape, T.astype(complex).tobytes()) not in memo_keys(memo)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        linalg_core._svd,
+        linalg_core._singular_values,
+        linalg_core._eigenvalues,
+        aluthge_iterates,
+        hyperbolic_splitting,
+    ],
+    ids=["_svd", "_singular_values", "_eigenvalues", "aluthge_iterates", "hyperbolic_splitting"],
+)
+def test_stacks_with_a_member_beyond_the_float_range_are_refused(call, memo):
+    for T in BEYOND_RANGE.values():
+        with pytest.raises(NonFiniteEntryError, match=" beyond the float range$"):
+            call(np.stack([2.0 * np.eye(2), T]).astype(complex))
+    assert memo == {}
+
+
+def test_the_gate_reads_moduli_and_returns_its_argument():
+    values = np.array([1e308 + 1e308j, -np.finfo(float).max, 0.0])
+    assert linalg_core._within_range(values, "value") is values
+    for bad in (1.3e308 + 1.3e308j, np.inf, np.nan, complex(np.nan, 0.0)):
+        with pytest.raises(NonFiniteEntryError, match="^value beyond the float range$"):
+            linalg_core._within_range(np.array([1.0, bad]), "value")
+
+
+def test_a_normal_operator_just_inside_the_float_range_is_its_own_transform():
+    # M's |mu| = sigma = 1.70e308 is representable, N's 1.84e308 is not
+    M = 1.2e308 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    assert spectrum_report(M).hyperbolic
+    assert np.abs(aluthge_transform(M) - M).max() <= 1e-15 * operator_norm(M)
+    with pytest.raises(NonFiniteEntryError, match="^eigenvalue beyond the float range$"):
+        spectrum_report(BEYOND_RANGE["N"])
+    with pytest.raises(NonFiniteEntryError, match="^singular value beyond the float range$"):
+        aluthge_transform(BEYOND_RANGE["N"])
 
 
 def test_matrix_json_round_trip():

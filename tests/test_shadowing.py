@@ -914,6 +914,12 @@ def test_transfer_rejects_singular_and_nonhyperbolic():
         transfer_shadowing(ROTATION, 0.5, constant_orbit(0.01, 0.01, 5, dim=2))
 
 
+def test_transfer_refuses_a_conjugator_norm_beyond_the_float_range():
+    # ||H^(-1)|| = sigma_min^(-0.99) = 1e-320^(-0.99) is about 1e317
+    with pytest.raises(NonFiniteEntryError, match="^conjugator norm beyond the float range$"):
+        transfer_shadowing(1e-320 * np.diag([1.0, 3.0]), 0.99, constant_orbit(0.01, 0.01, 5, dim=2))
+
+
 def _on_points(function, points):
     """``function`` called on SADDLE with an orbit of ``points``; a check
     compares them with a well-formed shadow, and with them as the shadow."""

@@ -161,6 +161,15 @@ def test_homogeneity_refuses_an_alpha_that_is_not_a_number():
         assert scale_homogeneity_check(T_MONOMIAL, alpha, 0.5) <= 1e-12
 
 
+def test_homogeneity_refuses_an_alpha_t_beyond_the_float_range():
+    # 10 * 1e308 overflows: alpha T is refused as a matrix with an infinite
+    # entry, with no RuntimeWarning from forming it
+    with pytest.raises(NonFiniteEntryError, match="^matrix contains NaN or infinite entries$"):
+        scale_homogeneity_check(10.0 * np.eye(2), 1e308, 0.5)
+    with pytest.raises(NonFiniteEntryError, match="^matrix contains NaN or infinite entries$"):
+        scale_homogeneity_check(10.0 * np.eye(2), complex(1e308, 1e308), 0.5)
+
+
 def test_homogeneity_negative_two():
     assert scale_homogeneity_check(T_MONOMIAL, -2.0, 0.5) <= 1e-10
     # the phase of alpha rides with the isometry factor: -2 T maps to -2 D(T)
@@ -198,6 +207,20 @@ def test_normality_defect_oracles():
     assert normality_defect([[0, 2], [2, 0]]) <= 1e-12
     U = np.linalg.qr(random_matrix(3, 5))[0]
     assert normality_defect(U @ np.diag([1, 2, 3, 4, 5.0]) @ U.conj().T) <= 1e-12
+
+
+def test_normality_defect_of_an_entry_whose_modulus_overflows():
+    # |1.5e308 + 1.5e308j| = 2.1e308 is beyond the float range, so the
+    # scaling reads that entry's larger part: the normal D has defect 0,
+    # and the other's 2.1e308 is refused, with no RuntimeWarning either way
+    D = np.diag([1.5e308 + 1.5e308j, 1.0])
+    assert normality_defect(D) == 0.0
+    with pytest.raises(NonFiniteEntryError, match="^normality defect beyond the float range$"):
+        normality_defect([[1.5e308 + 1.5e308j, 1.0], [0.0, 1.0]])
+    # a member scaled that way beside one in range, which keeps its bits
+    defect, exponent = aluthge._defect(np.stack([T_MONOMIAL, D]).astype(complex))
+    assert defect[1] == 0.0 and exponent.tolist() == [3, 1024]
+    assert np.ldexp(defect[0], 2 * exponent[0]) == normality_defect(T_MONOMIAL)
 
 
 def test_iterates_start_at_input():
@@ -537,6 +560,14 @@ def test_conjugator_unitary_is_identity():
     conj = conjugator(T, 0.3)
     np.testing.assert_allclose(conj.matrix, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(aluthge_transform(T, 0.3), T, atol=1e-12)
+
+
+def test_conjugator_norm_beyond_the_float_range_is_refused():
+    # sigma_min^(-0.99) = 1e-320^(-0.99) is about 1e317
+    with pytest.raises(NonFiniteEntryError, match="^conjugator norm beyond the float range$"):
+        conjugator(1e-320 * np.eye(2), 0.99)
+    # at lambda 0.5 it is 1e160, which is representable
+    assert conjugator(1e-320 * np.eye(2), 0.5).inverse_norm == pytest.approx(1e160, rel=1e-4)
 
 
 def test_conjugator_rejects_singular():
