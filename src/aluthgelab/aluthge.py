@@ -53,6 +53,7 @@ from .linalg_core import (
     SvdParts,
     _as_stack,
     _eigenvalues,
+    _full_svd,
     _integer,
     _lapack,
     _norms,
@@ -125,7 +126,7 @@ def _scaled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The scaling is exact, and it keeps the squares of A from overflowing
     or underflowing.
     """
-    peak = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    peak = np.abs(S).max(axis=(-2, -1))
     if not np.isfinite(peak).all():  # where a modulus overflows, the larger parts set the peak
         peak = np.where(np.isfinite(peak), peak, np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=(-2, -1)))
     # the floor keeps 2**-exponent finite when the entries are subnormal
@@ -139,7 +140,7 @@ def _defect(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the Hermitian commutator of S scaled by :func:`_scaled`."""
     A, exponent = _scaled(S)
     Ah = A.conj().swapaxes(-1, -2)
-    return np.abs(_lapack("eigvalsh", Ah @ A - A @ Ah)).max(axis=-1, initial=0.0), exponent
+    return np.abs(_lapack("eigvalsh", Ah @ A - A @ Ah)).max(axis=-1), exponent
 
 
 def normality_defect(T) -> float:
@@ -211,9 +212,11 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
     singular value of the SVD that forms iterate j + 1, and a member's
     last iterate takes a values-only SVD in the step where it stops.  Each
     step takes one ``eigvalsh``, for the defect, and the start norm is read
-    off the SVD that step 1 takes.  A defect is stored unscaled in the
-    step that forms it, one beyond the float range as inf, refused once
-    the loop ends.  The rows double when full, so memory follows the
+    off the SVD that step 1 takes.  Only that SVD goes through the
+    factorization memo: the iterates are factored directly, so iterating
+    leaves the memo's entry for T in place.  A defect is stored unscaled
+    in the step that forms it, one beyond the float range as inf, refused
+    once the loop ends.  The rows double when full, so memory follows the
     steps taken, not ``n_max``.
 
     A member stops one iterate past the roundoff floor (read off the
@@ -227,9 +230,9 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
     k = len(stack)
     parts = _svd(stack)
     defect, start = _defect(stack)
-    norm = np.ldexp(parts.singular_values.max(axis=-1, initial=0.0), -start)  # ||T|| of each member
+    norm = np.ldexp(parts.singular_values.max(axis=-1), -start)  # ||T|| of each member
     threshold = EARLY_STOP_FACTOR * norm**2  # in units of 4**start
-    radii = np.abs(_eigenvalues(stack)).max(axis=-1, initial=0.0)
+    radii = np.abs(_eigenvalues(stack)).max(axis=-1)
     at_floor = (defect < threshold) | (norm == 0)  # the zero matrix is at its floor
     live = np.arange(k)  # members still iterating
     norms, defects = np.zeros((k, 16)), np.zeros((k, 16))  # per member and iterate
@@ -240,7 +243,7 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
         for j in range(1, n_max + 1):
             if j == norms.shape[1]:  # the rows are full: double them
                 norms, defects = (np.pad(a, ((0, 0), (0, j))) for a in (norms, defects))
-            norms[live, j - 1] = parts.singular_values.max(axis=-1, initial=0.0)
+            norms[live, j - 1] = parts.singular_values.max(axis=-1)
             if converged is not None:  # a member meeting the rule at iterate j - 1 stops there
                 met = converged(norms[live, j - 1], defects[live, j - 1], norms[live, 0], radii[live])
                 if met.any():  # if none is left, the step below runs on an empty stack and the loop ends
@@ -259,12 +262,12 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
             at_floor[live] = np.ldexp(defect, 2 * (exponent - start[live])) < threshold[live]
             if not going.all():
                 stop = live[~going]
-                norms[stop, j] = _singular_values(S[~going]).max(axis=-1, initial=0.0)
+                norms[stop, j] = _singular_values(S[~going]).max(axis=-1)
                 length[stop] = j + 1
                 live, S = live[going], S[going]
             if not live.size:
                 break
-            parts = _svd(S)
+            parts = SvdParts(*_full_svd(S))
     if not np.isfinite(defects).all():  # the defect scales as ||T||^2
         member, j = np.argwhere(~np.isfinite(defects))[0].tolist()
         raise NonFiniteEntryError(f"normality defect beyond the float range (member {member}, iterate {j})")
@@ -303,7 +306,7 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     NonFiniteEntryError
         If an entry is not finite, or a norm, defect or eigenvalue overflows.
     SizeMismatchError
-        If a member is not square, or the members differ in size.
+        If a member is not square or has no rows, or the members differ in size.
     """
     lam, n_max = _budget(lam, n_max)
     stack, single = _as_stack(T)
@@ -355,9 +358,8 @@ def _lipschitz(s: np.ndarray, lam: float) -> tuple[float, float]:
     """``(||H||, ||H^(-1)||)`` = (sigma_max^lam, sigma_min^(-lam)) of H =
     |T|^lam, from the singular values ``s`` of one T; a numerically
     singular T raises NotInvertibleError."""
-    if not s.size or not _truncated(s)[-1]:
-        smallest = s[-1] if s.size else 0.0
-        raise NotInvertibleError(f"operator is numerically singular (min singular value {smallest:.3e})")
+    if not _truncated(s)[-1]:
+        raise NotInvertibleError(f"operator is numerically singular (min singular value {s[-1]:.3e})")
     with np.errstate(over="ignore"):  # sigma_min^(-lam) of a subnormal sigma_min can overflow
         return tuple(map(float, _within_range((s[0] ** lam, s[-1] ** (-lam)), "conjugator norm")))
 

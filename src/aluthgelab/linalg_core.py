@@ -4,7 +4,10 @@ package's input gates, and the JSON wire formats.
 All higher modules consume square complex matrices through this module.
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation gate, member by member for a
-stack.  :func:`_integer` and :func:`_real` are the single gates for integer
+stack.  Its size rule is the wire format's: a matrix has at least one row,
+so a 0 x 0 matrix, and a stack of them (an empty one too), is refused with
+SizeMismatchError, and no computation of the package meets n = 0.
+:func:`_integer` and :func:`_real` are the single gates for integer
 and real-number arguments: they read a value as a Python int or float and
 refuse anything else (a string too), an int below its bound, and NaN or a
 finite value beyond the float range; infinities pass, for the caller's
@@ -81,13 +84,13 @@ def as_matrix(a) -> np.ndarray:
     Raises
     ------
     SizeMismatchError
-        If ``a`` is not a square 2-d array.
+        If ``a`` is not a square 2-d array with at least one row.
     NonFiniteEntryError
         If any entry is NaN or infinite.
     """
     T = np.asarray(a, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise SizeMismatchError(f"expected a square matrix, got shape {T.shape}")
+    if T.ndim != 2 or T.shape[0] != T.shape[1] or not T.size:
+        raise SizeMismatchError(f"expected a nonempty square matrix, got shape {T.shape}")
     if not np.all(np.isfinite(T.real)) or not np.all(np.isfinite(T.imag)):
         raise NonFiniteEntryError("matrix contains NaN or infinite entries")
     return T
@@ -95,14 +98,15 @@ def as_matrix(a) -> np.ndarray:
 
 def _as_stack(T) -> tuple[np.ndarray, bool]:
     """``(stack, single)``: a matrix as a stack of one (``single``), or a
-    stack of k matrices, validated by :func:`as_matrix` member by member."""
+    stack of k matrices, validated by :func:`as_matrix` member by member;
+    a stack with no members is checked by the shape its members would have."""
     try:
         stack = np.asarray(T, dtype=complex)
     except ValueError as exc:  # ragged nesting
         raise SizeMismatchError(f"expected a square matrix or a stack of them: {exc}") from exc
     if stack.ndim != 3:
         return as_matrix(stack)[None], True
-    for member in stack:
+    for member in stack if len(stack) else [np.broadcast_to(0j, stack.shape[1:])]:
         as_matrix(member)
     return stack, False
 
@@ -150,18 +154,20 @@ def operator_norm(T) -> float:
 def _norms(T: np.ndarray) -> np.ndarray:
     """Spectral norm ||T|| of a validated matrix, or of each member of a
     stack from one batched values-only SVD."""
-    return _singular_values(T).max(axis=-1, initial=0.0)
+    return _singular_values(T).max(axis=-1)
 
 
 def rank_tolerance(singular_values: np.ndarray, dim: int) -> float | np.ndarray:
     """Threshold below which a singular value counts as zero.
 
     Standard numerical rank cutoff: dim * machine epsilon * sigma_max.
-    For a stack of singular-value vectors, one threshold per member.
+    For a stack of singular-value vectors, one threshold per member.  No
+    singular value (the vector of a 0 x 0 matrix) raises SizeMismatchError.
     """
     s = np.asarray(singular_values)
-    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    return dim * np.finfo(float).eps * smax
+    if not s.ndim or not s.shape[-1]:
+        raise SizeMismatchError(f"expected the singular values of a nonempty matrix, got shape {s.shape}")
+    return dim * np.finfo(float).eps * s[..., 0]
 
 
 def svd(T) -> SvdParts:
@@ -322,7 +328,9 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(T, path) -> None:
-    """Write a matrix to a JSON file in the wire format."""
+    """Write a matrix to a JSON file in the wire format; a matrix that
+    :func:`as_matrix` refuses raises before the file is opened."""
+    payload = matrix_to_json(T)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(T), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

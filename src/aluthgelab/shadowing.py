@@ -71,6 +71,7 @@ from .linalg_core import (
     _record_to_json,
     _singular_values,
     _svd,
+    _within_range,
     as_matrix,
     rank_tolerance,
 )
@@ -170,7 +171,7 @@ def hyperbolic_splitting(T) -> HyperbolicSplitting | list[HyperbolicSplitting]:
         If the Cayley solve, a Newton sign step or the solve for T^(-1) P_u
         meets a matrix that is singular in floating point.
     SizeMismatchError
-        If a member is not square, or the members differ in size.
+        If a member is not square or has no rows, or the members differ in size.
     """
     stack, single = _as_stack(T)
     splittings = _splittings(stack)
@@ -184,7 +185,7 @@ def _splittings(stack: np.ndarray, sing: np.ndarray | None = None) -> list[Hyper
     n = stack.shape[-1]
     if sing is None:
         sing = _singular_values(stack)
-    if n and (sing[:, -1] <= rank_tolerance(sing, n)).any():
+    if (sing[:, -1] <= rank_tolerance(sing, n)).any():
         raise NotHyperbolicError(
             "operator is numerically singular; hyperbolic operators are invertible"
         )
@@ -204,8 +205,8 @@ def _splittings(stack: np.ndarray, sing: np.ndarray | None = None) -> list[Hyper
         C = stack[both]
         Ps[both] = (identity - _matrix_sign(_lapack("solve", C - identity, C + identity))) / 2
     Pu = identity - Ps
-    rho_s = np.where(stable, moduli, 0.0).max(axis=-1, initial=0.0)
-    rho_u = np.where(stable, np.inf, moduli).min(axis=-1, initial=np.inf)
+    rho_s = np.where(stable, moduli, 0.0).max(axis=-1)
+    rho_u = np.where(stable, np.inf, moduli).min(axis=-1)
     Ks, Ku = _power_bounds(stack, Ps, Pu, rho_s, rho_u)
     return [HyperbolicSplitting(*fields) for fields in zip(Ps, Pu, rho_s.tolist(), rho_u.tolist(), Ks, Ku)]
 
@@ -349,9 +350,7 @@ class ShadowResult:
 
 def _unit_orbits(seeds, length: int, dim: int) -> np.ndarray:
     """Points (k, length + 1, dim) drawn uniformly from the complex unit
-    ball, one ``ensembles._stream`` per seed; nothing is drawn at dim 0."""
-    if not dim:
-        return np.zeros((len(seeds), length + 1, 0), dtype=complex)
+    ball, one ``ensembles._stream`` per seed."""
     g = np.empty((len(seeds), length + 1, 2 * dim))
     r = np.empty((len(seeds), length + 1, 1))
     for i, seed in enumerate(seeds):
@@ -385,8 +384,7 @@ def generate_pseudo_orbit(T, delta: float, length: int, seed: int) -> PseudoOrbi
     scaled by rho; the stacked suites draw theirs the same way, so a
     suite's orbit of T is this function's, bit for bit.  Two calls
     differing only in delta therefore return orbits that are exact scalar
-    multiples of each other.  A 0 x 0 operator draws nothing: its N + 1
-    points are empty and its bound is delta.
+    multiples of each other.
 
     Raises
     ------
@@ -435,10 +433,13 @@ def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
     Raises
     ------
     SizeMismatchError, NonFiniteEntryError
-        If T or the orbit's points are refused (see :func:`shadow_orbit`).
+        If T or the orbit's points are refused (see :func:`shadow_orbit`),
+        and NonFiniteEntryError if a defect overflows.
     """
     T = as_matrix(T)
-    return np.linalg.norm(_steps(T, _points(orbit.points, len(T), "orbit points")), axis=1)
+    points = _points(orbit.points, len(T), "orbit points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _within_range(np.linalg.norm(_steps(T, points), axis=1), "orbit defect")
 
 
 def _scan(z: np.ndarray, A: np.ndarray) -> None:
@@ -561,8 +562,8 @@ def shadow_orbit(T, splitting: HyperbolicSplitting, orbit: PseudoOrbit) -> Shado
     Raises
     ------
     SizeMismatchError
-        If T is not square, the orbit's points are not of shape (N + 1, n)
-        for T of size n, or the splitting is not of size n.
+        If T is not square or has no rows, the orbit's points are not of
+        shape (N + 1, n) for T of size n, or the splitting is not of size n.
     NonFiniteEntryError
         If an entry of T or of a point is NaN or infinite.
     NotInvertibleError
@@ -648,7 +649,8 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     Raises
     ------
     SizeMismatchError, NonFiniteEntryError
-        If T or either point sequence is refused (see :func:`shadow_orbit`).
+        If T or either point sequence is refused (see :func:`shadow_orbit`),
+        and NonFiniteEntryError if the distance or the residual overflows.
     LengthMismatchError
         If the two point sequences have different length.
     ValueError
@@ -660,5 +662,9 @@ def verify_shadowing(T, orbit: PseudoOrbit, shadow: ShadowResult, eps_claim: flo
     if x.shape[1] != y.shape[1]:
         raise LengthMismatchError(f"orbit has {x.shape[1]} points, shadow has {y.shape[1]}")
     claim, bound = _real(eps_claim, "eps_claim"), _real(orbit.bound, "orbit bound")
-    return bool(_verified(_norms(T), bound, y, *_closeness(T, x, y), claim, RESIDUAL_TOL_FACTOR)[0])
+    norm = _norms(T)
+    # a tolerance that overflows is only looser than every finite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        closeness = map(_within_range, _closeness(T, x, y), ("shadow distance", "orbit residual"))
+        return bool(_verified(norm, bound, y, *closeness, claim, RESIDUAL_TOL_FACTOR)[0])
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import SizeMismatchError
 from .linalg_core import (
-    _as_stack, _full_svd, _integer, _lapack, _real, _record_to_json, _within_range, as_matrix, eigenvalues
+    _as_stack, _full_svd, _integer, _lapack, _real, _record_to_json, _singular_values, _within_range, as_matrix,
+    eigenvalues,
 )
 
 __all__ = [
@@ -101,9 +102,9 @@ def _hyperbolicity(ev: np.ndarray) -> tuple[float, float, bool]:
     """Spectral radius, distance to the unit circle and the hyperbolic
     flag of an eigenvalue multiset (see :class:`SpectrumReport`)."""
     moduli = np.abs(ev)
-    radius = float(moduli.max()) if ev.size else 0.0
+    radius = float(moduli.max())
     distances = np.abs(moduli - 1.0)
-    circle = float(distances.min()) if ev.size else 1.0
+    circle = float(distances.min())
     tolerances = HYPERBOLICITY_TOL_FACTOR * (1.0 + moduli) + ev.size * np.finfo(float).eps * radius
     return radius, circle, not (distances <= tolerances).any()
 
@@ -272,7 +273,7 @@ def _powers(T: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     kept = np.full(len(T), count)
     live, power = np.arange(len(T)), T
     for i in range(count):
-        over = ~(np.abs(power).max(axis=(-2, -1), initial=0.0) <= OVERFLOW_LIMIT)
+        over = ~(np.abs(power).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
         kept[live[over]] = i
         live, power = live[~over], power[~over]
         powers[live, i] = power
@@ -347,9 +348,11 @@ def quasi_hyperbolic_definitional(
     ``budget_exhausted`` set, at the smallest such exponent.  Otherwise it
     is false with the most negative witness; margins tied with it up to
     roundoff (``_MARGIN_TIE_FACTOR``) go to the smallest exponent, so the
-    report does not change under a unitary change of basis.  A 0 x 0
-    operator holds vacuously at exponent 1 with margin 0.  ``seed`` is
-    accepted for compatibility and ignored: the decision is deterministic.
+    report does not change under a unitary change of basis.  An operator
+    with a singular value beyond the float range raises
+    NonFiniteEntryError, as the spectral route does, before any exponent
+    is tried.  ``seed`` is accepted for compatibility and ignored: the
+    decision is deterministic.
 
     ``T`` may also be a stack of k matrices of one size, shape (k, n, n).
     One verdict per member is then returned, in input order, equal to the
@@ -358,16 +361,14 @@ def quasi_hyperbolic_definitional(
     """
     stack, single = _as_stack(T)
     n_max = _integer(n_max, "n_max", 1)
-    if stack.shape[-1]:
-        verdicts = _decide(stack, n_max)
-    else:
-        verdicts = [QuasiHyperbolicVerdict(True, "definitional", 1, None, 0.0)] * len(stack)
+    _singular_values(stack)  # an operator beyond the float range is refused, as by the spectral route
+    verdicts = _decide(stack, n_max)
     return verdicts[0] if single else verdicts
 
 
 def _decide(stack: np.ndarray, n_max: int) -> list[QuasiHyperbolicVerdict]:
-    """The definitional verdict of each member of a stack of nonempty
-    matrices; the exponents of all members run as one set of rows."""
+    """The definitional verdict of each member of a stack; the exponents of
+    all members run as one set of rows."""
     powers, kept = _powers(stack, 2 * n_max)
     # one row per (member, exponent) pair, members in order, exponents rising
     owner = np.repeat(np.arange(len(stack)), kept // 2)

@@ -296,7 +296,7 @@ def _shadowing(group, spec, tolerances):
     sing = _singular_values(T)
     splittings = _splittings(T, sing)
     constant = np.array([split.constant_bound for split in splittings])
-    norm = sing.max(axis=-1, initial=0.0)
+    norm = sing.max(axis=-1)
     unit = _unit_orbits([trial.seed for trial in group], tolerances["orbit_length"], T.shape[-1])
     deltas = tolerances["deltas"]
     per_delta = []
@@ -335,7 +335,7 @@ def _transfer(group, spec, tolerances):
     per_direction = []
     for reverse in (False, True):
         # forward, an orbit of D_lam(T) from the trial seed; reverse, one of T from the next seed
-        norm = sing[not reverse].max(axis=-1, initial=0.0)
+        norm = sing[not reverse].max(axis=-1)
         unit = _unit_orbits([trial.seed + int(reverse) for trial in group], length, T.shape[-1])
         x, bound = _ball_orbits(unit, norm, delta)
         y, epsilon, residual, constant = _transferred(T, (D, H, H_inv, factor), x, reverse, sing)

@@ -90,6 +90,14 @@ def test_factorizations_beyond_the_float_range_exit_2(tmp_path, capsys):
         assert out == "" and re.fullmatch(r"error: (singular value|eigenvalue) beyond the float range\n", err), command
 
 
+def test_definitional_quasihyp_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # the spectral route refuses this operator by its eigenvalues, the definitional one by its singular values
+    path = tmp_path / "huge.json"
+    save_matrix(1.3e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]), path)
+    assert main(["quasihyp", "--method", "definitional", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: singular value beyond the float range\n")
+
+
 def test_transform_bad_lambda_exits_2(monomial_file):
     proc = run_cli("transform", "--in", monomial_file, "--lambda", "1.5")
     assert proc.returncode == 2

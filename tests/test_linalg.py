@@ -9,13 +9,17 @@ import pytest
 
 from aluthgelab import (
     EnsembleSpec,
+    HyperbolicSplitting,
     InvalidSpecError,
     NoConvergenceError,
     NonFiniteEntryError,
     NotInvertibleError,
+    PseudoOrbit,
+    ShadowResult,
     SizeMismatchError,
     aluthge_iterates,
     aluthge_transform,
+    as_matrix,
     conjugator,
     eigenvalues,
     generate_pseudo_orbit,
@@ -27,6 +31,7 @@ from aluthgelab import (
     multiset_match,
     normality_defect,
     operator_norm,
+    orbit_defects,
     quasi_hyperbolic_definitional,
     run_all,
     run_suite,
@@ -290,6 +295,86 @@ def test_a_normal_operator_just_inside_the_float_range_is_its_own_transform():
         aluthge_transform(BEYOND_RANGE["N"])
 
 
+# -- the size rule -------------------------------------------------------
+
+EMPTY = np.zeros((0, 0))
+EMPTY_ORBIT = PseudoOrbit(np.zeros((3, 0)), 0.1, 0.1)
+EMPTY_SHADOW = ShadowResult(np.zeros((3, 0)), 0.0, 0.0, 0.0)
+EMPTY_SPLITTING = HyperbolicSplitting(EMPTY, EMPTY, 0.0, np.inf, 0.0, 0.0)
+
+# every public function that takes an operator, with every other argument
+# fitting a 0 x 0 one
+OPERATOR_CALLS = {
+    "as_matrix": as_matrix,
+    "operator_norm": operator_norm,
+    "svd": svd,
+    "eigenvalues": eigenvalues,
+    "matrix_to_json": matrix_to_json,
+    "aluthge_transform": aluthge_transform,
+    "scale_homogeneity_check": lambda T: scale_homogeneity_check(T, 0.5),
+    "normality_defect": normality_defect,
+    "aluthge_iterates": aluthge_iterates,
+    "conjugator": conjugator,
+    "spectrum_report": spectrum_report,
+    "is_quasi_hyperbolic_spectral": is_quasi_hyperbolic_spectral,
+    "quasi_hyperbolic_definitional": quasi_hyperbolic_definitional,
+    "hyperbolic_splitting": hyperbolic_splitting,
+    "generate_pseudo_orbit": lambda T: generate_pseudo_orbit(T, 0.01, 2, 0),
+    "orbit_defects": lambda T: orbit_defects(T, EMPTY_ORBIT),
+    "shadow_orbit": lambda T: shadow_orbit(T, EMPTY_SPLITTING, EMPTY_ORBIT),
+    "transfer_shadowing": lambda T: transfer_shadowing(T, 0.5, EMPTY_ORBIT),
+    "verify_shadowing": lambda T: verify_shadowing(T, EMPTY_ORBIT, EMPTY_SHADOW, 1.0),
+}
+
+# every public function that also takes a (k, n, n) stack, and the private gate behind them
+STACK_CALLS = {
+    "_as_stack": linalg_core._as_stack,
+    "aluthge_iterates": aluthge_iterates,
+    "quasi_hyperbolic_definitional": quasi_hyperbolic_definitional,
+    "hyperbolic_splitting": hyperbolic_splitting,
+}
+
+
+@pytest.mark.parametrize("call", OPERATOR_CALLS.values(), ids=OPERATOR_CALLS)
+def test_the_empty_operator_is_refused(call, memo, calls):
+    with pytest.raises(SizeMismatchError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+        call(EMPTY)
+    # refused before any factorization, so the memo stays empty
+    assert memo == {} and calls == {"svd": 0, "eigvals": 0}
+
+
+@pytest.mark.parametrize("call", STACK_CALLS.values(), ids=STACK_CALLS)
+def test_stacks_of_empty_operators_are_refused_at_every_length(call):
+    for shape in ((2, 0, 0), (0, 0, 0), (1, 0, 0)):
+        with pytest.raises(SizeMismatchError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+            call(np.zeros(shape))
+    # a stack with no members is checked by the shape its members would have
+    with pytest.raises(SizeMismatchError, match=r"got shape \(2, 3\)$"):
+        call(np.zeros((0, 2, 3)))
+
+
+def test_an_empty_stack_of_nonempty_operators_is_still_accepted():
+    stack = np.zeros((0, 3, 3))
+    assert linalg_core._as_stack(stack)[1] is False
+    for call in (aluthge_iterates, quasi_hyperbolic_definitional, hyperbolic_splitting):
+        assert call(stack) == []
+
+
+def test_rank_tolerance_refuses_no_singular_values():
+    assert linalg_core.rank_tolerance(np.array([4.0, 1.0]), 2) == 8 * EPS
+    for s in (np.zeros(0), np.zeros((3, 0)), np.float64(1.0)):
+        with pytest.raises(SizeMismatchError, match="^expected the singular values of a nonempty matrix, got shape "):
+            linalg_core.rank_tolerance(s, 0)
+
+
+@pytest.mark.parametrize("bad", [EMPTY, np.zeros((2, 3)), [[np.nan, 0], [0, 1]]], ids=["empty", "nonsquare", "nan"])
+def test_save_matrix_refuses_what_load_matrix_would_and_writes_no_file(bad, tmp_path):
+    path = tmp_path / "T.json"
+    with pytest.raises((SizeMismatchError, NonFiniteEntryError)):
+        save_matrix(bad, path)
+    assert not path.exists()
+
+
 def test_matrix_json_round_trip():
     T = np.array([[1 + 2j, 0], [3, -4j]])
     obj = matrix_to_json(T)
@@ -372,7 +457,7 @@ def assert_identical(got, want):
         assert a.shape == b.shape and (a == b).all()
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 64])
+@pytest.mark.parametrize("n", [1, 4, 64])
 @pytest.mark.parametrize("stack_first", [False, True])
 def test_memo_results_equal_direct_factorizations(n, stack_first, memo, calls):
     T = random_matrix(n + 20, n)
@@ -447,6 +532,17 @@ def test_memo_is_bypassed_by_stacks_of_more_than_one(memo, calls):
     assert memo == entries  # the same entries, object for object
     svd(T), eigenvalues(T)  # still served from the memo
     assert calls == {"svd": 2, "eigvals": 2}
+
+
+def test_iterating_leaves_the_operators_memo_entry_in_place(memo, calls):
+    # the steps factor their iterates outside the memo, so the conjugator
+    # of T is still served from the SVD that its transform took
+    T = random_matrix(36, 4)
+    aluthge_transform(T)
+    aluthge_iterates(T, 0.5, 3)
+    calls.update(svd=0)
+    conjugator(T)
+    assert calls["svd"] == 0
 
 
 def test_memo_keeps_one_entry_per_kind(memo, calls):

@@ -584,10 +584,9 @@ def test_orbit_deterministic_and_scale_free():
     np.testing.assert_allclose(halved.points, 0.5 * a.points, atol=1e-18)
 
 
-def test_orbit_of_zero_dim_operator_draws_nothing():
-    orbit = generate_pseudo_orbit(np.zeros((0, 0)), 0.1, 3, 1)
-    assert orbit.points.shape == (4, 0)
-    assert (orbit.delta, orbit.bound) == (0.1, 0.1)
+def test_orbit_of_zero_dim_operator_is_refused():
+    with pytest.raises(SizeMismatchError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+        generate_pseudo_orbit(np.zeros((0, 0)), 0.1, 3, 1)
 
 
 def test_orbit_json_round_trip():
@@ -958,6 +957,20 @@ def test_points_that_are_not_finite_are_refused(function):
     points[2, 1] = np.nan
     with pytest.raises(NonFiniteEntryError, match="^(orbit|shadow) points contain NaN or infinite entries$"):
         _on_points(function, points)
+
+
+@pytest.mark.parametrize("function", ["verify_orbit", "verify_shadow", "orbit_defects"])
+def test_points_whose_steps_overflow_are_refused(function):
+    # finite points whose first coordinate SADDLE doubles past the float range
+    with pytest.raises(NonFiniteEntryError, match="^(orbit defect|shadow distance) beyond the float range$"):
+        _on_points(function, np.full((4, 2), 1e308, dtype=complex))
+
+
+def test_a_shadow_whose_residual_overflows_is_refused():
+    orbit = PseudoOrbit(points=np.full((4, 2), 1e308, dtype=complex), delta=0.01, bound=1e308)
+    shadow = ShadowResult(shadow_points=orbit.points, epsilon=0.0, orbit_residual=0.0, constant_bound=1.0)
+    with pytest.raises(NonFiniteEntryError, match="^orbit residual beyond the float range$"):
+        verify_shadowing(SADDLE, orbit, shadow, 1.0)
 
 
 def test_points_well_formed_pass_every_boundary():

@@ -487,15 +487,29 @@ def test_definitional_stack_equals_one_call_per_member():
     assert (verdicts[5].budget_exhausted, verdicts[5].exponent) == (True, 2)
 
 
-def test_definitional_zero_dim_holds_vacuously():
-    verdict = quasi_hyperbolic_definitional(np.zeros((0, 0)))
-    assert verdict.verdict and is_quasi_hyperbolic_spectral(np.zeros((0, 0))).verdict
-    assert (verdict.exponent, verdict.margin, verdict.witness) == (1, 0.0, None)
-    assert not verdict.budget_exhausted
-    stacked = quasi_hyperbolic_definitional(np.zeros((2, 0, 0)))
-    assert len(stacked) == 2
-    for member in stacked:
-        assert_same_verdict(member, verdict)
+def test_definitional_zero_dim_is_refused():
+    # both routes refuse the 0 x 0 operator at the matrix gate, alone or stacked
+    for call, T in (
+        (quasi_hyperbolic_definitional, np.zeros((0, 0))),
+        (is_quasi_hyperbolic_spectral, np.zeros((0, 0))),
+        (quasi_hyperbolic_definitional, np.zeros((2, 0, 0))),
+    ):
+        with pytest.raises(SizeMismatchError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+            call(T)
+
+
+def test_definitional_refuses_an_operator_beyond_the_float_range():
+    # normal, |mu| = sigma = 1.84e308: its powers pass OVERFLOW_LIMIT at once,
+    # so only the gate before the first power can refuse it
+    N = 1.3e308 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    for T in (N, np.stack([2.0 * np.eye(2), N])):
+        with pytest.raises(NonFiniteEntryError, match="^singular value beyond the float range$"):
+            quasi_hyperbolic_definitional(T)
+    with pytest.raises(NonFiniteEntryError, match="^eigenvalue beyond the float range$"):
+        is_quasi_hyperbolic_spectral(N)
+    # sigma = 1.70e308 is in range: not refused, and left undecided past OVERFLOW_LIMIT
+    verdict = quasi_hyperbolic_definitional(1.2e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    assert (verdict.verdict, verdict.exponent, verdict.budget_exhausted) == (True, 1, True)
 
 
 def test_verdict_json_round_trip_fields():
