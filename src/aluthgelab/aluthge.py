@@ -53,7 +53,6 @@ from .linalg_core import (
     SvdParts,
     _as_stack,
     _eigenvalues,
-    _full_svd,
     _integer,
     _lapack,
     _norms,
@@ -212,11 +211,9 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
     singular value of the SVD that forms iterate j + 1, and a member's
     last iterate takes a values-only SVD in the step where it stops.  Each
     step takes one ``eigvalsh``, for the defect, and the start norm is read
-    off the SVD that step 1 takes.  Only that SVD goes through the
-    factorization memo: the iterates are factored directly, so iterating
-    leaves the memo's entry for T in place.  A defect is stored unscaled
-    in the step that forms it, one beyond the float range as inf, refused
-    once the loop ends.  The rows double when full, so memory follows the
+    off the SVD that step 1 takes.  A defect is stored unscaled in the
+    step that forms it, one beyond the float range as inf, refused once
+    the loop ends.  The rows double when full, so memory follows the
     steps taken, not ``n_max``.
 
     A member stops one iterate past the roundoff floor (read off the
@@ -267,7 +264,7 @@ def _iterate(stack: np.ndarray, lam: float, n_max: int, converged=None, keep: bo
                 live, S = live[going], S[going]
             if not live.size:
                 break
-            parts = SvdParts(*_full_svd(S))
+            parts = _svd(S)
     if not np.isfinite(defects).all():  # the defect scales as ||T||^2
         member, j = np.argwhere(~np.isfinite(defects))[0].tolist()
         raise NonFiniteEntryError(f"normality defect beyond the float range (member {member}, iterate {j})")

@@ -302,9 +302,22 @@ def _steps(T: np.ndarray, points: np.ndarray) -> np.ndarray:
     return points[..., 1:, :] - points[..., :-1, :] @ T.swapaxes(-1, -2)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row.  A row whose squares overflow is scaled
+    first, as :func:`aluthgelab.aluthge._scaled` scales a matrix, so only a
+    norm beyond the float range reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(rows, axis=-1)
+        big = np.isinf(norms)
+        if big.any():
+            A, exponent = _scaled(rows[big][:, None, :])
+            norms[big] = np.ldexp(np.linalg.norm(A[:, 0], axis=-1), exponent)
+    return norms
+
+
 def _largest(rows: np.ndarray) -> np.ndarray:
     """Largest row norm, 0 for no rows; one per member of a stack."""
-    return np.linalg.norm(rows, axis=-1).max(axis=-1, initial=0.0)
+    return _row_norms(rows).max(axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -439,7 +452,7 @@ def orbit_defects(T, orbit: PseudoOrbit) -> np.ndarray:
     T = as_matrix(T)
     points = _points(orbit.points, len(T), "orbit points")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _within_range(np.linalg.norm(_steps(T, points), axis=1), "orbit defect")
+        return _within_range(_row_norms(_steps(T, points)), "orbit defect")
 
 
 def _scan(z: np.ndarray, A: np.ndarray) -> None:

@@ -534,17 +534,6 @@ def test_memo_is_bypassed_by_stacks_of_more_than_one(memo, calls):
     assert calls == {"svd": 2, "eigvals": 2}
 
 
-def test_iterating_leaves_the_operators_memo_entry_in_place(memo, calls):
-    # the steps factor their iterates outside the memo, so the conjugator
-    # of T is still served from the SVD that its transform took
-    T = random_matrix(36, 4)
-    aluthge_transform(T)
-    aluthge_iterates(T, 0.5, 3)
-    calls.update(svd=0)
-    conjugator(T)
-    assert calls["svd"] == 0
-
-
 def test_memo_keeps_one_entry_per_kind(memo, calls):
     A, B = random_matrix(34, 4), random_matrix(35, 4)
     for M in (A, A, B, A):

@@ -959,11 +959,17 @@ def test_points_that_are_not_finite_are_refused(function):
         _on_points(function, points)
 
 
-@pytest.mark.parametrize("function", ["verify_orbit", "verify_shadow", "orbit_defects"])
+@pytest.mark.parametrize("function", ["verify_shadow", "orbit_defects"])
 def test_points_whose_steps_overflow_are_refused(function):
     # finite points whose first coordinate SADDLE doubles past the float range
-    with pytest.raises(NonFiniteEntryError, match="^(orbit defect|shadow distance) beyond the float range$"):
+    with pytest.raises(NonFiniteEntryError, match="^(orbit defect|orbit residual) beyond the float range$"):
         _on_points(function, np.full((4, 2), 1e308, dtype=complex))
+
+
+def test_a_distance_in_range_is_measured_not_refused():
+    # the orbit's steps overflow, but the check reads only its distance
+    # to the shadow, 1.41e308, within the float range and above the claim
+    assert not _on_points("verify_orbit", np.full((4, 2), 1e308, dtype=complex))
 
 
 def test_a_shadow_whose_residual_overflows_is_refused():
@@ -971,6 +977,19 @@ def test_a_shadow_whose_residual_overflows_is_refused():
     shadow = ShadowResult(shadow_points=orbit.points, epsilon=0.0, orbit_residual=0.0, constant_bound=1.0)
     with pytest.raises(NonFiniteEntryError, match="^orbit residual beyond the float range$"):
         verify_shadowing(SADDLE, orbit, shadow, 1.0)
+
+
+def test_norms_whose_squares_overflow_are_measured():
+    # 1e200 squared is beyond the float range; the norms themselves are not
+    T = np.diag([2.0, 0.5])
+    orbit = PseudoOrbit(points=np.full((4, 2), 1e200, dtype=complex), delta=0.01, bound=0.01)
+    np.testing.assert_allclose(orbit_defects(T, orbit), np.full(3, np.hypot(1.0, 0.5) * 1e200), rtol=1e-15)
+    # a true orbit 1.118e200 away from its pseudo-orbit
+    y = np.array([[2.0**k, 0.5**k] for k in range(4)], dtype=complex) * 1e200
+    x = PseudoOrbit(points=y + np.array([1e200, 0.5e200]), delta=0.01, bound=0.01)
+    shadow = ShadowResult(shadow_points=y, epsilon=0.0, orbit_residual=0.0, constant_bound=1.0)
+    assert verify_shadowing(T, x, shadow, 1.12e200)
+    assert not verify_shadowing(T, x, shadow, 1.11e200)
 
 
 def test_points_well_formed_pass_every_boundary():
