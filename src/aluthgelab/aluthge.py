@@ -307,8 +307,6 @@ def aluthge_iterates(T, lam: float = 0.5, n_max: int = 500) -> IterateTrace | li
     """
     lam, n_max = _budget(lam, n_max)
     stack, single = _as_stack(T)
-    if not len(stack):
-        return []
     norms, defects, radii, iterates = _iterate(stack, lam, n_max, keep=True)
     traces = [IterateTrace(*member) for member in zip(iterates, norms, defects, radii)]
     return traces[0] if single else traces

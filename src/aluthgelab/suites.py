@@ -21,18 +21,17 @@ runner.
 
 Every stack is drawn by ``_sample``, the one place where trials become
 matrices: it calls ``ensembles._draw``, the unvalidated core of
-``sample_matrix``, once per trial, with the spec's ``cond_cap`` (a spec
-of normal draws alone has none), the gap it is given, and a shift
-trial's weights from its seed's own stream, ``ensembles._stream``, the
-one constructor of the seeded generator.  ``_draw`` alone decides which
-of these a kind reads: only hyperbolic draws read the gap.  The quasihyp
-suite draws at each of its two gaps, so its unitary trials are drawn
-twice, with the same bits.
+``sample_matrix``, once per trial, with the spec's ``gap`` and
+``cond_cap`` (a spec without one passes None), and a shift trial's
+weights from its seed's own stream, ``ensembles._stream``, the one
+constructor of the seeded generator.  ``_draw`` alone decides which of
+these a kind reads: only hyperbolic draws read the gap.
 
-The shadowing and transfer suites test the two sides of the shadowing
-transfer on the same operators: their specs are built from one declared
-ensemble, ``_SHADOW_ENSEMBLE``, and their tolerances from one declared
-set, ``_SHADOW_TOLERANCES``, and each suite adds only its own keys.
+The shadowing, transfer and quasihyp suites test the paper's two claims
+on the same hyperbolic operators: their specs are built from one
+declared ensemble, ``_SHADOW_ENSEMBLE``, and each suite adds only its own
+keys (quasihyp also draws unitary trials).  The shadowing and transfer
+tolerances come from one declared set, ``_SHADOW_TOLERANCES``.
 
 Every suite runs the trials of each dim as one (k, n, n) stack through
 private cores, which do not validate the stacks built here again, and
@@ -40,7 +39,8 @@ returns the problems of each trial, in group order:
 
     spectral   one ``_svd`` of the stack gives the transforms, and one
                ``_eigenvalues`` call the spectra of the operators and of
-               their transforms; the multiset match runs per trial
+               their transforms; the multiset match, and a shift trial's
+               closed form, run per trial
     fixedpoint one ``_svd`` of the stack feeds the transform of every
                lambda; the bounds and drifts are batched spectral norms
     iterates   one ``_iterate`` call per distinct lambda (the core of
@@ -60,11 +60,10 @@ returns the problems of each trial, in group order:
                per direction (the core of ``transfer_shadowing``) splits
                the operator it shadows under and shadows every trial, and
                one batched check follows
-    quasihyp   one ``_decide`` call (``quasi_hyperbolic_definitional``)
-               decides the definitional matrices, one ``_svd`` of the
-               preservation draws gives their transforms, and one
-               ``_eigenvalues`` call of all three stacks the spectral
-               verdicts
+    quasihyp   one ``_svd`` of the stack gives the transforms, one
+               ``_decide`` call (``quasi_hyperbolic_definitional``)
+               decides them, and one ``_eigenvalues`` call of the
+               operators and their transforms the spectral verdicts
 
 What depends on lambda is formed once per distinct lambda, on the rows of
 the stack's SVD that belong to its trials (``_by_lambda``).  A stacked
@@ -99,7 +98,8 @@ Suites
 ------
 spectral
     Eigenvalue multisets of T and D_lam(T) match across invertible,
-    normal, and shift samples.
+    normal, and shift samples, and the transform of a shift equals its
+    closed form (see ``_shift_transform``).
 fixedpoint
     Normal operators are fixed points of every transform.
 iterates
@@ -121,8 +121,9 @@ transfer
     the Lipschitz-inflated bound.
 quasihyp
     Spectral quasi-hyperbolicity verdicts of T and D_lam(T) agree (false
-    for unitary draws), and the exact definitional decision agrees with
-    the spectral route away from the unit circle.
+    for unitary draws), and the exact definitional decision of D_lam(T)
+    agrees with the spectral verdict of T: true, within its exponent
+    budget, for a hyperbolic T, and false for a unitary U = D_lam(U).
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _trial(spec: dict, index: int) -> _Trial:
     )
 
 
-def _sample(group, spec: dict, gap=None) -> np.ndarray:
+def _sample(group, spec: dict) -> np.ndarray:
     """The (k, n, n) stack of a group's matrices, each drawn alone as
     ``sample_matrix`` draws it (see the module docstring)."""
     stack = []
@@ -216,7 +217,7 @@ def _sample(group, spec: dict, gap=None) -> np.ndarray:
         weights = None
         if trial.kind == "shift":
             weights = _stream(trial.seed).uniform(*spec["shift_weights"], trial.dim - 1)
-        stack.append(_draw(trial.kind, trial.dim, trial.seed, gap, spec.get("cond_cap"), weights))
+        stack.append(_draw(trial.kind, trial.dim, trial.seed, spec.get("gap"), spec.get("cond_cap"), weights))
     return np.stack(stack)
 
 
@@ -229,8 +230,20 @@ def _by_lambda(group, parts: SvdParts):
         yield members, SvdParts(parts.left[members], parts.singular_values[members], parts.right[members]), lam
 
 
+def _shift_transform(T: np.ndarray, lam: float) -> np.ndarray:
+    """D_lam(T) of the weighted shift T e_k = w_k e_(k+1) with positive
+    weights, in closed form: the shift with weights w_k^(1-lam) w_(k+1)^lam,
+    taking w_n = 0 (Jung, Ko and Pearcy, Integral Equations Operator
+    Theory 37, 2000)."""
+    w = np.diagonal(T, -1).real
+    return np.diag(w ** (1.0 - lam) * np.append(w[1:], 0.0) ** lam, -1)
+
+
 def _spectral(group, spec, tolerances):
-    """The spectral suite on a group of one dim: each trial's multiset match."""
+    """The spectral suite on a group of one dim: each trial's multiset
+    match, and each shift trial's transform against its closed form.  One
+    tolerance, ``eigenvalue_match_factor * (1 + ||T||)``, bounds both: the
+    eigenvalue distance and the Frobenius distance from the closed form."""
     T = _sample(group, spec)
     D = np.empty_like(T)
     for members, parts, lam in _by_lambda(group, _svd(T)):
@@ -238,10 +251,15 @@ def _spectral(group, spec, tolerances):
     tols = tolerances["eigenvalue_match_factor"] * (1.0 + _norms(T))
     spectra = _eigenvalues(np.concatenate([T, D]))
     problems = []
-    for trial, before, after, tol in zip(group, spectra[: len(group)], spectra[len(group) :], tols.tolist()):
-        matched, distance = multiset_match(before, after, tol)
-        problem = f"{trial.kind} dim {trial.dim} lambda {trial.lam}: spectra differ by {distance:.3e} > {tol:.3e}"
-        problems.append([] if matched else [problem])
+    for i, (trial, tol) in enumerate(zip(group, tols.tolist())):
+        where = f"{trial.kind} dim {trial.dim} lambda {trial.lam}"
+        matched, distance = multiset_match(spectra[i], spectra[len(group) + i], tol)
+        found = [] if matched else [f"{where}: spectra differ by {distance:.3e} > {tol:.3e}"]
+        if trial.kind == "shift":
+            off = np.linalg.norm(D[i] - _shift_transform(T[i], trial.lam))
+            if off > tol:
+                found.append(f"{where}: transform off its closed form by {off:.3e} > {tol:.3e}")
+        problems.append(found)
     return problems
 
 
@@ -292,7 +310,7 @@ def _iterates(group, spec, tolerances):
 
 def _shadowing(group, spec, tolerances):
     """The shadowing suite on a group of one dim: every delta, then the linear response."""
-    T = _sample(group, spec, spec["gap"])
+    T = _sample(group, spec)
     sing = _singular_values(T)
     splittings = _splittings(T, sing)
     constant = np.array([split.constant_bound for split in splittings])
@@ -326,7 +344,7 @@ def _shadowing(group, spec, tolerances):
 def _transfer(group, spec, tolerances):
     """The transfer suite on a group of one dim: forward and reverse shadows."""
     delta, length = tolerances["delta"], tolerances["orbit_length"]
-    T = _sample(group, spec, spec["gap"])
+    T = _sample(group, spec)
     D, H, H_inv, factor = np.empty_like(T), np.empty_like(T), np.empty_like(T), np.empty(len(group))
     for members, parts, lam in _by_lambda(group, _svd(T)):
         D[members], H[members], H_inv[members], factor[members] = _conjugacy(parts, lam)
@@ -354,32 +372,32 @@ def _transfer(group, spec, tolerances):
 
 
 def _quasihyp(group, spec, tolerances):
-    """The quasihyp suite on a group of one dim.  The definitional and the
-    preservation matrix are hyperbolic draws at their gaps, or both the
-    trial's unitary."""
-    definitional = _sample(group, spec, spec["definitional_gap"])
-    verdicts = _decide(definitional, tolerances["n_max"])
-    T = _sample(group, spec, spec["preservation_gap"])
+    """The quasihyp suite on a group of one dim: the spectral verdicts of T
+    and D_lam(T), and the definitional verdict of D_lam(T)."""
+    T = _sample(group, spec)
     D = np.empty_like(T)
     for members, parts, lam in _by_lambda(group, _svd(T)):
         D[members] = _transform(parts, lam)
-    spectra = _eigenvalues(np.concatenate([T, D, definitional])).reshape(3, len(group), -1)
+    verdicts = _decide(D, tolerances["n_max"])
+    spectra = _eigenvalues(np.concatenate([T, D])).reshape(2, len(group), -1)
     problems = []
     for trial, definitional, *evs in zip(group, verdicts, *spectra):
-        # the spectral verdicts of T, of D_lam(T) and of the definitional matrix
-        before, after, spectral = (_hyperbolicity(ev)[2] for ev in evs)
-        where = f"{trial.kind} dim {trial.dim}"
+        before, after = (_hyperbolicity(ev)[2] for ev in evs)
+        where = f"{trial.kind} dim {trial.dim} lambda {trial.lam}"
         found = []
         if trial.kind == "hyperbolic":
             if before != after:
-                found.append(f"{where} lambda {trial.lam}: spectral verdict flipped {before} -> {after}")
-            if spectral != definitional.verdict:
-                found.append(f"{where}: definitional {definitional.verdict} disagrees with spectral {spectral}")
+                found.append(f"{where}: spectral verdict flipped {before} -> {after}")
+            # a true verdict that exhausted its budget decided nothing
+            decided = "undecided" if definitional.budget_exhausted else definitional.verdict
+            if decided != before:
+                found.append(f"{where}: definitional verdict {decided} of D_lam(T) disagrees with spectral {before}")
         else:
             if before or after:
-                found.append(f"{where} lambda {trial.lam}: spectral verdicts {before}/{after}, expected false/false")
+                found.append(f"{where}: spectral verdicts {before}/{after}, expected false/false")
+            # D_lam(U) = U for a unitary U
             if definitional.verdict:
-                found.append(f"{where}: definitional verdict true")
+                found.append(f"{where}: definitional verdict of D_lam(U) true")
         problems.append(found)
     return problems
 
@@ -391,7 +409,7 @@ class _Suite(NamedTuple):
     run: Callable[[list, dict, dict], list]
 
 
-# what the shadowing and transfer suites share (see the module docstring)
+# what the shadowing, transfer and quasihyp suites share (see the module docstring)
 _SHADOW_ENSEMBLE = {"kinds": ["hyperbolic"], "dims": [2, 8], "gap": 0.2, "cond_cap": 1e4}
 _SHADOW_TOLERANCES = {"residual_factor": RESIDUAL_TOL_FACTOR, "epsilon_slack": EPSILON_SLACK, "orbit_length": 200}
 
@@ -436,14 +454,7 @@ _SUITES = {
         run=_transfer,
     ),
     "quasihyp": _Suite(
-        spec={
-            "kinds": ["hyperbolic", "unitary"],
-            "dims": [2, 8],
-            "preservation_gap": 0.2,
-            "definitional_gap": 0.3,
-            "cond_cap": 1e4,
-            "lambdas": list(LAMBDA_GRID),
-        },
+        spec={**_SHADOW_ENSEMBLE, "kinds": ["hyperbolic", "unitary"], "lambdas": list(LAMBDA_GRID)},
         tolerances={"n_max": 20},
         run=_quasihyp,
     ),

@@ -54,6 +54,11 @@ def _factors_swapped(parts, lam, real=aluthge._transform):
     return real(SvdParts(parts.right, parts.singular_values, parts.left), lam)
 
 
+def _transform_at(lam_of, real=aluthge._transform):
+    """The transform core at the lambda ``lam_of`` maps each lambda to."""
+    return lambda parts, lam: real(parts, lam_of(lam))
+
+
 def _constant_scaled(factor, real=shadowing.HyperbolicSplitting.constant_bound):
     """The shadowing constant C of every splitting, times ``factor``."""
     return property(lambda split: factor * real.fget(split))
@@ -84,13 +89,16 @@ def _norms_one_step_late(*args, real=aluthge._iterate, **kwargs):
 
 # name -> (the (module, name) pairs replaced, the replacement, the suites
 # that catch it).  Passes out of 100 when measured: 20 in transfer for
-# both transform faults (the lambda = 0.5 trials are unaffected), 0 for
-# both inverse faults; 0 in shadowing and transfer for the swapped
-# projectors; 33 in spectral (the draws whose spectrum is closed under
-# conjugation) and 0 in fixedpoint and transfer for U*; 92 in shadowing
-# and transfer for C x 0.1, 100 everywhere for C x 0.5; 33 in spectral
-# (the draws whose spectra agree bit for bit) for the ignored tolerance;
-# 100 everywhere for the early hold and the late norm
+# both transform faults in the conjugacy core (the lambda = 0.5 trials are
+# unaffected), 0 for both inverse faults; 0 in shadowing and transfer for
+# the swapped projectors; 76 in spectral and 20 in transfer for both
+# faults in the transform core (the spectral suite's closed form of its
+# shift trials misses the 7 at lambda = 0.5 and the 2 others of dim 2,
+# whose transform is 0 at every lambda); 33 in spectral (the draws whose
+# spectrum is closed under conjugation) and 0 in fixedpoint and transfer
+# for U*; 92 in shadowing and transfer for C x 0.1, 100 everywhere for
+# C x 0.5; 33 in spectral (the draws whose spectra agree bit for bit) for
+# the ignored tolerance; 100 everywhere for the early hold and the late norm
 MUTANTS = {
     "transform at 1 - lambda": (
         [(suites, "_conjugacy")],
@@ -132,6 +140,20 @@ MUTANTS = {
         [(aluthge, "_transform"), (suites, "_transform")],
         _factors_swapped,
         {"spectral", "fixedpoint", "transfer"},
+    ),
+    # planted in the core itself.  The iterates suite runs at lambda = 0.5
+    # alone, where both faults change nothing; fixedpoint and quasihyp
+    # miss them, as the transform at any lambda fixes a normal operator
+    # and is similar to an invertible one, so no verdict moves
+    "transform core at 1 - lambda": (
+        [(aluthge, "_transform"), (suites, "_transform")],
+        _transform_at(lambda lam: 1.0 - lam),
+        {"spectral", "transfer"},
+    ),
+    "transform core ignores lambda": (
+        [(aluthge, "_transform"), (suites, "_transform")],
+        _transform_at(lambda lam: 0.5),
+        {"spectral", "transfer"},
     ),
     "C x 0.5": ([(shadowing.HyperbolicSplitting, "constant_bound")], _constant_scaled(0.5), set()),
     "C x 0.1": (

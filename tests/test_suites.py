@@ -1,5 +1,6 @@
 """Verification suites and their reports."""
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -28,6 +29,7 @@ from aluthgelab import (
     hyperbolic_splitting,
     is_quasi_hyperbolic_spectral,
     operator_norm,
+    quasi_hyperbolic_definitional,
     run_all,
     run_suite,
     sample_matrix,
@@ -363,8 +365,8 @@ def test_serial_run_all_builds_no_ensemble_spec(monkeypatch):
     monkeypatch.setattr(os, "fork", _no_worker)
     run_all(trials=100, base_seed=1)
     assert specs == []
-    # every trial is drawn once, a quasihyp trial once at each of its gaps
-    assert len(draws) == 100 * (len(SUITE_NAMES) + 1)
+    # every trial is drawn once
+    assert len(draws) == 100 * len(SUITE_NAMES)
 
 
 def test_every_seeded_generator_is_built_by_one_constructor(monkeypatch):
@@ -386,7 +388,7 @@ def test_every_seeded_generator_is_built_by_one_constructor(monkeypatch):
     assert builders and set(builders) == {"_stream"}
 
 
-def test_shadowing_and_transfer_suites_draw_the_same_operators():
+def test_shadowing_and_transfer_suites_draw_the_same_operators(monkeypatch):
     shadow_spec, shadow_tolerances, shadow_groups = _groups("shadowing", trials=100, base_seed=1)
     spec, tolerances, groups = _groups("transfer", trials=100, base_seed=1)
     assert {key: spec[key] for key in shadow_spec} == shadow_spec
@@ -394,8 +396,26 @@ def test_shadowing_and_transfer_suites_draw_the_same_operators():
     assert [tolerances[key] for key in shared] == [shadow_tolerances[key] for key in shared]
     assert len(groups) == len(shadow_groups) == 7
     for group, shadow_group in zip(groups, shadow_groups, strict=True):
-        stack = suites._sample(group, spec, spec["gap"])
-        assert stack.tobytes() == suites._sample(shadow_group, shadow_spec, shadow_spec["gap"]).tobytes()
+        assert suites._sample(group, spec).tobytes() == suites._sample(shadow_group, shadow_spec).tobytes()
+    # the quasihyp suite's hyperbolic trials are the shadowing draws of
+    # their seeds, and the D_lam(T) it decides is the transfer suite's
+    quasi_spec, quasi_tolerances, quasi_groups = _groups("quasihyp", trials=100, base_seed=1)
+    assert {key: quasi_spec[key] for key in shadow_spec} == dict(shadow_spec, kinds=["hyperbolic", "unitary"])
+    transferred, decided = _record(monkeypatch, "_transferred"), _record(monkeypatch, "_decide")
+    hyperbolic = 0
+    for quasi_group, group, shadow_group in zip(quasi_groups, groups, shadow_groups, strict=True):
+        draws = dict(zip((trial.seed for trial in shadow_group), suites._sample(shadow_group, shadow_spec)))
+        # every call of a direction gets the same (D, H, H_inv, factor)
+        (_, (D, *_), *_), _ = _calls_running(transferred, "transfer", group, spec, tolerances)[0]
+        transforms = dict(zip((trial.seed for trial in group), D))
+        [((quasi_D, _), _)] = _calls_running(decided, "quasihyp", quasi_group, quasi_spec, quasi_tolerances)
+        quasi_T = suites._sample(quasi_group, quasi_spec)
+        for trial, T, D in zip(quasi_group, quasi_T, quasi_D, strict=True):
+            if trial.kind == "hyperbolic":
+                assert T.tobytes() == draws[trial.seed].tobytes()
+                assert D.tobytes() == transforms[trial.seed].tobytes()
+                hyperbolic += 1
+    assert hyperbolic == 50
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -606,23 +626,37 @@ def test_stacked_quasihyp_equals_each_trial_alone(monkeypatch):
     # 35 trials: every dim holds hyperbolic and unitary trials, five lambdas
     spec, tolerances, groups = _groups("quasihyp", trials=35, base_seed=5)
     calls = _record(monkeypatch, "_eigenvalues")
+    decided = _record(monkeypatch, "_decide")
+
+    def running(group):
+        """The eigenvalue call and the definitional call of ``group``."""
+        decided.clear()
+        [eigenvalue_call] = _calls_running(calls, "quasihyp", group, spec, tolerances)
+        [decide_call] = decided
+        return eigenvalue_call, decide_call
+
     for group in groups:
-        # the eigenvalues of T, of D_lam(T) and of the definitional matrix
-        [((stack,), spectra)] = _calls_running(calls, "quasihyp", group, spec, tolerances)
+        # the eigenvalues of T and of D_lam(T); the verdicts of D_lam(T)
+        ((stack,), spectra), ((transforms, n_max), verdicts) = running(group)
+        assert n_max == tolerances["n_max"]
         k = len(group)
         for i, trial in enumerate(group):
-            [((alone_stack,), alone_spectra)] = _calls_running(calls, "quasihyp", [trial], spec, tolerances)
-            for j in range(3):
+            ((alone_stack,), alone_spectra), ((alone_transforms, _), alone_verdicts) = running([trial])
+            for j in range(2):
                 np.testing.assert_array_equal(stack[j * k + i], alone_stack[j])
                 np.testing.assert_array_equal(spectra[j * k + i], alone_spectra[j])
+            np.testing.assert_array_equal(transforms[i], alone_transforms[0])
+            assert verdicts[i].to_json() == alone_verdicts[0].to_json()
             # and to the public route
-            gaps = (spec["preservation_gap"], spec["definitional_gap"])
-            T, definitional = (_public_matrix(trial, spec, gap) for gap in gaps)
-            for j, M in enumerate((T, aluthge_transform(T, trial.lam), definitional)):
+            T = _public_matrix(trial, spec, spec["gap"])
+            D = aluthge_transform(T, trial.lam)
+            for j, M in enumerate((T, D)):
                 np.testing.assert_array_equal(stack[j * k + i], M)
                 np.testing.assert_array_equal(spectra[j * k + i], eigenvalues(M))
                 hyperbolic = suites._hyperbolicity(spectra[j * k + i])[2]
                 assert hyperbolic == is_quasi_hyperbolic_spectral(M).verdict
+            np.testing.assert_array_equal(transforms[i], D)
+            assert verdicts[i].to_json() == quasi_hyperbolic_definitional(D, n_max=20).to_json()
 
 
 @pytest.mark.parametrize("name, trials, dims", [("spectral", 22, range(2, 13)), ("fixedpoint", 18, range(2, 11))])
@@ -846,6 +880,28 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
     assert calls == [(3, n, n) for n in range(8, 1, -1)]
 
 
+def test_quasihyp_fails_every_hyperbolic_trial_whose_decision_exhausts_its_budget(monkeypatch):
+    # a true verdict without a deciding exponent agrees with no spectral verdict
+    real = suites._decide
+
+    def exhausted(stack, n_max):
+        return [
+            dataclasses.replace(verdict, verdict=True, witness=None, margin=0.0, budget_exhausted=True)
+            for verdict in real(stack, n_max)
+        ]
+
+    monkeypatch.setattr(suites, "_decide", exhausted)
+    report = run_suite("quasihyp", trials=14, base_seed=1)
+    hyperbolic = [
+        failure["diagnostic"] for failure in report.failures if failure["diagnostic"].startswith("hyperbolic")
+    ]
+    assert len(hyperbolic) == 7
+    assert all(
+        diagnostic.endswith("definitional verdict undecided of D_lam(T) disagrees with spectral True")
+        for diagnostic in hyperbolic
+    )
+
+
 # at base seed 1, the trial of the spec's seed is refused, alone or inside
 # a stack; trial 0 or 1 shares its stack and passes when run alone: in
 # spectral, trial 12 (dim 3); in fixedpoint, trial 9 (dim 2); otherwise
@@ -853,21 +909,24 @@ def test_quasihyp_suite_decides_one_stack_per_dim(monkeypatch):
 # verdicts, after the definitional decision of the stack, so the whole
 # group reruns one trial at a time.  Each entry names the module whose
 # name is refused: the transfer suite splits through the core in
-# ``shadowing``
+# ``shadowing``.  An entry with a lambda refuses the draw's transform
+# D_lam, which is what quasihyp decides: trial 7 is the unitary at 0.5
 STACK_REFUSALS = {
     "spectral": ("spectral", suites, "_svd", 13, EnsembleSpec(kind="invertible", dim=3, seed=13, cond_cap=1e4)),
     "fixedpoint": ("fixedpoint", suites, "_svd", 10, EnsembleSpec(kind="normal", dim=2, seed=10)),
     "shadowing": ("shadowing", suites, "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
     "transfer": ("transfer", shadowing, "_splittings", 10, EnsembleSpec(kind="hyperbolic", dim=2, seed=8, gap=0.2, cond_cap=1e4)),
-    "quasihyp": ("quasihyp", suites, "_decide", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
+    "quasihyp": ("quasihyp", suites, "_decide", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4), 0.5),
     "quasihyp-per-trial": ("quasihyp", suites, "_eigenvalues", 10, EnsembleSpec(kind="unitary", dim=2, seed=8, cond_cap=1e4)),
 }
 
 
 @pytest.mark.parametrize("case", STACK_REFUSALS)
 def test_shadow_suites_stack_error_retries_each_trial_alone(case, monkeypatch):
-    name, module, entry, trials, spec = STACK_REFUSALS[case]
+    name, module, entry, trials, spec, *lam = STACK_REFUSALS[case]
     refused = sample_matrix(spec)
+    if lam:
+        refused = aluthge_transform(refused, *lam)
     real = getattr(module, entry)
 
     def flaky(T, *args, **kwargs):
